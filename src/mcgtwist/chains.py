@@ -9,7 +9,6 @@ gamma_3).  Coordinates are flattened as position(x) * d + (i - 1).
 
 from dataclasses import dataclass
 
-from .errors import NotACycle
 from .intlin import ColumnSolver, Echelon, vec_axpy
 from .surface import Gen, build_representation, expand_word
 
@@ -174,40 +173,18 @@ def expected_boundary(spec, gen, i):
     raise ValueError("unknown generator kind %r" % kind)
 
 
-def rewrite_relation(space, lhs, rhs, xi):
-    """Homology class of the relation lhs = rhs with coefficient xi_i.
-
-    Each side w = l_1..l_m contributes, for the letter l_t at prefix
-    p = l_1..l_{t-1}: +[x] (x) psi(p)^-1 xi if l_t = x, and
-    -[x] (x) psi(p l_t)^-1 xi if l_t = x^-1.  The result is
-    contribution(lhs) - contribution(rhs); derived letters are expanded
-    first.
-    """
-    out = ChainVector()
-    for word, side in ((lhs, 1), (rhs, -1)):
-        q = [0] * space.d
-        q[xi - 1] = 1
-        for gen, e in expand_word(word, space.spec):
-            if e > 0:
-                for r, c in enumerate(q):
-                    if c:
-                        out.add_term(space.flat(gen, r + 1), side * c)
-                q = space.rep.psi(gen, -1).matvec(q)
-            else:
-                q = space.rep.psi(gen, 1).matvec(q)
-                for r, c in enumerate(q):
-                    if c:
-                        out.add_term(space.flat(gen, r + 1), -side * c)
-    return out
-
-
 def rewrite_relation_all(space, lhs, rhs):
     """Rewrite a relation over every basis coefficient at once.
 
-    Returns a list of d chains, entry i-1 matching
-    rewrite_relation(space, lhs, rhs, i).  One pass over the letters is
-    shared by all coefficients: the running matrix Q = psi(prefix)^-1 is
-    updated through its few non-identity rows per generator.
+    Returns a list of d chains, entry i-1 being the homology class of
+    the relation lhs = rhs with coefficient xi_i.  Each side
+    w = l_1..l_m contributes, for the letter l_t at prefix
+    p = l_1..l_{t-1}: +[x] (x) psi(p)^-1 xi if l_t = x, and
+    -[x] (x) psi(p l_t)^-1 xi if l_t = x^-1; the result is
+    contribution(lhs) - contribution(rhs), with derived letters expanded
+    first.  One pass over the letters is shared by all coefficients: the
+    running matrix Q = psi(prefix)^-1 is updated through its few
+    non-identity rows per generator.
     """
     d = space.d
     out = [ChainVector() for _ in range(d)]
@@ -236,8 +213,10 @@ def rewrite_relation_all(space, lhs, rhs):
 
         for gen, e in expand_word(word, space.spec):
             if e > 0:
+                # psi first: it raises UnknownLetter off the alphabet.
+                inverse = space.rep.psi(gen, -1)
                 contribute(gen, side)
-                apply(space.rep.psi(gen, -1))
+                apply(inverse)
             else:
                 apply(space.rep.psi(gen, 1))
                 contribute(gen, -side)
@@ -246,11 +225,9 @@ def rewrite_relation_all(space, lhs, rhs):
 
 @dataclass
 class CycleLattice:
-    """The lattice of chains with zero boundary, plus labels for basis
-    rows that coincide with one of the explicit generator families."""
+    """The lattice of chains with zero boundary."""
 
     echelon: Echelon
-    labels: dict
 
     @property
     def rank(self):
@@ -266,20 +243,7 @@ def cycle_lattice(space):
     for gen in space.gens:
         for i in range(1, space.d + 1):
             solver.add(space._bcol[gen][i - 1], tag=space.flat(gen, i))
-    ech = Echelon(solver.kernel_basis())
-    labels = {}
-    named = {
-        _freeze(vec): label for label, vec in kernel_generator_list(space)
-    }
-    for pivot, row in ech.pivots.items():
-        label = named.get(_freeze(row))
-        if label:
-            labels[pivot] = label
-    return CycleLattice(ech, labels)
-
-
-def _freeze(vec):
-    return frozenset(vec.items())
+    return CycleLattice(Echelon(solver.kernel_basis()))
 
 
 def _gamma_correction(space):
@@ -386,8 +350,3 @@ def kernel_generator_list(space):
             )
         )
     return out
-
-
-def require_cycle(space, lattice, chain, what="chain"):
-    if not lattice.contains(chain):
-        raise NotACycle("%s is not in the cycle lattice: %s" % (what, space.format_chain(chain)))

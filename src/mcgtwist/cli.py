@@ -2,29 +2,27 @@
 
 Three subcommands: `compute` runs one spec and reports the group,
 `table` sweeps a grid of specs, `verify` runs the internal consistency
-suite.  Exit codes: 0 success/match, 2 invalid spec, 3 unstable
-sampling, 4 computed group differs from the closed form, 5 failed
-verification.
+suite.  Exit codes: 0 success/match, 2 invalid input (spec, flags or
+relations file), 3 unstable sampling, 4 computed group differs from the
+closed form, 5 failed verification.
 """
 
 import argparse
 import json
 import sys
 
-from .catalog import build_catalog, parse_relations, verify_catalog
-from .certify import descent_check, functionals_for, lower_bound, oracle
-from .chains import (
-    ChainSpace,
-    boundary1,
-    cycle_lattice,
-    expected_boundary,
-    kernel_generator_list,
-    rewrite_relation_all,
-)
+from .catalog import parse_relations
+from .certify import lower_bound, oracle
 from .engine import compute_h1
-from .errors import SpecInvalid, UnstableSampling
-from .intlin import Echelon, IntMatrix
-from .surface import SurfaceSpec, build_representation
+from .errors import (
+    RelationOutsideKernel,
+    SpecInvalid,
+    UnknownDerived,
+    UnknownLetter,
+    UnstableSampling,
+)
+from .surface import SurfaceSpec
+from .verify import fault_checks, verify_spec
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -97,21 +95,32 @@ def record_text(record):
     return "\n".join(lines)
 
 
+# What a bad --relations file raises: unreadable (OSError), a line with
+# no `=` (ValueError), a letter this surface lacks, or a relation whose
+# two sides act differently on homology.
+RELATION_ERRORS = (
+    OSError, ValueError, UnknownLetter, UnknownDerived, RelationOutsideKernel
+)
+
+
 def cmd_compute(args):
     try:
         spec = make_spec(args)
     except SpecInvalid as exc:
         print("invalid spec: %s" % exc, file=sys.stderr)
         return EXIT_INVALID
-    extra = None
-    if args.relations:
-        with open(args.relations, encoding="utf-8") as handle:
-            extra = parse_relations(handle.read())
     try:
+        extra = None
+        if args.relations:
+            with open(args.relations, encoding="utf-8") as handle:
+                extra = parse_relations(handle.read())
         record = run_record(spec, args.samples, args.seed, extra)
     except UnstableSampling as exc:
         print("unstable sampling: %s" % exc, file=sys.stderr)
         return EXIT_UNSTABLE
+    except RELATION_ERRORS as exc:
+        print("invalid relations: %s" % exc, file=sys.stderr)
+        return EXIT_INVALID
     out = record_json(record) if args.format == "json" else record_text(record)
     print(out)
     return EXIT_OK if record["match"] else EXIT_MISMATCH
@@ -195,86 +204,6 @@ def cmd_table(args):
     return EXIT_OK
 
 
-def verify_spec(spec):
-    """All consistency checks for one spec; returns a list of failures."""
-    failures = []
-    rep = build_representation(spec)
-    ident = IntMatrix.identity(spec.d)
-    for gen in spec.generators():
-        mat = rep.psi(gen)
-        if mat.det() not in (1, -1):
-            failures.append("det psi(%s) not a unit" % gen.name)
-        if mat @ rep.psi(gen, -1) != ident:
-            failures.append("psi(%s) inverse wrong" % gen.name)
-        if gen.kind in "udsv" and mat @ mat != ident:
-            failures.append("psi(%s) is not an involution" % gen.name)
-
-    space = ChainSpace(spec, rep)
-    for gen in space.gens:
-        for i in range(1, spec.d + 1):
-            if space._bcol[gen][i - 1] != expected_boundary(spec, gen, i):
-                failures.append(
-                    "boundary of %s_(x)_xi_%d disagrees with the closed form"
-                    % (gen.name, i)
-                )
-
-    lattice = cycle_lattice(space)
-    listed = Echelon(
-        dict(chain) for _, chain in kernel_generator_list(space)
-    )
-    if not lattice.echelon.same_lattice(listed):
-        failures.append("cycle lattice differs from the explicit family")
-
-    catalog = build_catalog(spec, space)
-    report = verify_catalog(space, catalog, lattice)
-    failures.extend(report.failures)
-
-    for entry in catalog:
-        if entry.kind != "word":
-            continue
-        for i, vec in enumerate(rewrite_relation_all(space, entry.lhs, entry.rhs)):
-            if boundary1(space, vec) or not lattice.contains(vec):
-                failures.append(
-                    "%s rewritten at xi_%d is not a cycle" % (entry.rid, i + 1)
-                )
-
-    from .engine import build_relation_system
-
-    system = build_relation_system(spec)
-    for functional in functionals_for(spec):
-        drep = descent_check(system, functional)
-        failures.extend(drep.failures)
-    return failures
-
-
-def fault_checks(spec):
-    """The deliberately flipped signs must be caught; returns failures
-    of the checks-about-checks."""
-    failures = []
-    for variant in ("e", "s"):
-        if variant == "e" and spec.s + spec.n - 1 < 3:
-            continue
-        if variant == "s" and (spec.flavor != "m" or spec.s + spec.n < 3):
-            continue
-        caught = False
-        try:
-            rep = build_representation(spec, sign_variant=variant)
-            ident = IntMatrix.identity(spec.d)
-            for gen in spec.generators():
-                if gen.kind in "udsv" and rep.psi(gen) @ rep.psi(gen) != ident:
-                    caught = True
-            space = ChainSpace(spec, rep)
-            for gen in space.gens:
-                for i in range(1, spec.d + 1):
-                    if space._bcol[gen][i - 1] != expected_boundary(spec, gen, i):
-                        caught = True
-        except Exception:
-            caught = True
-        if not caught:
-            failures.append("sign variant %r went undetected" % variant)
-    return failures
-
-
 def cmd_verify(args):
     if args.all:
         specs = []
@@ -313,6 +242,24 @@ def cmd_verify(args):
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors end in one stderr line and exit 2 (EXIT_INVALID)."""
+
+    def error(self, message):
+        self.exit(EXIT_INVALID, "%s: error: %s\n" % (self.prog, message))
+
+
+def _sample_count(text):
+    """argparse type for --samples: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError("need an integer >= 1, got %r" % text)
+    return value
+
+
 def _add_spec_flags(parser, required=True):
     parser.add_argument("--genus", type=int, required=required)
     parser.add_argument("--boundary", type=int, default=0)
@@ -323,7 +270,7 @@ def _add_spec_flags(parser, required=True):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mcgtwist",
         description="Twisted first homology of mapping class groups of "
                     "non-orientable surfaces.",
@@ -332,7 +279,7 @@ def build_parser():
 
     pc = sub.add_parser("compute", help="compute one spec")
     _add_spec_flags(pc)
-    pc.add_argument("--samples", type=int, default=17)
+    pc.add_argument("--samples", type=_sample_count, default=17)
     pc.add_argument("--seed", type=int, default=0)
     pc.add_argument("--format", choices=("json", "text"), default="text")
     pc.add_argument("--relations", metavar="FILE", default=None,
@@ -345,7 +292,7 @@ def build_parser():
     pt.add_argument("--punctures", default=None)
     pt.add_argument("--k", default=None)
     pt.add_argument("--flavor", choices=("pm+", "pmk", "m"), default="pmk")
-    pt.add_argument("--samples", type=int, default=17)
+    pt.add_argument("--samples", type=_sample_count, default=17)
     pt.add_argument("--seed", type=int, default=0)
     pt.add_argument("--format", choices=("markdown", "csv", "json"),
                     default="markdown")

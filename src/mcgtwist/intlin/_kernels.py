@@ -1,15 +1,12 @@
-"""Pure-Python kernels for sparse exact integer linear algebra.
+"""Kernels for sparse exact integer linear algebra.
 
 Vectors are dicts mapping column index -> nonzero integer.  An echelon
 basis is a dict mapping pivot column -> row vector whose smallest column
-is that pivot with a positive entry.  These four functions are the hot
-inner loops of the whole package; `_core.pyx` provides a compiled twin
-with the same signatures.
+is that pivot with a positive entry.  These functions are the hot inner
+loops of the whole package.
 """
 
 from heapq import heapify, heappop, heappush
-
-BACKEND = "python"
 
 
 def xgcd(a, b):

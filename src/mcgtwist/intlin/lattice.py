@@ -1,7 +1,7 @@
 """Lattice-level integer linear algebra.
 
-Built on the sparse kernels from the selected backend: Hermite and Smith
-normal forms, integer kernels, exact solving and lattice quotients.  All
+Built on the sparse kernels in `_kernels`: Hermite and Smith normal
+forms, integer kernels, exact solving and lattice quotients.  All
 vectors at this level are either plain lists (dense, for the public
 matrix API) or dicts mapping coordinate -> nonzero int (sparse, used by
 the homology pipeline).
@@ -10,7 +10,7 @@ the homology pipeline).
 from dataclasses import dataclass
 
 from ..errors import NoIntegerSolution, RelationOutsideKernel
-from ._backend import echelon_insert, echelon_reduce, snf_factors, vec_axpy
+from ._kernels import echelon_insert, echelon_reduce, snf_factors
 from .matrix import IntMatrix
 
 
@@ -196,17 +196,6 @@ class Echelon:
         out = Echelon()
         out.pivots = {j: dict(row) for j, row in self.pivots.items()}
         return out
-
-    def normalize(self):
-        """Reduce entries above each pivot into [0, pivot); canonical form."""
-        for j in sorted(self.pivots, reverse=True):
-            prow = self.pivots[j]
-            pval = prow[j]
-            for i, row in self.pivots.items():
-                if i < j and j in row:
-                    q = row[j] // pval
-                    if q:
-                        vec_axpy(row, prow, -q)
 
     def same_lattice(self, other):
         if self.rank != other.rank or set(self.pivots) != set(other.pivots):

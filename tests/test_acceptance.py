@@ -11,10 +11,10 @@ import pytest
 from mcgtwist.catalog import build_catalog, verify_catalog
 from mcgtwist.certify import descent_check, functionals_for, lower_bound, oracle
 from mcgtwist.chains import ChainSpace, cycle_lattice, kernel_generator_list
-from mcgtwist.cli import fault_checks
 from mcgtwist.engine import compute_h1
 from mcgtwist.intlin import Echelon
 from mcgtwist.surface import SurfaceSpec
+from mcgtwist.verify import fault_checks
 
 GRID_BUDGET_SECONDS = 300.0
 PER_SPEC_BUDGET_SECONDS = 2.0

@@ -127,5 +127,43 @@ class TestVerify:
         assert code == EXIT_INVALID
 
 
+def run_invalid(capsys, *argv):
+    """A bad invocation must exit 2 with one line on stderr."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse rejects bad flags this way
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == EXIT_INVALID
+    assert len(err.splitlines()) == 1, err
+    return err
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("command", ["compute", "table"])
+    def test_zero_samples(self, capsys, command):
+        err = run_invalid(capsys, command, "--genus", "3", "--boundary", "1",
+                          "--samples", "0")
+        assert "--samples" in err
+
+    def test_missing_relations_file(self, capsys, tmp_path):
+        err = run_invalid(capsys, "compute", "--genus", "3", "--boundary", "1",
+                          "--relations", str(tmp_path / "absent.txt"))
+        assert "absent.txt" in err
+
+    @pytest.mark.parametrize("text, named", [
+        ("z9 a1 = a1 z9\n", "z9"),        # UnknownLetter
+        ("e5 = e5\n", "e5"),              # parses, but (3,1,0) has no e5
+        ("a1 a2\n", "lhs = rhs"),         # no `=`
+        ("a1 = a2\n", "cycle lattice"),   # RelationOutsideKernel
+    ])
+    def test_bad_relation(self, capsys, tmp_path, text, named):
+        path = tmp_path / "extra.txt"
+        path.write_text(text)
+        err = run_invalid(capsys, "compute", "--genus", "3", "--boundary", "1",
+                          "--relations", str(path))
+        assert named in err
+
+
 def test_exit_codes_are_distinct():
     assert len({EXIT_OK, EXIT_INVALID, EXIT_MISMATCH, EXIT_VERIFY}) == 4
