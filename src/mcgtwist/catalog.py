@@ -178,13 +178,19 @@ def partial_exact_part(space, x, vj, xi):
 def partial_target_boundary(space, x, vj, xi):
     """Boundary prescribed for the unknown chain of x v_j = v_j y at
     coefficient xi: (psi(y)^-1 - I) psi(v_j)^-1 xi, with
-    psi(y) = psi(v_j)^-1 psi(x) psi(v_j)."""
-    pv = space.rep.psi(vj)
-    pvi = space.rep.psi(vj, -1)
-    yinv = pvi @ space.rep.psi(x, -1) @ pv
-    q = pvi.column(xi - 1)
-    t = yinv.matvec(q)
-    return {r: c for r, c in enumerate(v1 - v2 for v1, v2 in zip(t, q)) if c}
+    psi(y) = psi(v_j)^-1 psi(x) psi(v_j).
+
+    Since psi(y)^-1 = psi(v_j)^-1 psi(x)^-1 psi(v_j), this equals
+    psi(v_j)^-1 (psi(x)^-1 - I) xi: psi(v_j)^-1 applied to the boundary
+    column of [x] (x) xi.
+    """
+    col = space._bcol[x][xi - 1]
+    out = {}
+    for r, row in enumerate(space.rep.psi(vj, -1).data):
+        c = sum(row[i] * v for i, v in col.items())
+        if c:
+            out[r] = c
+    return out
 
 
 @dataclass

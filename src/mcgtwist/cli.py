@@ -126,22 +126,31 @@ def cmd_compute(args):
     return EXIT_OK if record["match"] else EXIT_MISMATCH
 
 
-def _parse_range(text, fallback):
-    if text is None:
-        return fallback
-    if "-" in text.lstrip("-"):
-        lo, hi = text.split("-", 1)
-        return range(int(lo), int(hi) + 1)
-    return range(int(text), int(text) + 1)
+def _value_range(text):
+    """argparse type for the `table` ranges: a value like 3 or a
+    non-empty range like 3-9, as a range object."""
+    try:
+        if "-" in text.lstrip("-"):
+            lo, hi = text.split("-", 1)
+            values = range(int(lo), int(hi) + 1)
+        else:
+            values = range(int(text), int(text) + 1)
+    except ValueError:
+        values = range(0)
+    if not values:
+        raise argparse.ArgumentTypeError(
+            "need a value or a range like 3-9, got %r" % text)
+    return values
 
 
 def grid_specs(args):
-    genus = _parse_range(args.genus, range(3, 10))
-    boundary = _parse_range(args.boundary, range(0, 4))
+    # Parsed ranges are never empty, so `or` only replaces a missing flag.
+    genus = args.genus or range(3, 10)
+    boundary = args.boundary or range(0, 4)
     if args.flavor == "m":
-        punctures = _parse_range(args.punctures, range(2, 4))
+        punctures = args.punctures or range(2, 4)
     else:
-        punctures = _parse_range(args.punctures, range(0, 4))
+        punctures = args.punctures or range(0, 4)
     for g in genus:
         for s in boundary:
             for n in punctures:
@@ -154,8 +163,7 @@ def grid_specs(args):
                 if args.flavor == "pm+":
                     yield SurfaceSpec.make(g, s, n, flavor="pm+")
                     continue
-                ks = _parse_range(args.k, range(0, n + 1))
-                for k in ks:
+                for k in args.k or range(0, n + 1):
                     if k <= n:
                         yield SurfaceSpec.make(
                             g, s, n, k, "pm+" if k == n else "pmk"
@@ -163,9 +171,14 @@ def grid_specs(args):
 
 
 def cmd_table(args):
+    try:
+        specs = list(grid_specs(args))
+    except SpecInvalid as exc:
+        print("invalid spec: %s" % exc, file=sys.stderr)
+        return EXIT_INVALID
     records = []
     errors = []
-    for spec in grid_specs(args):
+    for spec in specs:
         try:
             records.append(run_record(spec, args.samples, args.seed))
         except (SpecInvalid, UnstableSampling) as exc:
@@ -287,10 +300,11 @@ def build_parser():
     pc.set_defaults(func=cmd_compute)
 
     pt = sub.add_parser("table", help="sweep a grid of specs")
-    pt.add_argument("--genus", default=None, help="value or range like 3-9")
-    pt.add_argument("--boundary", default=None)
-    pt.add_argument("--punctures", default=None)
-    pt.add_argument("--k", default=None)
+    pt.add_argument("--genus", type=_value_range, default=None,
+                    help="value or range like 3-9")
+    pt.add_argument("--boundary", type=_value_range, default=None)
+    pt.add_argument("--punctures", type=_value_range, default=None)
+    pt.add_argument("--k", type=_value_range, default=None)
     pt.add_argument("--flavor", choices=("pm+", "pmk", "m"), default="pmk")
     pt.add_argument("--samples", type=_sample_count, default=17)
     pt.add_argument("--seed", type=int, default=0)

@@ -10,6 +10,7 @@ ambiguity basis vectors, and the quotient invariants must agree across
 all samples.
 """
 
+import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -49,6 +50,7 @@ class RelationSystem:
     col_of: dict
     exact: list  # (rid, ambient ChainVector)
     exact_coords: list
+    exact_echelon: Echelon  # the lattice spanned by exact_coords
     partials: list
     ambiguity_chains: dict  # key -> list of ambient ChainVector
     ambiguity_coords: dict  # key -> list of coordinate dicts
@@ -90,8 +92,8 @@ def build_relation_system(spec, drop_ids=frozenset(), extra_relations=None):
 
     system = RelationSystem(
         spec=spec, space=space, catalog=catalog, lattice=lattice,
-        col_of=col_of, exact=[], exact_coords=[], partials=[],
-        ambiguity_chains={}, ambiguity_coords={},
+        col_of=col_of, exact=[], exact_coords=[], exact_echelon=None,
+        partials=[], ambiguity_chains={}, ambiguity_coords={},
     )
 
     def coords(rid, chain):
@@ -111,6 +113,7 @@ def build_relation_system(spec, drop_ids=frozenset(), extra_relations=None):
         else:
             system.exact.append((entry.rid, entry.vector))
             system.exact_coords.append(coords(entry.rid, entry.vector))
+    system.exact_echelon = Echelon(system.exact_coords)
 
     # A partial relation pins its row down only modulo its ambiguity
     # sublattice, so an instance is informative exactly when its pinned
@@ -132,7 +135,7 @@ def build_relation_system(spec, drop_ids=frozenset(), extra_relations=None):
                 to_coords(system, c, error=RelationOutsideKernel)
                 for c in chains
             ]
-            filt = Echelon(system.exact_coords)
+            filt = system.exact_echelon.clone()
             for c in system.ambiguity_coords[key]:
                 filt.insert(dict(c))
             filters[key] = filt
@@ -244,6 +247,30 @@ class H1Result:
     _gf2: tuple = field(repr=False, default=None)
 
 
+def sample_invariants(ech, gf2, rank):
+    """Invariants of Z^rank modulo the lattice held in `ech`.
+
+    `gf2` is a GF(2) echelon (see `_gf2_insert`) of the lattice's
+    generators reduced mod 2.  When `ech` has full rank the quotient G is
+    finite, and two numbers decide it without a Smith form:
+
+    - |G| is the product of the pivots, the determinant of the
+      triangular basis;
+    - e = rank - len(gf2) is the dimension of G/2G, which is the number
+      of even invariant factors.
+
+    If |G| = 2^e then G = (Z/2)^e: each even factor is at least 2 and
+    each odd factor other than 1 is at least 3, so |G| >= 2^e, with
+    equality only when every even factor is 2 and every odd one is 1.
+    In every other case, the Smith form decides.
+    """
+    if ech.rank == rank:
+        e = rank - len(gf2)
+        if math.prod(row[j] for j, row in ech.pivots.items()) == 1 << e:
+            return AbelianInvariants((2,) * e, 0)
+    return AbelianInvariants.from_factors(snf_factors(ech.rows()), rank)
+
+
 def compute_h1(spec, samples=17, seed=0, drop_ids=frozenset(),
                extra_relations=None, system=None):
     """Invariants and a named basis of the twisted first homology group.
@@ -258,17 +285,21 @@ def compute_h1(spec, samples=17, seed=0, drop_ids=frozenset(),
     if system is None:
         system = build_relation_system(spec, drop_ids, extra_relations)
     rank = system.rank
+    full = (1 << rank) - 1
 
-    base = Echelon()
+    base_gf2 = {}
     for c in system.exact_coords:
-        base.insert(dict(c))
+        _gf2_insert(base_gf2, _parity_mask(c), full)
 
     rng = random.Random(seed)
     nsamples = samples if system.partials else 1
     invariants = None
     kept = None
     for m in range(nsamples):
-        ech = base.clone() if system.partials else base
+        ech = system.exact_echelon
+        if system.partials:
+            ech = ech.clone()
+        gf2 = dict(base_gf2)
         for p in system.partials:
             row = dict(p.coords)
             if m:
@@ -278,10 +309,11 @@ def compute_h1(spec, samples=17, seed=0, drop_ids=frozenset(),
                     t = (bits & -bits).bit_length() - 1
                     vec_axpy(row, basis[t], 1)
                     bits &= bits - 1
+            _gf2_insert(gf2, _parity_mask(row), full)
             ech.insert(row)
-        inv = AbelianInvariants.from_factors(snf_factors(ech.rows()), rank)
+        inv = sample_invariants(ech, gf2, rank)
         if invariants is None:
-            invariants, kept = inv, ech
+            invariants, kept = inv, gf2
         elif inv != invariants:
             raise UnstableSampling(
                 "sample %d gave %s, sample 0 gave %s"
@@ -294,18 +326,16 @@ def compute_h1(spec, samples=17, seed=0, drop_ids=frozenset(),
                     ms, system, gf2)
 
 
-def _named_basis(system, invariants, relation_echelon):
+def _named_basis(system, invariants, rows):
     """Greedy GF(2) reduction of the candidate list over the relations.
 
-    Valid once the quotient is known to be an elementary abelian
-    2-group: class equality then reduces to equality modulo the
+    `rows` is the GF(2) echelon of the relations mod 2; it is extended
+    in place.  Valid once the quotient is known to be an elementary
+    abelian 2-group: class equality then reduces to equality modulo the
     relations and twice the cycle lattice.
     """
     width = system.rank
     full = (1 << width) - 1
-    rows = {}
-    for r in relation_echelon.rows():
-        _gf2_insert(rows, _parity_mask(r), full)
     named = []
     tagmap = {}
     if invariants.is_elementary_two_group():

@@ -100,6 +100,37 @@ def test_partial_exact_part_boundary():
             solver.solve(target)  # must not raise
 
 
+def target_by_products(space, x, vj, xi):
+    """Reference for partial_target_boundary, straight from its formula:
+    (psi(y)^-1 - I) psi(v_j)^-1 xi with psi(y)^-1 formed by two dense
+    products, psi(v_j)^-1 psi(x)^-1 psi(v_j)."""
+    pv = space.rep.psi(vj)
+    pvi = space.rep.psi(vj, -1)
+    yinv = pvi @ space.rep.psi(x, -1) @ pv
+    q = pvi.column(xi - 1)
+    t = yinv.matvec(q)
+    return {r: c for r, c in enumerate(v1 - v2 for v1, v2 in zip(t, q)) if c}
+
+
+# The pm+ flavor has no puncture slides, hence no such partials.
+@pytest.mark.parametrize("spec", [
+    SurfaceSpec.make(3, 0, 2, 0, "pmk"),
+    SurfaceSpec.make(4, 1, 2, 1, "pmk"),
+    SurfaceSpec.make(3, 2, 2, flavor="m"),
+    SurfaceSpec.make(5, 0, 3, flavor="m"),
+    SurfaceSpec.make(9, 3, 3, 0, "pmk"),
+], ids=str)
+def test_partial_target_matches_products(spec):
+    space = ChainSpace(spec)
+    partials = [e for e in build_catalog(spec, space) if e.ambiguity == "pm+"]
+    assert partials
+    for entry in partials:
+        x, vj = entry.conjugation
+        for xi in range(1, space.d + 1):
+            assert (partial_target_boundary(space, x, vj, xi)
+                    == target_by_products(space, x, vj, xi)), (entry.rid, xi)
+
+
 def test_k1_ambiguity_vectors_are_cycles():
     spec = SurfaceSpec.make(6, 0, 1)
     space = ChainSpace(spec)

@@ -164,6 +164,15 @@ class TestBadInput:
                           "--relations", str(path))
         assert named in err
 
+    @pytest.mark.parametrize("genus, named", [
+        ("abc", "--genus"),   # not a number
+        ("9-3", "--genus"),   # empty range
+        ("2", "genus"),       # SpecInvalid while enumerating the grid
+    ])
+    def test_bad_table_range(self, capsys, genus, named):
+        err = run_invalid(capsys, "table", "--genus", genus)
+        assert named in err
+
 
 def test_exit_codes_are_distinct():
     assert len({EXIT_OK, EXIT_INVALID, EXIT_MISMATCH, EXIT_VERIFY}) == 4

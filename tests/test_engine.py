@@ -1,16 +1,28 @@
 """The quotient pipeline: invariants, named bases, sampling."""
 
-import pytest
+import random
+import time
 
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import mcgtwist.engine
 from mcgtwist.catalog import parse_relations
+from mcgtwist.certify import oracle
 from mcgtwist.engine import (
+    _gf2_insert,
+    _parity_mask,
     build_relation_system,
     compute_h1,
     express_class,
     named_candidates,
+    sample_invariants,
 )
 from mcgtwist.errors import RelationOutsideKernel
+from mcgtwist.intlin import AbelianInvariants, Echelon, snf_factors
 from mcgtwist.surface import SurfaceSpec
+from test_acceptance import PER_SPEC_BUDGET_SECONDS
 
 
 def names(result):
@@ -153,3 +165,77 @@ def test_partial_rows_escape_ambiguity():
         for p in system.partials:
             if p.ambiguity == key:
                 assert not amb.contains(p.coords), p.rid
+
+
+def mixed_lattice(diag, rnd, drop, extra):
+    """Rows spanning a lattice in Z^len(diag) whose quotient is the sum
+    of Z/d over diag: the diagonal, moved by random unimodular column
+    operations and mixed by random row operations.  `drop` removes one
+    row (rank-deficient); `extra` appends a dependent row."""
+    r = len(diag)
+    rows = [[d if i == j else 0 for j in range(r)] for i, d in enumerate(diag)]
+    if r >= 2:
+        for _ in range(3 * r):
+            i, j = rnd.sample(range(r), 2)
+            q = rnd.choice((-2, -1, 1, 2))
+            for row in rows:  # column j += q * column i
+                row[j] += q * row[i]
+            i, j = rnd.sample(range(r), 2)
+            q = rnd.choice((-2, -1, 1, 2))
+            rows[j] = [a + q * b for a, b in zip(rows[j], rows[i])]
+    if extra and rows:
+        rows.append([a - b for a, b in zip(rows[0], rows[-1])])
+    if drop and rows:
+        rows.pop(rnd.randrange(len(rows)))
+    return [{c: v for c, v in enumerate(row) if v} for row in rows]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    diag=st.lists(st.sampled_from((1, 2, 3, 4, 6)), max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+    drop=st.booleans(),
+    extra=st.booleans(),
+)
+@example(diag=[], seed=0, drop=False, extra=False)           # rank 0
+@example(diag=[4], seed=0, drop=False, extra=False)          # Z/4
+@example(diag=[2, 4], seed=1, drop=False, extra=False)       # order 8, e = 2
+@example(diag=[3], seed=0, drop=False, extra=False)          # Z/3
+@example(diag=[2, 3], seed=2, drop=False, extra=False)       # Z/2 + Z/3
+@example(diag=[1, 2, 2, 1, 2], seed=3, drop=False, extra=True)
+@example(diag=[2, 2, 2], seed=4, drop=True, extra=False)     # rank-deficient
+# Rank-deficient with pivot product 2 = 2^e: only the rank check rejects it.
+@example(diag=[1, 1], seed=24, drop=True, extra=False)
+def test_sample_invariants_agree_with_smith_form(diag, seed, drop, extra):
+    rows = mixed_lattice(diag, random.Random(seed), drop, extra)
+    rank = len(diag)
+    full = (1 << rank) - 1
+    ech, gf2 = Echelon(), {}
+    for row in rows:
+        _gf2_insert(gf2, _parity_mask(row), full)
+        ech.insert(dict(row))
+    expected = AbelianInvariants.from_factors(snf_factors(rows), rank)
+
+    calls = []
+
+    def counting_snf(rows):
+        calls.append(len(rows))
+        return snf_factors(rows)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mcgtwist.engine, "snf_factors", counting_snf)
+        assert sample_invariants(ech, gf2, rank) == expected
+    if expected.is_elementary_two_group():
+        assert not calls
+
+
+def test_largest_pmk_spec_within_budget_at_every_seed():
+    # The sampling seed changes the shifted partial rows and so the cost
+    # of the quotient; the per-spec budget must hold at each seed.
+    spec = SurfaceSpec.make(9, 3, 3, 0, "pmk")
+    for seed in range(8):
+        start = time.perf_counter()
+        result = compute_h1(spec, seed=seed)
+        seconds = time.perf_counter() - start
+        assert result.invariants == oracle(spec), seed
+        assert seconds <= PER_SPEC_BUDGET_SECONDS, (seed, seconds)
