@@ -10,6 +10,7 @@ valid spec; full validation is computed-versus-oracle equality.
 
 from dataclasses import dataclass, field
 
+from .engine import _gf2_insert
 from .errors import DescentFailed, SpecInvalid
 from .intlin import AbelianInvariants
 from .surface import Gen
@@ -110,7 +111,8 @@ def lower_bound(spec, result):
     """Certified lower bound on the number of independent Z_2 summands:
     the GF(2) rank of the functional-by-named-class value matrix."""
     system = result.system
-    rows = []
+    full = (1 << len(result.named_basis)) - 1
+    pivots = {}
     for functional in functionals_for(spec):
         report = descent_check(system, functional)
         if not report.ok:
@@ -119,18 +121,8 @@ def lower_bound(spec, result):
         for t, (_, chain) in enumerate(result.named_basis):
             if functional_value(system.space, functional, chain):
                 mask |= 1 << t
-        rows.append(mask)
-    rank = 0
-    pivots = {}
-    for vec in rows:
-        while vec:
-            p = vec & -vec
-            if p not in pivots:
-                pivots[p] = vec
-                rank += 1
-                break
-            vec ^= pivots[p]
-    return rank
+        _gf2_insert(pivots, mask, full)
+    return len(pivots)
 
 
 def oracle(spec):

@@ -183,43 +183,32 @@ def rewrite_relation_all(space, lhs, rhs):
     -[x] (x) psi(p l_t)^-1 xi if l_t = x^-1; the result is
     contribution(lhs) - contribution(rhs), with derived letters expanded
     first.  One pass over the letters is shared by all coefficients: the
-    running matrix Q = psi(prefix)^-1 is updated through its few
-    non-identity rows per generator.
+    running matrix Q = psi(prefix)^-1 is updated by one letter step
+    (`Representation.apply_letter`) per letter.
     """
     d = space.d
+    rep = space.rep
     out = [ChainVector() for _ in range(d)]
+
+    def contribute(gen, sign, q):
+        for r in range(d):
+            row = q[r]
+            flat = space.flat(gen, r + 1)
+            for t in range(d):
+                if row[t]:
+                    out[t].add_term(flat, sign * row[t])
+
     for word, side in ((lhs, 1), (rhs, -1)):
         q = [[1 if r == c else 0 for c in range(d)] for r in range(d)]
-
-        def contribute(gen, sign):
-            for r in range(d):
-                row = q[r]
-                flat = space.flat(gen, r + 1)
-                for t in range(d):
-                    if row[t]:
-                        out[t].add_term(flat, sign * row[t])
-
-        def apply(mat):
-            updates = []
-            for r in range(d):
-                mrow = mat.data[r]
-                if any(mrow[c] != (1 if c == r else 0) for c in range(d)):
-                    updates.append(
-                        (r, [sum(mrow[c] * q[c][t] for c in range(d) if mrow[c])
-                             for t in range(d)])
-                    )
-            for r, row in updates:
-                q[r] = row
-
         for gen, e in expand_word(word, space.spec):
             if e > 0:
-                # psi first: it raises UnknownLetter off the alphabet.
-                inverse = space.rep.psi(gen, -1)
-                contribute(gen, side)
-                apply(inverse)
+                # The step first: it raises UnknownLetter off the alphabet.
+                step = rep.apply_letter(q, gen, -1)
+                contribute(gen, side, q)
+                q = step
             else:
-                apply(space.rep.psi(gen, 1))
-                contribute(gen, -side)
+                q = rep.apply_letter(q, gen, 1)
+                contribute(gen, -side, q)
     return out
 
 

@@ -216,17 +216,26 @@ def _parity_mask(coords):
     return m
 
 
-def _gf2_insert(rows, vec, full):
-    """Insert a bit vector into a GF(2) echelon keyed by lowest set bit
-    of the coordinate part; returns the residual after reduction."""
+def _gf2_reduce(rows, vec, full):
+    """Reduce a bit vector against a GF(2) echelon keyed by the lowest set
+    bit of the coordinate part (the bits in `full`).  Returns the
+    residual: its coordinate part is zero or starts at a non-pivot bit."""
     while vec & full:
         low = vec & full
-        p = low & -low
-        r = rows.get(p)
+        r = rows.get(low & -low)
         if r is None:
-            rows[p] = vec
-            return vec
+            break
         vec ^= r
+    return vec
+
+
+def _gf2_insert(rows, vec, full):
+    """Insert a bit vector into a GF(2) echelon (see `_gf2_reduce`);
+    returns the residual after reduction."""
+    vec = _gf2_reduce(rows, vec, full)
+    low = vec & full
+    if low:
+        rows[low & -low] = vec
     return vec
 
 
@@ -355,12 +364,8 @@ def express_class(result, chain):
     """
     rows, width, tagmap = result._gf2
     full = (1 << width) - 1
-    vec = _parity_mask(to_coords(result.system, chain))
-    while vec & full:
-        low = vec & full
-        r = rows.get(low & -low)
-        if r is None:
-            raise ValueError("class is outside the span of the named basis")
-        vec ^= r
+    vec = _gf2_reduce(rows, _parity_mask(to_coords(result.system, chain)), full)
+    if vec & full:
+        raise ValueError("class is outside the span of the named basis")
     return {tagmap[t]: 1 for t in range((vec >> width).bit_length())
             if (vec >> width) >> t & 1}

@@ -11,12 +11,7 @@ from .lattice import (
     AbelianInvariants,
     ColumnSolver,
     Echelon,
-    SmithResult,
     hnf,
-    kernel_lattice,
-    quotient_invariants,
-    snf,
-    solve,
 )
 from .matrix import IntMatrix
 
@@ -29,15 +24,10 @@ __all__ = [
     "ColumnSolver",
     "Echelon",
     "IntMatrix",
-    "SmithResult",
     "echelon_insert",
     "echelon_reduce",
     "hnf",
-    "kernel_lattice",
-    "quotient_invariants",
-    "snf",
     "snf_factors",
-    "solve",
     "vec_axpy",
     "xgcd",
 ]

@@ -1,16 +1,16 @@
 """Lattice-level integer linear algebra.
 
-Built on the sparse kernels in `_kernels`: Hermite and Smith normal
-forms, integer kernels, exact solving and lattice quotients.  All
-vectors at this level are either plain lists (dense, for the public
-matrix API) or dicts mapping coordinate -> nonzero int (sparse, used by
-the homology pipeline).
+Built on the sparse kernels in `_kernels`: abelian group invariants,
+the Hermite normal form behind `IntMatrix.inverse`, an integer column
+solver (kernels and exact solving) and lattices held as sparse echelon
+bases.  Vectors at this level are dicts mapping coordinate -> nonzero
+int; only `hnf` works on dense matrices.
 """
 
 from dataclasses import dataclass
 
-from ..errors import NoIntegerSolution, RelationOutsideKernel
-from ._kernels import echelon_insert, echelon_reduce, snf_factors
+from ..errors import NoIntegerSolution
+from ._kernels import echelon_insert, echelon_reduce
 from .matrix import IntMatrix
 
 
@@ -44,17 +44,6 @@ class AbelianInvariants:
 
     def is_elementary_two_group(self):
         return self.free_rank == 0 and all(t == 2 for t in self.torsion)
-
-
-def _sparse(vec):
-    return {i: v for i, v in enumerate(vec) if v}
-
-
-def _dense(row, n):
-    out = [0] * n
-    for i, v in row.items():
-        out[i] = v
-    return out
 
 
 def hnf(m):
@@ -102,20 +91,6 @@ def hnf(m):
                 r += 1
                 break
     return IntMatrix(h), IntMatrix(u)
-
-
-@dataclass(frozen=True)
-class SmithResult:
-    """Diagonal of the Smith normal form plus cokernel invariants."""
-
-    factors: tuple
-    invariants: AbelianInvariants
-
-
-def snf(m):
-    """Smith diagonal of m and the invariants of Z^rows / (column span)."""
-    factors = tuple(snf_factors([_sparse(row) for row in m.data]))
-    return SmithResult(factors, AbelianInvariants.from_factors(factors, m.rows))
 
 
 class ColumnSolver:
@@ -201,45 +176,3 @@ class Echelon:
         if self.rank != other.rank or set(self.pivots) != set(other.pivots):
             return False
         return all(other.contains(row) for row in self.pivots.values())
-
-
-def kernel_lattice(m):
-    """Z-basis of {v : m @ v = 0}; saturated by construction."""
-    solver = ColumnSolver(m.rows)
-    for c in range(m.cols):
-        solver.add(_sparse(m.column(c)), tag=c)
-    return [_dense(row, m.cols) for row in solver.kernel_basis()]
-
-
-def solve(m, b):
-    """A particular integer solution of m @ x = b."""
-    solver = ColumnSolver(m.rows)
-    for c in range(m.cols):
-        solver.add(_sparse(m.column(c)), tag=c)
-    return _dense(solver.solve(_sparse(b)), m.cols)
-
-
-def quotient_invariants(kernel_basis, relation_vectors):
-    """Invariants of (lattice spanned by kernel_basis) / (relations).
-
-    Every relation vector must lie in the span of kernel_basis; the
-    relations are expressed in those coordinates and the quotient is
-    read off a Smith normal form.
-    """
-    if not kernel_basis:
-        for r in relation_vectors:
-            if any(r):
-                raise RelationOutsideKernel("nonzero relation in a zero lattice")
-        return AbelianInvariants((), 0)
-    dim = len(kernel_basis[0])
-    solver = ColumnSolver(dim)
-    for i, vec in enumerate(kernel_basis):
-        solver.add(_sparse(vec), tag=i)
-    coords = []
-    for r in relation_vectors:
-        try:
-            coords.append(solver.solve(_sparse(r)))
-        except NoIntegerSolution as exc:
-            raise RelationOutsideKernel(str(exc)) from exc
-    factors = snf_factors(coords)
-    return AbelianInvariants.from_factors(factors, len(kernel_basis))

@@ -23,10 +23,6 @@ class IntMatrix:
     def identity(cls, n):
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def zeros(cls, rows, cols):
-        return cls([[0] * cols for _ in range(rows)])
-
     def __eq__(self, other):
         return isinstance(other, IntMatrix) and self.data == other.data
 
@@ -46,14 +42,6 @@ class IntMatrix:
 
     def column(self, j):
         return [row[j] for row in self.data]
-
-    def transpose(self):
-        return IntMatrix([list(col) for col in zip(*self.data)])
-
-    def add(self, other):
-        return IntMatrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)]
-        )
 
     def is_identity(self):
         return self.rows == self.cols and all(

@@ -11,7 +11,8 @@ delta_1..delta_{s+n-1}.
 """
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import mul
 from typing import NamedTuple
 
 from .errors import SpecInvalid, UnknownDerived, UnknownLetter
@@ -210,7 +211,20 @@ class Representation:
 
     spec: SurfaceSpec
     matrices: dict
-    inverses: dict = field(default_factory=dict)
+    inverses: dict
+
+    def __post_init__(self):
+        # For each generator and sign, the rows of its matrix that differ
+        # from the identity, as (row, nonzero columns, their values).
+        self._moved = {}
+        for sign, mats in ((1, self.matrices), (-1, self.inverses)):
+            for gen, mat in mats.items():
+                self._moved[gen, sign] = [
+                    (r, tuple(c for c, v in enumerate(row) if v),
+                     tuple(v for v in row if v))
+                    for r, row in enumerate(mat.data)
+                    if row != [int(c == r) for c in range(mat.cols)]
+                ]
 
     @property
     def d(self):
@@ -221,6 +235,20 @@ class Representation:
             return self.matrices[gen] if exponent > 0 else self.inverses[gen]
         except KeyError:
             raise UnknownLetter("no matrix for generator %s" % gen.name) from None
+
+    def apply_letter(self, q, gen, exponent):
+        """psi(gen)^exponent @ q, for a d x d matrix q given as a list of
+        rows.  Only the rows where psi(gen)^exponent differs from the
+        identity are computed; the returned list shares the others with q,
+        which is left unchanged."""
+        try:
+            moved = self._moved[gen, 1 if exponent > 0 else -1]
+        except KeyError:
+            raise UnknownLetter("no matrix for generator %s" % gen.name) from None
+        out = list(q)
+        for r, cols, vals in moved:
+            out[r] = [sum(map(mul, vals, col)) for col in zip(*(q[c] for c in cols))]
+        return out
 
 
 def _gamma_delta_matrix(spec, fill):
@@ -297,15 +325,15 @@ def build_representation(spec, sign_variant=None):
                     m[g - 1][g - 1] = -1
 
         mats[gen] = _gamma_delta_matrix(spec, fill)
-    rep = Representation(spec, mats)
-    rep.inverses = {gen: mat.inverse() for gen, mat in mats.items()}
-    return rep
+    return Representation(
+        spec, mats, {gen: mat.inverse() for gen, mat in mats.items()}
+    )
 
 
 def evaluate_word(rep, word):
-    """The matrix of a word: product of generator matrices left to right,
-    after expanding derived letters."""
-    out = IntMatrix.identity(rep.d)
-    for gen, e in expand_word(word, rep.spec):
-        out = out @ rep.psi(gen, e)
-    return out
+    """The matrix of a word, psi(l_1)...psi(l_m) after expanding derived
+    letters, built right to left one letter step at a time."""
+    out = IntMatrix.identity(rep.d).data
+    for gen, e in reversed(expand_word(word, rep.spec)):
+        out = rep.apply_letter(out, gen, e)
+    return IntMatrix(out)

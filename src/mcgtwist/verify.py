@@ -1,33 +1,39 @@
 """Internal consistency checks for one spec.
 
-`verify_spec` checks the representation, the boundary closed forms, the
-cycle lattice against its explicit generating family, the relation
-catalog and the descent of the certifying functionals.  `fault_checks`
-checks the checks: deliberately flipped signs must be caught.  Both
-return a list of failure messages, empty when everything holds.
+`verify_spec` checks the relation system that `compute` solves: its
+representation, the boundary closed forms, the cycle lattice against its
+explicit generating family, the relation catalog and the descent of the
+certifying functionals.  `fault_checks` checks the checks: deliberately
+flipped signs must be caught.  Both return a list of failure messages,
+empty when everything holds.
 """
 
-from .catalog import build_catalog, verify_catalog
+from .catalog import verify_catalog
 from .certify import descent_check, functionals_for
-from .chains import (
-    ChainSpace,
-    boundary1,
-    cycle_lattice,
-    expected_boundary,
-    kernel_generator_list,
-    rewrite_relation_all,
-)
+from .chains import ChainSpace, expected_boundary, kernel_generator_list
 from .engine import build_relation_system
+from .errors import NoIntegerSolution, RelationOutsideKernel
 from .intlin import Echelon, IntMatrix
 from .surface import build_representation
 
 
 def verify_spec(spec):
-    """All consistency checks for one spec; returns a list of failures."""
+    """All consistency checks for one spec; returns a list of failures.
+
+    Building the relation system rewrites every word relation and
+    rejects, by name, one whose rewrite is not in the cycle lattice.
+    That lattice is the whole kernel of the boundary map, so this
+    rejects exactly the rewrites that are not cycles.  A catalog the
+    system cannot be built from is reported as one failure.
+    """
+    try:
+        system = build_relation_system(spec)
+    except (RelationOutsideKernel, NoIntegerSolution) as exc:
+        return ["relation system: %s" % exc]
+    space, rep = system.space, system.space.rep
     failures = []
-    rep = build_representation(spec)
     ident = IntMatrix.identity(spec.d)
-    for gen in spec.generators():
+    for gen in space.gens:
         mat = rep.psi(gen)
         if mat.det() not in (1, -1):
             failures.append("det psi(%s) not a unit" % gen.name)
@@ -36,7 +42,6 @@ def verify_spec(spec):
         if gen.kind in "udsv" and mat @ mat != ident:
             failures.append("psi(%s) is not an involution" % gen.name)
 
-    space = ChainSpace(spec, rep)
     for gen in space.gens:
         for i in range(1, spec.d + 1):
             if space._bcol[gen][i - 1] != expected_boundary(spec, gen, i):
@@ -45,30 +50,17 @@ def verify_spec(spec):
                     % (gen.name, i)
                 )
 
-    lattice = cycle_lattice(space)
     listed = Echelon(
         dict(chain) for _, chain in kernel_generator_list(space)
     )
-    if not lattice.echelon.same_lattice(listed):
+    if not system.lattice.echelon.same_lattice(listed):
         failures.append("cycle lattice differs from the explicit family")
 
-    catalog = build_catalog(spec, space)
-    report = verify_catalog(space, catalog, lattice)
+    report = verify_catalog(space, system.catalog, system.lattice)
     failures.extend(report.failures)
 
-    for entry in catalog:
-        if entry.kind != "word":
-            continue
-        for i, vec in enumerate(rewrite_relation_all(space, entry.lhs, entry.rhs)):
-            if boundary1(space, vec) or not lattice.contains(vec):
-                failures.append(
-                    "%s rewritten at xi_%d is not a cycle" % (entry.rid, i + 1)
-                )
-
-    system = build_relation_system(spec)
     for functional in functionals_for(spec):
-        drep = descent_check(system, functional)
-        failures.extend(drep.failures)
+        failures.extend(descent_check(system, functional).failures)
     return failures
 
 

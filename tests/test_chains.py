@@ -2,6 +2,7 @@
 
 import pytest
 
+from mcgtwist.catalog import build_catalog
 from mcgtwist.chains import (
     ChainSpace,
     ChainVector,
@@ -137,14 +138,22 @@ class TestRewriting:
                             direct.add_term(space.flat(gen, r + 1), side * c)
             assert rewrite_relation(space, lhs, rhs, xi) == direct
 
-    def test_all_coefficients_agree_with_single(self):
-        spec = SurfaceSpec.make(3, 1, 2, flavor="m")
+    @pytest.mark.parametrize("spec", BOUNDARY_SPECS, ids=str)
+    def test_all_coefficients_agree_with_single(self, spec):
+        # Every catalog word relation, and one relation through every
+        # generator with inverse letters and a derived letter.
         space = ChainSpace(spec)
-        lhs = Word.parse("e1 s1 a1^-1 u1")
-        rhs = Word.parse("a2 v2^-1 e2")
-        vecs = rewrite_relation_all(space, lhs, rhs)
-        for xi in range(1, spec.d + 1):
-            assert vecs[xi - 1] == rewrite_relation(space, lhs, rhs, xi)
+        gens = spec.generators()
+        relations = [(entry.lhs, entry.rhs) for entry in build_catalog(spec, space)
+                     if entry.kind == "word"]
+        relations.append((
+            Word((gen, (-1) ** t) for t, gen in enumerate(gens)),
+            Word.parse("u2 e%d" % (spec.s + spec.n)) * Word.of(*reversed(gens)),
+        ))
+        for lhs, rhs in relations:
+            vecs = rewrite_relation_all(space, lhs, rhs)
+            for xi in range(1, spec.d + 1):
+                assert vecs[xi - 1] == rewrite_relation(space, lhs, rhs, xi)
 
     def test_braid_relation_classes(self):
         # The braid relation rewritten at a coefficient beyond the

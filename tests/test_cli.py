@@ -1,9 +1,14 @@
 """Command-line interface: output formats, exit codes, determinism."""
 
 import json
+from collections import Counter
 
 import pytest
 
+import mcgtwist.catalog
+import mcgtwist.engine
+import mcgtwist.verify
+from mcgtwist.catalog import build_catalog, parse_relations
 from mcgtwist.cli import (
     EXIT_INVALID,
     EXIT_MISMATCH,
@@ -12,6 +17,8 @@ from mcgtwist.cli import (
     RECORD_FIELDS,
     main,
 )
+from mcgtwist.surface import SurfaceSpec
+from mcgtwist.verify import verify_spec
 
 
 def run(capsys, *argv):
@@ -125,6 +132,34 @@ class TestVerify:
     def test_invalid_spec(self, capsys):
         code, _, _ = run(capsys, "verify", "--genus", "2")
         assert code == EXIT_INVALID
+
+    def test_broken_catalog_relation_is_a_failure_line(self, capsys, monkeypatch):
+        def broken(spec, space=None):
+            return build_catalog(spec, space) + parse_relations("a1 = a2")
+
+        monkeypatch.setattr(mcgtwist.engine, "build_catalog", broken)
+        failures = verify_spec(SurfaceSpec.make(3, 1, 0))
+        assert any("X1" in f for f in failures)
+        code, out, _ = run(capsys, "verify", "--genus", "3", "--boundary", "1")
+        assert code == EXIT_VERIFY
+        assert out.startswith("FAIL") and "X1" in out
+
+    def test_builds_the_pipeline_once(self, monkeypatch):
+        names = ("cycle_lattice", "build_catalog", "rewrite_relation_all")
+        calls = Counter()
+        for module in (mcgtwist.verify, mcgtwist.engine, mcgtwist.catalog):
+            for name in names:
+                if hasattr(module, name):
+                    def counted(*args, _name=name, _f=getattr(module, name)):
+                        calls[_name] += 1
+                        return _f(*args)
+
+                    monkeypatch.setattr(module, name, counted)
+        spec = SurfaceSpec.make(4, 1, 2, flavor="m")
+        words = sum(entry.kind == "word" for entry in build_catalog(spec))
+        assert verify_spec(spec) == []
+        assert calls == {"cycle_lattice": 1, "build_catalog": 1,
+                         "rewrite_relation_all": words}
 
 
 def run_invalid(capsys, *argv):

@@ -6,20 +6,35 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcgtwist.errors import NoIntegerSolution, RelationOutsideKernel
+from mcgtwist.errors import NoIntegerSolution
 from mcgtwist.intlin import (
     AbelianInvariants,
     ColumnSolver,
     Echelon,
     IntMatrix,
     hnf,
-    kernel_lattice,
-    quotient_invariants,
-    snf,
     snf_factors,
-    solve,
     xgcd,
 )
+
+
+def sparse(vec):
+    return {i: v for i, v in enumerate(vec) if v}
+
+
+def column_solver(rows):
+    """A solver over the columns of a dense matrix, one tag per column."""
+    solver = ColumnSolver(len(rows))
+    for c, col in enumerate(zip(*rows)):
+        solver.add(sparse(col), tag=c)
+    return solver
+
+
+def kernel(rows):
+    """Dense Z-basis of {v : rows @ v = 0}."""
+    ncols = len(rows[0])
+    return [[row.get(c, 0) for c in range(ncols)]
+            for row in column_solver(rows).kernel_basis()]
 
 
 def test_xgcd():
@@ -45,64 +60,69 @@ class TestHnf:
         assert u.det() in (1, -1)
 
     def test_zero(self):
-        m = IntMatrix.zeros(2, 3)
+        m = IntMatrix([[0, 0, 0], [0, 0, 0]])
         h, u = hnf(m)
-        assert h == IntMatrix.zeros(2, 3)
+        assert h == m
         assert u == IntMatrix.identity(2)
 
 
 class TestSnf:
     def test_diagonal(self):
-        assert snf(IntMatrix([[2, 0], [0, 2]])).factors == (2, 2)
+        assert snf_factors([{0: 2}, {1: 2}]) == [2, 2]
 
     def test_small(self):
-        res = snf(IntMatrix([[2, 4], [6, 8]]))
-        assert res.factors == (2, 4)
+        assert snf_factors([sparse([2, 4]), sparse([6, 8])]) == [2, 4]
 
     def test_identity(self):
-        res = snf(IntMatrix.identity(2))
-        assert res.factors == (1, 1)
-        assert res.invariants.torsion == ()
+        factors = snf_factors([{0: 1}, {1: 1}])
+        assert factors == [1, 1]
+        assert AbelianInvariants.from_factors(factors, 2).torsion == ()
 
 
 class TestKernel:
     def test_forced(self):
-        basis = kernel_lattice(IntMatrix([[1, 1]]))
+        basis = kernel([[1, 1]])
         assert len(basis) == 1
         assert basis[0] in ([1, -1], [-1, 1])
 
     def test_zero_map(self):
-        basis = kernel_lattice(IntMatrix.zeros(2, 3))
+        basis = kernel([[0, 0, 0], [0, 0, 0]])
         assert sorted(basis) == [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
 
 
 class TestSolve:
     def test_identity(self):
-        assert solve(IntMatrix.identity(3), [5, -2, 7]) == [5, -2, 7]
+        solver = column_solver([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        assert solver.solve({0: 5, 1: -2, 2: 7}) == {0: 5, 1: -2, 2: 7}
 
     def test_parity_obstruction(self):
         with pytest.raises(NoIntegerSolution):
-            solve(IntMatrix([[2]]), [1])
+            column_solver([[2]]).solve({0: 1})
 
     def test_underdetermined(self):
-        x = solve(IntMatrix([[1, 1]]), [3])
-        assert x[0] + x[1] == 3
+        x = column_solver([[1, 1]]).solve({0: 3})
+        assert x.get(0, 0) + x.get(1, 0) == 3
 
 
 class TestQuotient:
+    # The pipeline's quotient: relations written in lattice coordinates
+    # by a ColumnSolver over the lattice basis, then a Smith form.
     def test_two_torsion(self):
-        inv = quotient_invariants([[1, 0], [0, 1]], [[2, 0], [0, 2]])
+        solver = column_solver([[1, 0], [0, 1]])
+        coords = [solver.solve(r) for r in ({0: 2}, {1: 2})]
+        inv = AbelianInvariants.from_factors(snf_factors(coords), 2)
         assert inv.torsion == (2, 2)
         assert inv.free_rank == 0
 
     def test_no_relations(self):
-        inv = quotient_invariants([[1, 0], [0, 1]], [])
+        inv = AbelianInvariants.from_factors(snf_factors([]), 2)
         assert inv.torsion == ()
         assert inv.free_rank == 2
 
     def test_relation_outside(self):
-        with pytest.raises(RelationOutsideKernel):
-            quotient_invariants([[2, 0]], [[1, 0]])
+        # The lattice 2Z x 0 does not contain (1, 0).
+        with pytest.raises(NoIntegerSolution):
+            column_solver([[2], [0]]).solve({0: 1})
 
 
 class TestInvariants:
@@ -148,13 +168,13 @@ def test_hnf_properties(rows):
 @given(small_matrices, st.integers(0, 2 ** 30))
 def test_snf_permutation_invariance(rows, seed):
     rng = random.Random(seed)
-    factors = snf(IntMatrix(rows)).factors
+    factors = snf_factors([sparse(row) for row in rows])
     shuffled = [row[:] for row in rows]
     rng.shuffle(shuffled)
     perm = list(range(len(rows[0])))
     rng.shuffle(perm)
     shuffled = [[row[j] for j in perm] for row in shuffled]
-    assert snf(IntMatrix(shuffled)).factors == factors
+    assert snf_factors([sparse(row) for row in shuffled]) == factors
     for a, b in zip(factors, factors[1:]):
         assert a == 0 or b % a == 0
 
@@ -163,31 +183,36 @@ def test_snf_permutation_invariance(rows, seed):
 @given(small_matrices)
 def test_kernel_saturation(rows):
     m = IntMatrix(rows)
-    basis = kernel_lattice(m)
+    basis = kernel(rows)
     for v in basis:
         assert m.matvec(v) == [0] * m.rows
     # Saturation: scaled multiples of any integer combination stay in
     # the span with the scale dividing out exactly.
     if basis:
-        ech = Echelon({i: x for i, x in enumerate(v) if x} for v in basis)
+        ech = Echelon(sparse(v) for v in basis)
         combo = {}
         for v in basis:
             for i, x in enumerate(v):
                 if x:
                     combo[i] = combo.get(i, 0) + 3 * x
         assert ech.contains({i: x for i, x in combo.items() if x})
-    assert len(basis) == m.cols - (m.rows - len(kernel_lattice(m.transpose())))
+    transposed = [list(col) for col in zip(*rows)]
+    assert len(basis) == m.cols - (m.rows - len(kernel(transposed)))
 
 
 @settings(max_examples=60, deadline=None)
 @given(small_matrices)
 def test_quotient_matches_snf_of_columns(rows):
-    m = IntMatrix(rows)
-    dim = m.rows
-    identity = [[1 if i == j else 0 for j in range(dim)] for i in range(dim)]
-    relations = [m.column(c) for c in range(m.cols)]
-    inv = quotient_invariants(identity, relations)
-    assert inv == snf(m).invariants
+    # Z^rows modulo the columns, computed as the pipeline does (solve
+    # each relation in the lattice basis, here the unit vectors, then a
+    # Smith form), against the Smith form of the matrix itself.
+    dim = len(rows)
+    unit = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    solver = column_solver(unit)
+    coords = [solver.solve(sparse(col)) for col in zip(*rows)]
+    inv = AbelianInvariants.from_factors(snf_factors(coords), dim)
+    factors = snf_factors([sparse(row) for row in rows])
+    assert inv == AbelianInvariants.from_factors(factors, dim)
 
 
 def test_column_solver_roundtrip():

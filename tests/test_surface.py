@@ -2,6 +2,7 @@
 
 import pytest
 
+from mcgtwist.catalog import build_catalog
 from mcgtwist.errors import SpecInvalid, UnknownDerived, UnknownLetter
 from mcgtwist.intlin import IntMatrix
 from mcgtwist.surface import (
@@ -96,6 +97,32 @@ class TestRepresentation:
         for gen in spec.generators():
             if gen.kind in "udsv":
                 assert rep.psi(gen) @ rep.psi(gen) == ident
+
+
+def dense_product(rep, word):
+    """Reference for evaluate_word: the dense product of the generator
+    matrices, left to right, after expanding derived letters."""
+    out = IntMatrix.identity(rep.d)
+    for gen, e in expand_word(word, rep.spec):
+        out = out @ rep.psi(gen, e)
+    return out
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=str)
+def test_evaluate_word_matches_dense_product(spec):
+    # Every catalog word and its inverse, the derived letters u_i, e_0
+    # and e_{s+n}, and one word through every generator with inverses.
+    rep = build_representation(spec)
+    words = [Word.parse(name) for name in
+             ["u%d" % i for i in range(2, spec.g)]
+             + ["e0", "e%d" % (spec.s + spec.n)]]
+    words.append(Word((gen, (-1) ** t) for t, gen in enumerate(spec.generators())))
+    for entry in build_catalog(spec):
+        if entry.kind == "word":
+            words += [entry.lhs, entry.rhs]
+    for word in words:
+        for w in (word, word.inverse()):
+            assert evaluate_word(rep, w) == dense_product(rep, w), w.display()
 
 
 def test_a_matrix_values():
