@@ -138,8 +138,17 @@ class TestRewriting:
                             direct.add_term(space.flat(gen, r + 1), side * c)
             assert rewrite_relation(space, lhs, rhs, xi) == direct
 
+    def test_all_coefficients_agree_with_single(self):
+        spec = SurfaceSpec.make(3, 1, 2, flavor="m")
+        space = ChainSpace(spec)
+        lhs = Word.parse("e1 s1 a1^-1 u1")
+        rhs = Word.parse("a2 v2^-1 e2")
+        vecs = rewrite_relation_all(space, lhs, rhs)
+        for xi in range(1, spec.d + 1):
+            assert vecs[xi - 1] == rewrite_relation(space, lhs, rhs, xi)
+
     @pytest.mark.parametrize("spec", BOUNDARY_SPECS, ids=str)
-    def test_all_coefficients_agree_with_single(self, spec):
+    def test_catalog_relations_agree_with_single(self, spec):
         # Every catalog word relation, and one relation through every
         # generator with inverse letters and a derived letter.
         space = ChainSpace(spec)
