@@ -23,8 +23,19 @@ from .catalog import (
     pmplus_boundary_solver,
 )
 from .chains import ChainSpace, ChainVector, cycle_lattice, rewrite_relation_all
-from .errors import NotACycle, RelationOutsideKernel, UnstableSampling
-from .intlin import AbelianInvariants, Echelon, snf_factors, vec_axpy
+from .errors import (
+    NoIntegerSolution,
+    NotACycle,
+    RelationOutsideKernel,
+    UnstableSampling,
+)
+from .intlin import (
+    AbelianInvariants,
+    Echelon,
+    echelon_reduce,
+    snf_factors,
+    vec_axpy,
+)
 
 
 @dataclass
@@ -158,14 +169,18 @@ def build_relation_system(spec, drop_ids=frozenset(), extra_relations=None):
                 pm_solver = pmplus_boundary_solver(space)
             x, vj = entry.conjugation
             for xi in range(1, space.d + 1):
+                rid = "%s:xi%d" % (entry.rid, xi)
                 base = partial_exact_part(space, x, vj, xi)
-                particular = pm_solver.solve(
-                    partial_target_boundary(space, x, vj, xi)
-                )
+                try:
+                    particular = pm_solver.solve(
+                        partial_target_boundary(space, x, vj, xi)
+                    )
+                except NoIntegerSolution as exc:
+                    raise NoIntegerSolution("%s: %s" % (rid, exc)) from None
                 for flat, c in particular.items():
                     base.add_term(flat, -c)
                 if base:
-                    add_partial("%s:xi%d" % (entry.rid, xi), base, "pm+")
+                    add_partial(rid, base, "pm+")
     return system
 
 
@@ -253,6 +268,7 @@ class H1Result:
     sampling_report: SamplingReport
     ms: int
     system: RelationSystem = field(repr=False)
+    # (GF(2) echelon with named-class tags, UnitElimination, tag -> name)
     _gf2: tuple = field(repr=False, default=None)
 
 
@@ -280,47 +296,99 @@ def sample_invariants(ech, gf2, rank):
     return AbelianInvariants.from_factors(snf_factors(ech.rows()), rank)
 
 
+class UnitElimination:
+    """The quotient map that removes the unit pivots of the exact relations.
+
+    U is the set of rows of the exact-relation echelon whose pivot is 1,
+    and pi(x) is the remainder of reducing x by U (`echelon_reduce`,
+    which sweeps the columns in ascending order), written in the
+    coordinates that are not pivots of U, renumbered 0..rank-1 in order.
+
+    - pi is linear.  Each row of U has entry 1 at its pivot and nothing
+      to the left of it, so the sweep clears every U-pivot column and
+      never refills one it has passed; the quotient a // 1 = a is exact,
+      so pi(x) is the unique element of x + span(U) that vanishes on the
+      U-pivot columns.
+    - The kernel of pi is span(U), and pi maps Z^r onto Z^rank: a vector
+      supported off the U-pivot columns is its own image.
+    - span(U) lies inside the exact lattice, hence inside every sample's
+      lattice L, so Z^r / L = Z^rank / pi(L), and pi(L) is spanned by
+      the images of L's generators.  Reduced mod 2, pi is the same kind
+      of projection over GF(2), with kernel span(U mod 2) inside L mod 2;
+      so the GF(2) ranks and the greedy named basis are unchanged too.
+
+    `echelon` is the starting lattice of every sample, pi of the exact
+    lattice, spanned by the images of the non-unit exact rows (they keep
+    their pivots, so they stay an echelon); `gf2` is their GF(2) echelon.
+    """
+
+    def __init__(self, exact, ambient_rank):
+        self.units = {j: row for j, row in exact.pivots.items() if row[j] == 1}
+        self.index = {}
+        for c in range(ambient_rank):
+            if c not in self.units:
+                self.index[c] = len(self.index)
+        self.rank = len(self.index)
+        self.full = (1 << self.rank) - 1
+        self.echelon = Echelon(
+            self(row) for j, row in sorted(exact.pivots.items())
+            if j not in self.units
+        )
+        self.gf2 = {}
+        for row in self.echelon.pivots.values():
+            _gf2_insert(self.gf2, _parity_mask(row), self.full)
+
+    def __call__(self, coords):
+        """pi(coords), as a new sparse vector."""
+        _, rem = echelon_reduce(self.units, coords)
+        index = self.index
+        return {index[c]: v for c, v in rem.items()}
+
+
 def compute_h1(spec, samples=17, seed=0, drop_ids=frozenset(),
                extra_relations=None, system=None):
     """Invariants and a named basis of the twisted first homology group.
 
     With `samples` > 1 and partial relations present, the ambiguity of
     every partial row is re-sampled per run and the invariants must
-    agree across all runs; otherwise UnstableSampling is raised.
+    agree across all runs; otherwise UnstableSampling is raised.  Every
+    sample and the named basis work modulo the unit pivots of the exact
+    relations (see `UnitElimination`): the partial rows and the
+    ambiguity basis vectors are projected once, and a sample's draw
+    skips the basis vectors that project to zero.
     """
     t0 = time.perf_counter()
     if samples < 1:
         raise ValueError("need at least one sample")
     if system is None:
         system = build_relation_system(spec, drop_ids, extra_relations)
-    rank = system.rank
-    full = (1 << rank) - 1
-
-    base_gf2 = {}
-    for c in system.exact_coords:
-        _gf2_insert(base_gf2, _parity_mask(c), full)
+    elim = UnitElimination(system.exact_echelon, system.rank)
+    partials = [(elim(p.coords), p.ambiguity) for p in system.partials]
+    ambiguity = {}
+    for key, coords in system.ambiguity_coords.items():
+        basis = [elim(c) for c in coords]
+        mask = sum(1 << t for t, vec in enumerate(basis) if vec)
+        ambiguity[key] = (basis, mask)
 
     rng = random.Random(seed)
-    nsamples = samples if system.partials else 1
+    nsamples = samples if partials else 1
     invariants = None
     kept = None
     for m in range(nsamples):
-        ech = system.exact_echelon
-        if system.partials:
-            ech = ech.clone()
-        gf2 = dict(base_gf2)
-        for p in system.partials:
-            row = dict(p.coords)
+        ech = elim.echelon.clone() if partials else elim.echelon
+        gf2 = dict(elim.gf2)
+        for coords, key in partials:
+            row = dict(coords)
             if m:
-                basis = system.ambiguity_coords[p.ambiguity]
-                bits = rng.getrandbits(len(basis)) if basis else 0
+                basis, mask = ambiguity[key]
+                bits = rng.getrandbits(len(basis)) & mask if basis else 0
                 while bits:
                     t = (bits & -bits).bit_length() - 1
                     vec_axpy(row, basis[t], 1)
                     bits &= bits - 1
-            _gf2_insert(gf2, _parity_mask(row), full)
+            _gf2_insert(gf2, _parity_mask(row), elim.full)
             ech.insert(row)
-        inv = sample_invariants(ech, gf2, rank)
+        inv = sample_invariants(ech, gf2, elim.rank)
         if invariants is None:
             invariants, kept = inv, gf2
         elif inv != invariants:
@@ -329,31 +397,32 @@ def compute_h1(spec, samples=17, seed=0, drop_ids=frozenset(),
                 % (m, inv.describe(), invariants.describe())
             )
 
-    named, gf2 = _named_basis(system, invariants, kept)
+    named, gf2 = _named_basis(system, invariants, kept, elim)
     ms = int((time.perf_counter() - t0) * 1000)
     return H1Result(spec, invariants, named, SamplingReport(nsamples, True),
                     ms, system, gf2)
 
 
-def _named_basis(system, invariants, rows):
+def _named_basis(system, invariants, rows, elim):
     """Greedy GF(2) reduction of the candidate list over the relations.
 
-    `rows` is the GF(2) echelon of the relations mod 2; it is extended
-    in place.  Valid once the quotient is known to be an elementary
-    abelian 2-group: class equality then reduces to equality modulo the
-    relations and twice the cycle lattice.
+    `rows` is the GF(2) echelon of the relations mod 2, in the
+    coordinates of `elim`; it is extended in place.  Valid once the
+    quotient is known to be an elementary abelian 2-group: class
+    equality then reduces to equality modulo the relations and twice
+    the cycle lattice.
     """
-    width = system.rank
-    full = (1 << width) - 1
+    width = elim.rank
     named = []
     tagmap = {}
     if invariants.is_elementary_two_group():
         for t, (name, chain) in enumerate(named_candidates(system.space)):
-            vec = _parity_mask(to_coords(system, chain)) | (1 << (width + t))
-            if _gf2_insert(rows, vec, full) & full:
+            vec = _parity_mask(elim(to_coords(system, chain)))
+            vec |= 1 << (width + t)
+            if _gf2_insert(rows, vec, elim.full) & elim.full:
                 named.append((name, chain))
                 tagmap[t] = name
-    return named, (rows, width, tagmap)
+    return named, (rows, elim, tagmap)
 
 
 def express_class(result, chain):
@@ -362,10 +431,11 @@ def express_class(result, chain):
     Returns a dict mapping basis class name -> 1 (empty dict for the
     zero class); raises NotACycle if the chain has nonzero boundary.
     """
-    rows, width, tagmap = result._gf2
-    full = (1 << width) - 1
-    vec = _gf2_reduce(rows, _parity_mask(to_coords(result.system, chain)), full)
-    if vec & full:
+    rows, elim, tagmap = result._gf2
+    width = elim.rank
+    vec = _parity_mask(elim(to_coords(result.system, chain)))
+    vec = _gf2_reduce(rows, vec, elim.full)
+    if vec & elim.full:
         raise ValueError("class is outside the span of the named basis")
     return {tagmap[t]: 1 for t in range((vec >> width).bit_length())
             if (vec >> width) >> t & 1}

@@ -37,12 +37,6 @@ class IntMatrix:
             [[sum(a * b for a, b in zip(row, col)) for col in bt] for row in self.data]
         )
 
-    def matvec(self, v):
-        return [sum(a * b for a, b in zip(row, v)) for row in self.data]
-
-    def column(self, j):
-        return [row[j] for row in self.data]
-
     def is_identity(self):
         return self.rows == self.cols and all(
             v == (1 if i == j else 0)

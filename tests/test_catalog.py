@@ -13,6 +13,7 @@ from mcgtwist.catalog import (
 )
 from mcgtwist.chains import ChainSpace, boundary1, cycle_lattice
 from mcgtwist.surface import SurfaceSpec, evaluate_word
+from helpers import column, matvec
 
 SOUND_SPECS = [
     SurfaceSpec.make(3, 1, 0),
@@ -107,8 +108,8 @@ def target_by_products(space, x, vj, xi):
     pv = space.rep.psi(vj)
     pvi = space.rep.psi(vj, -1)
     yinv = pvi @ space.rep.psi(x, -1) @ pv
-    q = pvi.column(xi - 1)
-    t = yinv.matvec(q)
+    q = column(pvi, xi - 1)
+    t = matvec(yinv, q)
     return {r: c for r, c in enumerate(v1 - v2 for v1, v2 in zip(t, q)) if c}
 
 

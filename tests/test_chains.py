@@ -14,6 +14,7 @@ from mcgtwist.chains import (
 )
 from mcgtwist.intlin import Echelon
 from mcgtwist.surface import Gen, SurfaceSpec, Word, build_representation, expand_word
+from helpers import matvec
 
 BOUNDARY_SPECS = [
     SurfaceSpec.make(3, 1, 0),
@@ -52,9 +53,9 @@ def rewrite_relation(space, lhs, rhs, xi):
                 for r, c in enumerate(q):
                     if c:
                         out.add_term(space.flat(gen, r + 1), side * c)
-                q = space.rep.psi(gen, -1).matvec(q)
+                q = matvec(space.rep.psi(gen, -1), q)
             else:
-                q = space.rep.psi(gen, 1).matvec(q)
+                q = matvec(space.rep.psi(gen, 1), q)
                 for r, c in enumerate(q):
                     if c:
                         out.add_term(space.flat(gen, r + 1), -side * c)
@@ -132,7 +133,7 @@ class TestRewriting:
                     q = [0] * spec.d
                     q[xi - 1] = 1
                     for prev, _ in letters[:t]:
-                        q = space.rep.psi(prev, -1).matvec(q)
+                        q = matvec(space.rep.psi(prev, -1), q)
                     for r, c in enumerate(q):
                         if c:
                             direct.add_term(space.flat(gen, r + 1), side * c)

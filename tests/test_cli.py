@@ -1,6 +1,7 @@
 """Command-line interface: output formats, exit codes, determinism."""
 
 import json
+import re
 from collections import Counter
 
 import pytest
@@ -143,6 +144,19 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--genus", "3", "--boundary", "1")
         assert code == EXIT_VERIFY
         assert out.startswith("FAIL") and "X1" in out
+
+    def test_unsolvable_partial_names_its_relation(self, capsys, monkeypatch):
+        monkeypatch.setattr(mcgtwist.engine, "partial_target_boundary",
+                            lambda space, x, vj, xi: {0: 1})
+        failures = verify_spec(SurfaceSpec.make(4, 1, 2, 1, "pmk"))
+        assert len(failures) == 1
+        assert re.search(r"relation system: R\d+\S*:xi\d+: ", failures[0])
+        code, out, _ = run(
+            capsys, "verify", "--genus", "4", "--boundary", "1",
+            "--punctures", "2", "--k", "1", "--flavor", "pmk",
+        )
+        assert code == EXIT_VERIFY
+        assert out.startswith("FAIL") and ":xi" in out
 
     def test_builds_the_pipeline_once(self, monkeypatch):
         names = ("cycle_lattice", "build_catalog", "rewrite_relation_all")

@@ -11,6 +11,7 @@ import mcgtwist.engine
 from mcgtwist.catalog import parse_relations
 from mcgtwist.certify import oracle
 from mcgtwist.engine import (
+    UnitElimination,
     _gf2_insert,
     _parity_mask,
     build_relation_system,
@@ -18,9 +19,10 @@ from mcgtwist.engine import (
     express_class,
     named_candidates,
     sample_invariants,
+    to_coords,
 )
-from mcgtwist.errors import RelationOutsideKernel
-from mcgtwist.intlin import AbelianInvariants, Echelon, snf_factors
+from mcgtwist.errors import RelationOutsideKernel, UnstableSampling
+from mcgtwist.intlin import AbelianInvariants, Echelon, snf_factors, vec_axpy
 from mcgtwist.surface import SurfaceSpec
 from test_acceptance import PER_SPEC_BUDGET_SECONDS
 
@@ -167,15 +169,16 @@ def test_partial_rows_escape_ambiguity():
                 assert not amb.contains(p.coords), p.rid
 
 
-def mixed_lattice(diag, rnd, drop, extra):
+def mixed_lattice(diag, rnd, drop, extra, ops=None):
     """Rows spanning a lattice in Z^len(diag) whose quotient is the sum
-    of Z/d over diag: the diagonal, moved by random unimodular column
-    operations and mixed by random row operations.  `drop` removes one
-    row (rank-deficient); `extra` appends a dependent row."""
+    of Z/d over diag: the diagonal, moved by `ops` (default 3 * rank)
+    random unimodular column operations and mixed by as many random row
+    operations.  `drop` removes one row (rank-deficient); `extra`
+    appends a dependent row."""
     r = len(diag)
     rows = [[d if i == j else 0 for j in range(r)] for i, d in enumerate(diag)]
     if r >= 2:
-        for _ in range(3 * r):
+        for _ in range(3 * r if ops is None else ops):
             i, j = rnd.sample(range(r), 2)
             q = rnd.choice((-2, -1, 1, 2))
             for row in rows:  # column j += q * column i
@@ -239,3 +242,115 @@ def test_largest_pmk_spec_within_budget_at_every_seed():
         seconds = time.perf_counter() - start
         assert result.invariants == oracle(spec), seed
         assert seconds <= PER_SPEC_BUDGET_SECONDS, (seed, seconds)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    diag=st.lists(st.sampled_from((1, 1, 2, 3, 4, 6)), max_size=7),
+    seed=st.integers(0, 2**32 - 1),
+    ops=st.integers(0, 12),
+    drop=st.booleans(),
+    extra=st.booleans(),
+)
+@example(diag=[], seed=0, ops=0, drop=False, extra=False)
+@example(diag=[1, 2, 1, 4], seed=1, ops=2, drop=False, extra=False)
+@example(diag=[1, 3, 1, 2, 1], seed=2, ops=4, drop=True, extra=True)
+# A pivot of 2 in the exact part: it must not be eliminated.
+@example(diag=[2], seed=0, ops=0, drop=False, extra=False)
+# Unit pivots whose rows meet each other's pivot columns.
+@example(diag=[1, 1, 1], seed=0, ops=0, drop=False, extra=True)
+def test_unit_elimination_agrees_with_smith_form(diag, seed, ops, drop, extra):
+    """Split sparse generators into an "exact" echelon, whose unit
+    pivots are eliminated, and rows inserted afterwards, as a sample
+    does; the invariants must be those of the full rows."""
+    rnd = random.Random(seed)
+    rank = len(diag)
+    perm = rnd.sample(range(rank), rank)
+    rows = [{perm[c]: v for c, v in row.items()}
+            for row in mixed_lattice(diag, rnd, drop, extra, ops)]
+    rnd.shuffle(rows)
+    split = rnd.randint(0, len(rows))
+    elim = UnitElimination(Echelon(rows[:split]), rank)
+    ech, gf2 = elim.echelon.clone(), dict(elim.gf2)
+    for row in rows[split:]:
+        vec = elim(row)
+        _gf2_insert(gf2, _parity_mask(vec), elim.full)
+        ech.insert(vec)
+    expected = AbelianInvariants.from_factors(snf_factors(rows), rank)
+    assert sample_invariants(ech, gf2, elim.rank) == expected
+
+
+def full_coordinate_sampler(system, samples, seed):
+    """Reference for compute_h1: the sampler before unit-pivot
+    elimination, with every sample and the named basis in all rank
+    coordinates.  Returns the invariants of each sample and the names of
+    the named basis."""
+    rank = system.rank
+    full = (1 << rank) - 1
+    base_gf2 = {}
+    for c in system.exact_coords:
+        _gf2_insert(base_gf2, _parity_mask(c), full)
+    rng = random.Random(seed)
+    per_sample, kept = [], None
+    for m in range(samples if system.partials else 1):
+        ech = system.exact_echelon.clone()
+        gf2 = dict(base_gf2)
+        for p in system.partials:
+            row = dict(p.coords)
+            if m:
+                basis = system.ambiguity_coords[p.ambiguity]
+                bits = rng.getrandbits(len(basis)) if basis else 0
+                while bits:
+                    t = (bits & -bits).bit_length() - 1
+                    vec_axpy(row, basis[t], 1)
+                    bits &= bits - 1
+            _gf2_insert(gf2, _parity_mask(row), full)
+            ech.insert(row)
+        per_sample.append(sample_invariants(ech, gf2, rank))
+        if m == 0:
+            kept = gf2
+    named = []
+    if per_sample[0].is_elementary_two_group():
+        for t, (name, chain) in enumerate(named_candidates(system.space)):
+            vec = _parity_mask(to_coords(system, chain)) | (1 << (rank + t))
+            if _gf2_insert(kept, vec, full) & full:
+                named.append(name)
+    return per_sample, named
+
+
+@pytest.mark.parametrize("spec", [
+    SurfaceSpec.make(9, 3, 3, 1, "pmk"),
+    SurfaceSpec.make(9, 1, 3, flavor="m"),
+    SurfaceSpec.make(4, 2, 3, 2, "pmk"),
+    SurfaceSpec.make(3, 3, 3, 1, "pmk"),
+    SurfaceSpec.make(7, 2, 2, 2, "pm+"),
+], ids=lambda s: "%d,%d,%d,%d,%s" % (s.g, s.s, s.n, s.k, s.flavor))
+def test_pipeline_matches_full_coordinate_sampler(spec, monkeypatch):
+    system = build_relation_system(spec)
+    seen = []
+
+    def recording(ech, gf2, rank):
+        seen.append(sample_invariants(ech, gf2, rank))
+        return seen[-1]
+
+    monkeypatch.setattr(mcgtwist.engine, "sample_invariants", recording)
+    for seed in range(3):
+        seen.clear()
+        result = compute_h1(spec, seed=seed, system=system)
+        per_sample, named = full_coordinate_sampler(system, 17, seed)
+        assert seen == per_sample, seed
+        assert names(result) == named, seed
+
+
+def test_unstable_sampling_is_raised():
+    # Replacing one ambiguity vector by a unit vector that survives the
+    # elimination changes the quotient of the samples that draw it.
+    spec = SurfaceSpec.make(5, 0, 2, 0, "pmk")
+    system = build_relation_system(spec)
+    assert compute_h1(spec, system=system).invariants == oracle(spec)
+    elim = UnitElimination(system.exact_echelon, system.rank)
+    vec = {max(elim.index): 1}
+    assert elim(vec) == {elim.rank - 1: 1}
+    system.ambiguity_coords["k1"][0] = vec
+    with pytest.raises(UnstableSampling):
+        compute_h1(spec, system=system)

@@ -16,6 +16,7 @@ from mcgtwist.intlin import (
     snf_factors,
     xgcd,
 )
+from helpers import matvec
 
 
 def sparse(vec):
@@ -185,7 +186,7 @@ def test_kernel_saturation(rows):
     m = IntMatrix(rows)
     basis = kernel(rows)
     for v in basis:
-        assert m.matvec(v) == [0] * m.rows
+        assert matvec(m, v) == [0] * m.rows
     # Saturation: scaled multiples of any integer combination stay in
     # the span with the scale dividing out exactly.
     if basis:

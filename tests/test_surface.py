@@ -14,6 +14,7 @@ from mcgtwist.surface import (
     evaluate_word,
     expand_word,
 )
+from helpers import column
 
 SPECS = [
     SurfaceSpec.make(3, 1, 0),
@@ -136,9 +137,9 @@ def test_e_matrix_values():
     spec = SurfaceSpec.make(3, 0, 3, 0, "pmk")
     rep = build_representation(spec)
     m = rep.psi(Gen("e", 2))
-    assert m.column(0) == [0, -1, 0, -1, -1]
-    assert m.column(1) == [1, 2, 0, 1, 1]
-    assert m.column(2) == [0, 0, 1, 0, 0]
+    assert column(m, 0) == [0, -1, 0, -1, -1]
+    assert column(m, 1) == [1, 2, 0, 1, 1]
+    assert column(m, 2) == [0, 0, 1, 0, 0]
 
 
 def test_derived_words():
