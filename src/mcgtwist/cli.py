@@ -8,6 +8,7 @@ closed form, 5 failed verification.
 """
 
 import argparse
+import csv
 import json
 import sys
 
@@ -42,9 +43,11 @@ def make_spec(args):
         k = None  # always n; an explicit --k is ignored for this flavor
     elif args.flavor == "pmk" and k is None:
         k = 0
-    return SurfaceSpec.make(
+    spec = SurfaceSpec.make(
         args.genus, args.boundary, args.punctures, k, args.flavor
     )
+    spec.require_free_module()
+    return spec
 
 
 def run_record(spec, samples, seed, extra_relations=None):
@@ -191,24 +194,21 @@ def cmd_table(args):
              "matched": matched, "total": len(records)}
         ))
     else:
-        sep = "," if args.format == "csv" else " | "
-        head = sep.join(RECORD_FIELDS)
-        if args.format == "markdown":
-            head = "| " + head + " |"
-        print(head)
-        if args.format == "markdown":
+        if args.format == "csv":
+            # Generator names contain commas; csv quotes those cells.
+            print(",".join(RECORD_FIELDS))
+            write_row = csv.writer(sys.stdout, lineterminator="\n").writerow
+        else:
+            print("| " + " | ".join(RECORD_FIELDS) + " |")
             print("|" + "---|" * len(RECORD_FIELDS))
+
+            def write_row(cells):
+                print("| " + " | ".join(cells) + " |")
         for r in records:
-            cells = []
-            for f in RECORD_FIELDS:
-                v = r[f]
-                if isinstance(v, list):
-                    v = " ".join(str(x) for x in v)
-                cells.append(str(v))
-            line = sep.join(cells)
-            if args.format == "markdown":
-                line = "| " + line + " |"
-            print(line)
+            write_row([
+                " ".join(str(x) for x in v) if isinstance(v, list) else str(v)
+                for v in (r[f] for f in RECORD_FIELDS)
+            ])
         print("# matched %d of %d" % (matched, len(records)))
     for err in errors:
         print("error %s" % err, file=sys.stderr)

@@ -10,7 +10,6 @@ ambiguity basis vectors, and the quotient invariants must agree across
 all samples.
 """
 
-import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -272,30 +271,6 @@ class H1Result:
     _gf2: tuple = field(repr=False, default=None)
 
 
-def sample_invariants(ech, gf2, rank):
-    """Invariants of Z^rank modulo the lattice held in `ech`.
-
-    `gf2` is a GF(2) echelon (see `_gf2_insert`) of the lattice's
-    generators reduced mod 2.  When `ech` has full rank the quotient G is
-    finite, and two numbers decide it without a Smith form:
-
-    - |G| is the product of the pivots, the determinant of the
-      triangular basis;
-    - e = rank - len(gf2) is the dimension of G/2G, which is the number
-      of even invariant factors.
-
-    If |G| = 2^e then G = (Z/2)^e: each even factor is at least 2 and
-    each odd factor other than 1 is at least 3, so |G| >= 2^e, with
-    equality only when every even factor is 2 and every odd one is 1.
-    In every other case, the Smith form decides.
-    """
-    if ech.rank == rank:
-        e = rank - len(gf2)
-        if math.prod(row[j] for j, row in ech.pivots.items()) == 1 << e:
-            return AbelianInvariants((2,) * e, 0)
-    return AbelianInvariants.from_factors(snf_factors(ech.rows()), rank)
-
-
 class UnitElimination:
     """The quotient map that removes the unit pivots of the exact relations.
 
@@ -317,9 +292,8 @@ class UnitElimination:
       of projection over GF(2), with kernel span(U mod 2) inside L mod 2;
       so the GF(2) ranks and the greedy named basis are unchanged too.
 
-    `echelon` is the starting lattice of every sample, pi of the exact
-    lattice, spanned by the images of the non-unit exact rows (they keep
-    their pivots, so they stay an echelon); `gf2` is their GF(2) echelon.
+    `base` holds the images of the non-unit exact rows, which span pi of
+    the exact lattice and so start every sample.
     """
 
     def __init__(self, exact, ambient_rank):
@@ -330,13 +304,10 @@ class UnitElimination:
                 self.index[c] = len(self.index)
         self.rank = len(self.index)
         self.full = (1 << self.rank) - 1
-        self.echelon = Echelon(
+        self.base = [
             self(row) for j, row in sorted(exact.pivots.items())
             if j not in self.units
-        )
-        self.gf2 = {}
-        for row in self.echelon.pivots.values():
-            _gf2_insert(self.gf2, _parity_mask(row), self.full)
+        ]
 
     def __call__(self, coords):
         """pi(coords), as a new sparse vector."""
@@ -354,8 +325,9 @@ def compute_h1(spec, samples=17, seed=0, drop_ids=frozenset(),
     agree across all runs; otherwise UnstableSampling is raised.  Every
     sample and the named basis work modulo the unit pivots of the exact
     relations (see `UnitElimination`): the partial rows and the
-    ambiguity basis vectors are projected once, and a sample's draw
-    skips the basis vectors that project to zero.
+    ambiguity basis vectors are projected once, a sample's draw skips
+    the basis vectors that project to zero, and a sample's invariants
+    are the Smith form (`snf_factors`) of its projected rows.
     """
     t0 = time.perf_counter()
     if samples < 1:
@@ -373,45 +345,45 @@ def compute_h1(spec, samples=17, seed=0, drop_ids=frozenset(),
     rng = random.Random(seed)
     nsamples = samples if partials else 1
     invariants = None
-    kept = None
     for m in range(nsamples):
-        ech = elim.echelon.clone() if partials else elim.echelon
-        gf2 = dict(elim.gf2)
+        rows = []
         for coords, key in partials:
-            row = dict(coords)
-            if m:
-                basis, mask = ambiguity[key]
-                bits = rng.getrandbits(len(basis)) & mask if basis else 0
-                while bits:
-                    t = (bits & -bits).bit_length() - 1
-                    vec_axpy(row, basis[t], 1)
-                    bits &= bits - 1
-            _gf2_insert(gf2, _parity_mask(row), elim.full)
-            ech.insert(row)
-        inv = sample_invariants(ech, gf2, elim.rank)
+            basis, mask = ambiguity[key]
+            bits = rng.getrandbits(len(basis)) & mask if m and basis else 0
+            row = dict(coords) if bits else coords
+            while bits:
+                t = (bits & -bits).bit_length() - 1
+                vec_axpy(row, basis[t], 1)
+                bits &= bits - 1
+            rows.append(row)
+        lattice = elim.base + rows
+        inv = AbelianInvariants.from_factors(snf_factors(lattice), elim.rank)
         if invariants is None:
-            invariants, kept = inv, gf2
+            invariants, first = inv, lattice
         elif inv != invariants:
             raise UnstableSampling(
                 "sample %d gave %s, sample 0 gave %s"
                 % (m, inv.describe(), invariants.describe())
             )
 
-    named, gf2 = _named_basis(system, invariants, kept, elim)
+    named, gf2 = _named_basis(system, invariants, first, elim)
     ms = int((time.perf_counter() - t0) * 1000)
     return H1Result(spec, invariants, named, SamplingReport(nsamples, True),
                     ms, system, gf2)
 
 
-def _named_basis(system, invariants, rows, elim):
+def _named_basis(system, invariants, relations, elim):
     """Greedy GF(2) reduction of the candidate list over the relations.
 
-    `rows` is the GF(2) echelon of the relations mod 2, in the
-    coordinates of `elim`; it is extended in place.  Valid once the
-    quotient is known to be an elementary abelian 2-group: class
-    equality then reduces to equality modulo the relations and twice
-    the cycle lattice.
+    `relations` are sample 0's rows in the coordinates of `elim`; their
+    GF(2) echelon, extended by the candidates, is returned for
+    `express_class`.  Valid once the quotient is known to be an
+    elementary abelian 2-group: class equality then reduces to equality
+    modulo the relations and twice the cycle lattice.
     """
+    rows = {}
+    for row in relations:
+        _gf2_insert(rows, _parity_mask(row), elim.full)
     width = elim.rank
     named = []
     tagmap = {}

@@ -164,9 +164,6 @@ class Echelon:
     def pivot_cols(self):
         return sorted(self.pivots)
 
-    def rows(self):
-        return [self.pivots[j] for j in sorted(self.pivots)]
-
     def clone(self):
         out = Echelon()
         out.pivots = {j: dict(row) for j, row in self.pivots.items()}

@@ -1,5 +1,6 @@
 """Command-line interface: output formats, exit codes, determinism."""
 
+import csv
 import json
 import re
 from collections import Counter
@@ -18,6 +19,7 @@ from mcgtwist.cli import (
     RECORD_FIELDS,
     main,
 )
+from mcgtwist.engine import compute_h1
 from mcgtwist.surface import SurfaceSpec
 from mcgtwist.verify import verify_spec
 
@@ -106,6 +108,23 @@ class TestTable:
         assert code == EXIT_OK
         payload = json.loads(out)
         assert payload["matched"] == payload["total"] == len(payload["rows"])
+
+    def test_csv_rows_parse(self, capsys):
+        # Generator names such as b_{1,1}-a_{1,1}-a_{3,3} contain commas.
+        code, out, _ = run(
+            capsys, "table", "--genus", "4", "--boundary", "1",
+            "--punctures", "2", "--flavor", "m", "--format", "csv",
+        )
+        assert code == EXIT_OK
+        rows = list(csv.reader(out.splitlines()))
+        assert rows[0] == list(RECORD_FIELDS)
+        assert rows[-1] == ["# matched 1 of 1"]
+        (row,) = rows[1:-1]
+        assert len(row) == len(RECORD_FIELDS)
+        generators = row[RECORD_FIELDS.index("generators")].split(" ")
+        assert "b_{1,1}-a_{1,1}-a_{3,3}" in generators
+        expected = compute_h1(SurfaceSpec.make(4, 1, 2, flavor="m"))
+        assert generators == [name for name, _ in expected.named_basis]
 
     def test_empty_range(self, capsys):
         code, out, _ = run(
@@ -221,6 +240,12 @@ class TestBadInput:
     def test_bad_table_range(self, capsys, genus, named):
         err = run_invalid(capsys, "table", "--genus", genus)
         assert named in err
+
+    @pytest.mark.parametrize("command", ["compute", "verify"])
+    def test_no_boundary_or_puncture(self, capsys, command):
+        err = run_invalid(capsys, command, "--genus", "3")
+        assert err == ("invalid spec: computation requires at least one "
+                       "boundary or puncture\n")
 
 
 def test_exit_codes_are_distinct():

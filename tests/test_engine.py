@@ -18,7 +18,6 @@ from mcgtwist.engine import (
     compute_h1,
     express_class,
     named_candidates,
-    sample_invariants,
     to_coords,
 )
 from mcgtwist.errors import RelationOutsideKernel, UnstableSampling
@@ -193,49 +192,19 @@ def mixed_lattice(diag, rnd, drop, extra, ops=None):
     return [{c: v for c, v in enumerate(row) if v} for row in rows]
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    diag=st.lists(st.sampled_from((1, 2, 3, 4, 6)), max_size=6),
-    seed=st.integers(0, 2**32 - 1),
-    drop=st.booleans(),
-    extra=st.booleans(),
+def spec_id(spec):
+    return "%d,%d,%d,%d,%s" % (spec.g, spec.s, spec.n, spec.k, spec.flavor)
+
+
+# g 10-12 lie past the acceptance grid; there an integer echelon per sample
+# grows its coefficients to hundreds of thousands of bits.
+@pytest.mark.parametrize(
+    "spec", [SurfaceSpec.make(g, 3, 3, 0, "pmk") for g in range(9, 13)],
+    ids=spec_id,
 )
-@example(diag=[], seed=0, drop=False, extra=False)           # rank 0
-@example(diag=[4], seed=0, drop=False, extra=False)          # Z/4
-@example(diag=[2, 4], seed=1, drop=False, extra=False)       # order 8, e = 2
-@example(diag=[3], seed=0, drop=False, extra=False)          # Z/3
-@example(diag=[2, 3], seed=2, drop=False, extra=False)       # Z/2 + Z/3
-@example(diag=[1, 2, 2, 1, 2], seed=3, drop=False, extra=True)
-@example(diag=[2, 2, 2], seed=4, drop=True, extra=False)     # rank-deficient
-# Rank-deficient with pivot product 2 = 2^e: only the rank check rejects it.
-@example(diag=[1, 1], seed=24, drop=True, extra=False)
-def test_sample_invariants_agree_with_smith_form(diag, seed, drop, extra):
-    rows = mixed_lattice(diag, random.Random(seed), drop, extra)
-    rank = len(diag)
-    full = (1 << rank) - 1
-    ech, gf2 = Echelon(), {}
-    for row in rows:
-        _gf2_insert(gf2, _parity_mask(row), full)
-        ech.insert(dict(row))
-    expected = AbelianInvariants.from_factors(snf_factors(rows), rank)
-
-    calls = []
-
-    def counting_snf(rows):
-        calls.append(len(rows))
-        return snf_factors(rows)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(mcgtwist.engine, "snf_factors", counting_snf)
-        assert sample_invariants(ech, gf2, rank) == expected
-    if expected.is_elementary_two_group():
-        assert not calls
-
-
-def test_largest_pmk_spec_within_budget_at_every_seed():
+def test_largest_pmk_spec_within_budget_at_every_seed(spec):
     # The sampling seed changes the shifted partial rows and so the cost
     # of the quotient; the per-spec budget must hold at each seed.
-    spec = SurfaceSpec.make(9, 3, 3, 0, "pmk")
     for seed in range(8):
         start = time.perf_counter()
         result = compute_h1(spec, seed=seed)
@@ -261,8 +230,9 @@ def test_largest_pmk_spec_within_budget_at_every_seed():
 @example(diag=[1, 1, 1], seed=0, ops=0, drop=False, extra=True)
 def test_unit_elimination_agrees_with_smith_form(diag, seed, ops, drop, extra):
     """Split sparse generators into an "exact" echelon, whose unit
-    pivots are eliminated, and rows inserted afterwards, as a sample
-    does; the invariants must be those of the full rows."""
+    pivots are eliminated, and rows projected afterwards, as a sample
+    does; the Smith form of the projected rows must give the invariants
+    of the full rows."""
     rnd = random.Random(seed)
     rank = len(diag)
     perm = rnd.sample(range(rank), rank)
@@ -271,20 +241,17 @@ def test_unit_elimination_agrees_with_smith_form(diag, seed, ops, drop, extra):
     rnd.shuffle(rows)
     split = rnd.randint(0, len(rows))
     elim = UnitElimination(Echelon(rows[:split]), rank)
-    ech, gf2 = elim.echelon.clone(), dict(elim.gf2)
-    for row in rows[split:]:
-        vec = elim(row)
-        _gf2_insert(gf2, _parity_mask(vec), elim.full)
-        ech.insert(vec)
+    projected = elim.base + [elim(row) for row in rows[split:]]
     expected = AbelianInvariants.from_factors(snf_factors(rows), rank)
-    assert sample_invariants(ech, gf2, elim.rank) == expected
+    assert AbelianInvariants.from_factors(
+        snf_factors(projected), elim.rank) == expected
 
 
 def full_coordinate_sampler(system, samples, seed):
-    """Reference for compute_h1: the sampler before unit-pivot
-    elimination, with every sample and the named basis in all rank
-    coordinates.  Returns the invariants of each sample and the names of
-    the named basis."""
+    """Reference for compute_h1: every sample and the named basis in all
+    rank coordinates, each sample's lattice held in its own echelon.
+    Returns the invariants of each sample and the names of the named
+    basis."""
     rank = system.rank
     full = (1 << rank) - 1
     base_gf2 = {}
@@ -306,7 +273,8 @@ def full_coordinate_sampler(system, samples, seed):
                     bits &= bits - 1
             _gf2_insert(gf2, _parity_mask(row), full)
             ech.insert(row)
-        per_sample.append(sample_invariants(ech, gf2, rank))
+        per_sample.append(AbelianInvariants.from_factors(
+            snf_factors(ech.pivots.values()), rank))
         if m == 0:
             kept = gf2
     named = []
@@ -324,16 +292,18 @@ def full_coordinate_sampler(system, samples, seed):
     SurfaceSpec.make(4, 2, 3, 2, "pmk"),
     SurfaceSpec.make(3, 3, 3, 1, "pmk"),
     SurfaceSpec.make(7, 2, 2, 2, "pm+"),
-], ids=lambda s: "%d,%d,%d,%d,%s" % (s.g, s.s, s.n, s.k, s.flavor))
+], ids=spec_id)
 def test_pipeline_matches_full_coordinate_sampler(spec, monkeypatch):
     system = build_relation_system(spec)
+    rank = UnitElimination(system.exact_echelon, system.rank).rank
     seen = []
 
-    def recording(ech, gf2, rank):
-        seen.append(sample_invariants(ech, gf2, rank))
-        return seen[-1]
+    def recording(rows):
+        factors = snf_factors(rows)
+        seen.append(AbelianInvariants.from_factors(factors, rank))
+        return factors
 
-    monkeypatch.setattr(mcgtwist.engine, "sample_invariants", recording)
+    monkeypatch.setattr(mcgtwist.engine, "snf_factors", recording)
     for seed in range(3):
         seen.clear()
         result = compute_h1(spec, seed=seed, system=system)
