@@ -4,12 +4,14 @@ Three subcommands: `compute` runs one spec and reports the group,
 `table` sweeps a grid of specs, `verify` runs the internal consistency
 suite.  Exit codes: 0 success/match, 2 invalid input (spec, flags or
 relations file), 3 unstable sampling, 4 computed group differs from the
-closed form, 5 failed verification.
+closed form, 5 failed verification, 141 (128 + SIGPIPE) standard output
+closed by its reader before everything was written.
 """
 
 import argparse
 import csv
 import json
+import os
 import sys
 
 from .catalog import parse_relations
@@ -30,6 +32,7 @@ EXIT_INVALID = 2
 EXIT_UNSTABLE = 3
 EXIT_MISMATCH = 4
 EXIT_VERIFY = 5
+EXIT_PIPE = 141
 
 RECORD_FIELDS = (
     "genus", "boundary", "punctures", "k", "flavor", "torsion", "free_rank",
@@ -322,7 +325,17 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        if sys.stdout is not None:  # None when started with fd 1 closed
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader is gone.  Send what is still buffered to devnull, so
+        # the flush at interpreter exit cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_PIPE
+    return code
 
 
 if __name__ == "__main__":

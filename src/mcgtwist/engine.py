@@ -81,11 +81,7 @@ def to_coords(system, chain, error=NotACycle):
     return {system.col_of[j]: v for j, v in coeffs.items() if v}
 
 
-def _dropped(rid, drop_ids):
-    return rid in drop_ids or rid.split(":", 1)[0] in drop_ids
-
-
-def build_relation_system(spec, drop_ids=frozenset(), extra_relations=None):
+def build_relation_system(spec, extra_relations=None):
     """Rewrite the whole catalog into cycle-lattice coordinates.
 
     Partial relations are resolved into a pinned coordinate row (their
@@ -113,7 +109,7 @@ def build_relation_system(spec, drop_ids=frozenset(), extra_relations=None):
         )
 
     for entry in catalog:
-        if _dropped(entry.rid, drop_ids) or entry.kind == "partial":
+        if entry.kind == "partial":
             continue
         if entry.kind == "word":
             for vec in rewrite_relation_all(space, entry.lhs, entry.rhs):
@@ -159,7 +155,7 @@ def build_relation_system(spec, drop_ids=frozenset(), extra_relations=None):
             system.partials.append(PartialRow(rid, base, c, key))
 
     for entry in catalog:
-        if entry.kind != "partial" or _dropped(entry.rid, drop_ids):
+        if entry.kind != "partial":
             continue
         if entry.ambiguity == "k1":
             add_partial(entry.rid, entry.vector, "k1")
@@ -316,8 +312,7 @@ class UnitElimination:
         return {index[c]: v for c, v in rem.items()}
 
 
-def compute_h1(spec, samples=17, seed=0, drop_ids=frozenset(),
-               extra_relations=None, system=None):
+def compute_h1(spec, samples=17, seed=0, extra_relations=None, system=None):
     """Invariants and a named basis of the twisted first homology group.
 
     With `samples` > 1 and partial relations present, the ambiguity of
@@ -333,7 +328,7 @@ def compute_h1(spec, samples=17, seed=0, drop_ids=frozenset(),
     if samples < 1:
         raise ValueError("need at least one sample")
     if system is None:
-        system = build_relation_system(spec, drop_ids, extra_relations)
+        system = build_relation_system(spec, extra_relations)
     elim = UnitElimination(system.exact_echelon, system.rank)
     partials = [(elim(p.coords), p.ambiguity) for p in system.partials]
     ambiguity = {}

@@ -1,4 +1,4 @@
-"""Exact integer linear algebra: Hermite/Smith forms, kernels, quotients."""
+"""Exact integer linear algebra: Smith forms, kernels, quotients."""
 
 from ._kernels import (
     echelon_insert,
@@ -11,7 +11,6 @@ from .lattice import (
     AbelianInvariants,
     ColumnSolver,
     Echelon,
-    hnf,
 )
 from .matrix import IntMatrix
 
@@ -26,7 +25,6 @@ __all__ = [
     "IntMatrix",
     "echelon_insert",
     "echelon_reduce",
-    "hnf",
     "snf_factors",
     "vec_axpy",
     "xgcd",

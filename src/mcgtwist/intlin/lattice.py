@@ -1,17 +1,15 @@
 """Lattice-level integer linear algebra.
 
 Built on the sparse kernels in `_kernels`: abelian group invariants,
-the Hermite normal form behind `IntMatrix.inverse`, an integer column
-solver (kernels and exact solving) and lattices held as sparse echelon
-bases.  Vectors at this level are dicts mapping coordinate -> nonzero
-int; only `hnf` works on dense matrices.
+an integer column solver (kernels and exact solving) and lattices held
+as sparse echelon bases.  Vectors at this level are dicts mapping
+coordinate -> nonzero int.
 """
 
 from dataclasses import dataclass
 
 from ..errors import NoIntegerSolution
 from ._kernels import echelon_insert, echelon_reduce
-from .matrix import IntMatrix
 
 
 @dataclass(frozen=True)
@@ -44,53 +42,6 @@ class AbelianInvariants:
 
     def is_elementary_two_group(self):
         return self.free_rank == 0 and all(t == 2 for t in self.torsion)
-
-
-def hnf(m):
-    """Row Hermite normal form.
-
-    Returns (h, u) with u unimodular and u @ m = h; h is in row-echelon
-    form with positive pivots and the entries above each pivot reduced
-    into [0, pivot).
-    """
-    h = [row[:] for row in m.data]
-    nrows, ncols = m.rows, m.cols
-    u = [[1 if i == j else 0 for j in range(nrows)] for i in range(nrows)]
-
-    def axpy(i, isrc, q):
-        hi, hs = h[i], h[isrc]
-        for j in range(ncols):
-            hi[j] -= q * hs[j]
-        ui, us = u[i], u[isrc]
-        for j in range(nrows):
-            ui[j] -= q * us[j]
-
-    r = 0
-    for c in range(ncols):
-        while True:
-            nz = [i for i in range(r, nrows) if h[i][c]]
-            if not nz:
-                break
-            i0 = min(nz, key=lambda i: abs(h[i][c]))
-            if i0 != r:
-                h[r], h[i0] = h[i0], h[r]
-                u[r], u[i0] = u[i0], u[r]
-            if h[r][c] < 0:
-                h[r] = [-v for v in h[r]]
-                u[r] = [-v for v in u[r]]
-            clean = True
-            for i in range(r + 1, nrows):
-                if h[i][c]:
-                    axpy(i, r, h[i][c] // h[r][c])
-                    if h[i][c]:
-                        clean = False
-            if clean:
-                for i in range(r):
-                    if h[i][c]:
-                        axpy(i, r, h[i][c] // h[r][c])
-                r += 1
-                break
-    return IntMatrix(h), IntMatrix(u)
 
 
 class ColumnSolver:

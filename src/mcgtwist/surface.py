@@ -24,6 +24,12 @@ FLAVORS = ("pm+", "pmk", "m")
 # all local orientations; the "pm+" alphabet consists of exactly these.
 PMPLUS_KINDS = frozenset("auedb")
 
+# Generator kinds that act on H_1 as involutions.  Every other kind is a
+# twist about a two-sided curve and acts as a transvection T, with
+# (T - I)^2 = 0 (cf. Farb and Margalit, A Primer on Mapping Class
+# Groups, Prop. 6.3, for orientable surfaces).
+INVOLUTION_KINDS = frozenset("udsv")
+
 
 class Gen(NamedTuple):
     """A generator symbol: a crosscap-chain twist a_j, the crosscap
@@ -259,7 +265,8 @@ def _gamma_delta_matrix(spec, fill):
 
 
 def build_representation(spec, sign_variant=None):
-    """Matrices of all generators of the given group.
+    """Matrices of all generators of the given group, with their
+    inverses formed by generator kind (see `INVOLUTION_KINDS`).
 
     `sign_variant` deliberately flips one sign to exercise the
     consistency checks: "e" flips the third delta coefficient in the
@@ -325,9 +332,18 @@ def build_representation(spec, sign_variant=None):
                     m[g - 1][g - 1] = -1
 
         mats[gen] = _gamma_delta_matrix(spec, fill)
-    return Representation(
-        spec, mats, {gen: mat.inverse() for gen, mat in mats.items()}
-    )
+    # An involution is its own inverse.  A transvection T has inverse
+    # 2I - T, since T (2I - T) = I - (T - I)^2 = I.
+    inverses = {}
+    for gen, mat in mats.items():
+        if gen.kind in INVOLUTION_KINDS:
+            inverses[gen] = mat
+        else:
+            inverses[gen] = IntMatrix([
+                [2 * (r == c) - v for c, v in enumerate(row)]
+                for r, row in enumerate(mat.data)
+            ])
+    return Representation(spec, mats, inverses)
 
 
 def evaluate_word(rep, word):

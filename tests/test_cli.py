@@ -2,7 +2,10 @@
 
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -15,13 +18,21 @@ from mcgtwist.cli import (
     EXIT_INVALID,
     EXIT_MISMATCH,
     EXIT_OK,
+    EXIT_PIPE,
     EXIT_VERIFY,
     RECORD_FIELDS,
     main,
+    record_json,
+    run_record,
 )
-from mcgtwist.engine import compute_h1
-from mcgtwist.surface import SurfaceSpec
+from mcgtwist.engine import build_relation_system, compute_h1
+from mcgtwist.intlin import IntMatrix
+from mcgtwist.surface import INVOLUTION_KINDS, Gen, SurfaceSpec
 from mcgtwist.verify import verify_spec
+from test_acceptance import permutation_grid, twist_grid
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+REFERENCE = os.path.join(ROOT, "perfbench", "reference.jsonl")
 
 
 def run(capsys, *argv):
@@ -177,8 +188,79 @@ class TestVerify:
         assert code == EXIT_VERIFY
         assert out.startswith("FAIL") and ":xi" in out
 
+    @pytest.mark.parametrize("rid", ["I4", "I5:5", "R14:2:1:xi1"])
+    def test_non_cycle_is_one_relation_system_line(
+            self, capsys, monkeypatch, rid):
+        # Add the non-cycle a_{1,1} to a class relation, to the vector of
+        # a k1 partial, or to every exact part of a slide conjugation.
+        spec = SurfaceSpec.make(5, 1, 2, 1, "pmk")
+        catalog, exact_part = build_catalog, mcgtwist.engine.partial_exact_part
+
+        def broken_catalog(spec, space):
+            out = catalog(spec, space)
+            for entry in out:
+                if entry.rid == rid:
+                    entry.vector.add_term(space.flat(Gen("a", 1), 1), 1)
+            return out
+
+        def broken_exact_part(space, *args):
+            out = exact_part(space, *args)
+            out.add_term(space.flat(Gen("a", 1), 1), 1)
+            return out
+
+        if rid.startswith("R14"):
+            monkeypatch.setattr(mcgtwist.engine, "partial_exact_part",
+                                broken_exact_part)
+        else:
+            monkeypatch.setattr(mcgtwist.engine, "build_catalog",
+                                broken_catalog)
+        (failure,) = verify_spec(spec)
+        assert failure.startswith("relation system: %s: " % rid)
+        code, out, _ = run(
+            capsys, "verify", "--genus", "5", "--boundary", "1",
+            "--punctures", "2", "--k", "1", "--flavor", "pmk",
+        )
+        assert code == EXIT_VERIFY
+        assert out == "FAIL (5,1,2,1,pmk) %s\n" % failure
+
+    @pytest.mark.parametrize("name, message", [
+        ("u1", "psi(u1) is not an involution"),
+        ("a1", "psi(a1) is not a transvection"),
+    ])
+    def test_wrong_inverse_is_one_line(self, capsys, monkeypatch, name,
+                                       message):
+        # Replace one inverse, after the build, by the other kind's rule.
+        gen = Gen(name[0], int(name[1:]))
+
+        def corrupted(spec):
+            system = build_relation_system(spec)
+            rep = system.space.rep
+            mat = rep.psi(gen)
+            if gen.kind in INVOLUTION_KINDS:
+                rep.inverses[gen] = IntMatrix([
+                    [2 * (r == c) - v for c, v in enumerate(row)]
+                    for r, row in enumerate(mat.data)
+                ])
+            else:
+                rep.inverses[gen] = mat
+            return system
+
+        monkeypatch.setattr(mcgtwist.verify, "build_relation_system",
+                            corrupted)
+        spec = SurfaceSpec.make(4, 1, 2, flavor="m")
+        assert verify_spec(spec) == [message]
+        code, out, _ = run(
+            capsys, "verify", "--genus", "4", "--boundary", "1",
+            "--punctures", "2", "--flavor", "m",
+        )
+        assert code == EXIT_VERIFY
+        assert out == "FAIL (4,1,2,0,m) %s\n" % message
+
     def test_builds_the_pipeline_once(self, monkeypatch):
-        names = ("cycle_lattice", "build_catalog", "rewrite_relation_all")
+        # verify_spec relies on the build for the catalog checks, so it
+        # never evaluates a word relation on its own.
+        names = ("cycle_lattice", "build_catalog", "rewrite_relation_all",
+                 "evaluate_word")
         calls = Counter()
         for module in (mcgtwist.verify, mcgtwist.engine, mcgtwist.catalog):
             for name in names:
@@ -193,6 +275,7 @@ class TestVerify:
         assert verify_spec(spec) == []
         assert calls == {"cycle_lattice": 1, "build_catalog": 1,
                          "rewrite_relation_all": words}
+        assert calls["evaluate_word"] == 0
 
 
 def run_invalid(capsys, *argv):
@@ -249,4 +332,56 @@ class TestBadInput:
 
 
 def test_exit_codes_are_distinct():
-    assert len({EXIT_OK, EXIT_INVALID, EXIT_MISMATCH, EXIT_VERIFY}) == 4
+    assert len({EXIT_OK, EXIT_INVALID, EXIT_MISMATCH, EXIT_VERIFY,
+                EXIT_PIPE}) == 5
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "--genus", "4", "--boundary", "1"],
+    ["table", "--genus", "3-4", "--boundary", "0-1", "--punctures", "2",
+     "--flavor", "m", "--format", "csv"],
+    ["verify", "--genus", "4", "--boundary", "1", "--punctures", "2",
+     "--flavor", "m"],
+], ids=lambda argv: argv[0])
+def test_closed_pipe_exits_quietly(argv):
+    # The reader of standard output is gone before anything is written.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "mcgtwist.cli"] + argv,
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == EXIT_PIPE
+    assert proc.stderr == b""
+
+
+def test_records_match_committed_reference():
+    # Every sixth acceptance-grid spec from index 3 (the benchmark runs
+    # those from index 0) and the four g=10 specs, at two sampling
+    # seeds, against perfbench/reference.jsonl.  Records carry neither
+    # `ms` nor `seed` there.
+    with open(REFERENCE, encoding="utf-8") as handle:
+        reference = {}
+        for line in handle:
+            rec = json.loads(line)
+            key = (rec["genus"], rec["boundary"], rec["punctures"], rec["k"],
+                   rec["flavor"])
+            reference[key] = line.strip()
+    specs = (list(twist_grid()) + list(permutation_grid()))[3::6]
+    specs += [
+        SurfaceSpec.make(10, 3, 3, 0, "pmk"),
+        SurfaceSpec.make(10, 1, 3, 0, "pmk"),
+        SurfaceSpec.make(10, 3, 3, flavor="m"),
+        SurfaceSpec.make(10, 3, 3, 3, "pm+"),
+    ]
+    assert len(specs) == 59
+    for spec in specs:
+        key = (spec.g, spec.s, spec.n, spec.k, spec.flavor)
+        for seed in (0, 4):
+            record = json.loads(record_json(run_record(spec, 17, seed)))
+            del record["ms"], record["seed"]
+            assert json.dumps(record) == reference[key], (key, seed)

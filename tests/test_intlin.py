@@ -1,4 +1,4 @@
-"""Exact integer linear algebra: normal forms, kernels, quotients."""
+"""Exact integer linear algebra: Smith forms, kernels, quotients."""
 
 import random
 
@@ -12,7 +12,6 @@ from mcgtwist.intlin import (
     ColumnSolver,
     Echelon,
     IntMatrix,
-    hnf,
     snf_factors,
     xgcd,
 )
@@ -45,26 +44,6 @@ def test_xgcd():
         assert x * a + y * b == g
         if a or b:
             assert a % g == 0 and b % g == 0
-
-
-class TestHnf:
-    def test_identity(self):
-        h, u = hnf(IntMatrix.identity(3))
-        assert h == IntMatrix.identity(3)
-        assert u == IntMatrix.identity(3)
-
-    def test_small(self):
-        m = IntMatrix([[2, 4], [6, 8]])
-        h, u = hnf(m)
-        assert h == IntMatrix([[2, 0], [0, 4]])
-        assert u @ m == h
-        assert u.det() in (1, -1)
-
-    def test_zero(self):
-        m = IntMatrix([[0, 0, 0], [0, 0, 0]])
-        h, u = hnf(m)
-        assert h == m
-        assert u == IntMatrix.identity(2)
 
 
 class TestSnf:
@@ -147,22 +126,6 @@ small_matrices = st.lists(
     min_size=1,
     max_size=4,
 ).filter(lambda rows: len({len(r) for r in rows}) == 1)
-
-
-@settings(max_examples=60, deadline=None)
-@given(small_matrices)
-def test_hnf_properties(rows):
-    m = IntMatrix(rows)
-    h, u = hnf(m)
-    assert u.det() in (1, -1)
-    assert u @ m == h
-    pivots = []
-    for row in h.data:
-        nz = [j for j, v in enumerate(row) if v]
-        if nz:
-            assert row[nz[0]] > 0
-            pivots.append(nz[0])
-    assert pivots == sorted(pivots)
 
 
 @settings(max_examples=60, deadline=None)

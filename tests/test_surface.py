@@ -6,6 +6,8 @@ from mcgtwist.catalog import build_catalog
 from mcgtwist.errors import SpecInvalid, UnknownDerived, UnknownLetter
 from mcgtwist.intlin import IntMatrix
 from mcgtwist.surface import (
+    FLAVORS,
+    INVOLUTION_KINDS,
     Gen,
     SurfaceSpec,
     Word,
@@ -86,18 +88,48 @@ class TestWord:
 @pytest.mark.parametrize("spec", SPECS, ids=str)
 class TestRepresentation:
     def test_unimodular_with_exact_inverses(self, spec):
+        """psi @ psi^-1 = I over the integers forces det psi = +-1."""
         rep = build_representation(spec)
         ident = IntMatrix.identity(spec.d)
         for gen in spec.generators():
-            assert rep.psi(gen).det() in (1, -1)
             assert rep.psi(gen) @ rep.psi(gen, -1) == ident
 
     def test_involutions(self, spec):
         rep = build_representation(spec)
         ident = IntMatrix.identity(spec.d)
         for gen in spec.generators():
-            if gen.kind in "udsv":
+            if gen.kind in INVOLUTION_KINDS:
                 assert rep.psi(gen) @ rep.psi(gen) == ident
+
+
+def all_specs(genera):
+    """Every spec of the given genera with s 0-3, n 0-3 and s+n >= 1:
+    every k for the fixed-puncture flavors, and flavor m for n >= 2."""
+    for g in genera:
+        for s in range(4):
+            for n in range(4):
+                for flavor in FLAVORS:
+                    if flavor == "m":
+                        if n >= 2:
+                            yield SurfaceSpec.make(g, s, n, flavor="m")
+                    elif s + n >= 1:
+                        for k in range(n) if flavor == "pmk" else (None,):
+                            yield SurfaceSpec.make(g, s, n, k, flavor)
+
+
+def test_each_letter_step_is_undone_by_its_inverse():
+    # The inverses are formed by generator kind, not by elimination:
+    # 470 specs, g 3-12, every generator, both orders.
+    count = 0
+    for spec in all_specs(range(3, 13)):
+        count += 1
+        rep = build_representation(spec)
+        ident = IntMatrix.identity(spec.d).data
+        for gen in spec.generators():
+            for first in (1, -1):
+                q = rep.apply_letter(ident, gen, first)
+                assert rep.apply_letter(q, gen, -first) == ident, (spec, gen)
+    assert count == 470
 
 
 def dense_product(rep, word):
