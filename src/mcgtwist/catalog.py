@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .chains import ChainSpace, boundary1, cycle_lattice
 from .errors import NoIntegerSolution
-from .intlin import ColumnSolver
+from .intlin import ColumnSolver, vec_axpy
 from .surface import PMPLUS_KINDS, Gen, Word, evaluate_word
 
 
@@ -165,13 +165,11 @@ def pmplus_boundary_solver(space):
 
 def partial_exact_part(space, x, vj, xi):
     """The explicitly known chain part of the relation x v_j = v_j y
-    at coefficient xi: [x] (x) xi + [v_j] (x) (psi(x)^-1 - I) xi."""
-    inv = space.rep.psi(x, -1)
+    at coefficient xi: [x] (x) xi + [v_j] (x) (psi(x)^-1 - I) xi, whose
+    module part is the boundary column of [x] (x) xi."""
     out = space.chain([(x.kind, x.index, xi, 1)])
-    for r in range(space.d):
-        c = inv.data[r][xi - 1] - (1 if r == xi - 1 else 0)
-        if c:
-            out.add_term(space.flat(vj, r + 1), c)
+    for r, c in space._bcol[x][xi - 1].items():
+        out.add_term(space.flat(vj, r + 1), c)
     return out
 
 
@@ -181,15 +179,15 @@ def partial_target_boundary(space, x, vj, xi):
     psi(y) = psi(v_j)^-1 psi(x) psi(v_j).
 
     Since psi(y)^-1 = psi(v_j)^-1 psi(x)^-1 psi(v_j), this equals
-    psi(v_j)^-1 (psi(x)^-1 - I) xi: psi(v_j)^-1 applied to the boundary
-    column of [x] (x) xi.
+    psi(v_j)^-1 b for the boundary column b = (psi(x)^-1 - I) xi of
+    [x] (x) xi, computed as b + (psi(v_j)^-1 - I) b from the boundary
+    columns of v_j.
     """
     col = space._bcol[x][xi - 1]
-    out = {}
-    for r, row in enumerate(space.rep.psi(vj, -1).data):
-        c = sum(row[i] * v for i, v in col.items())
-        if c:
-            out[r] = c
+    vcols = space._bcol[vj]
+    out = dict(col)
+    for i, v in col.items():
+        vec_axpy(out, vcols[i], v)
     return out
 
 

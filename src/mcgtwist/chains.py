@@ -50,19 +50,17 @@ class ChainSpace:
         self.gpos = {gen: p for p, gen in enumerate(self.gens)}
         self.dim = len(self.gens) * self.d
         # Boundary columns: the image of [x] (x) xi_i is column i of
-        # psi(x)^-1 - I.
+        # psi(x)^-1 - I, which is zero outside the rows where psi(x)^-1
+        # differs from the identity.
         self._bcol = {}
         for gen in self.gens:
-            inv = self.rep.psi(gen, -1)
-            cols = []
-            for i in range(self.d):
-                col = {r: inv.data[r][i] for r in range(self.d) if inv.data[r][i]}
-                w = col.get(i, 0) - 1
-                if w:
-                    col[i] = w
-                elif i in col:
-                    del col[i]
-                cols.append(col)
+            cols = [{} for _ in range(self.d)]
+            for r, entries in self.rep.moved[gen, -1]:
+                row = dict(entries)
+                row[r] = row.get(r, 0) - 1
+                for c, v in row.items():
+                    if v:
+                        cols[c][r] = v
             self._bcol[gen] = cols
 
     def flat(self, gen, i):
@@ -183,23 +181,25 @@ def rewrite_relation_all(space, lhs, rhs):
     -[x] (x) psi(p l_t)^-1 xi if l_t = x^-1; the result is
     contribution(lhs) - contribution(rhs), with derived letters expanded
     first.  One pass over the letters is shared by all coefficients: the
-    running matrix Q = psi(prefix)^-1 is updated by one letter step
-    (`Representation.apply_letter`) per letter.
+    running matrix Q = psi(prefix)^-1 is held as sparse rows and updated
+    by one letter step (`Representation.apply_letter`) per letter, and a
+    contribution adds the nonzeros of Q's rows, row r of Q feeding the
+    class [x] (x) xi_{r+1} of every coefficient its columns name.
     """
     d = space.d
     rep = space.rep
-    out = [ChainVector() for _ in range(d)]
+    out = [{} for _ in range(d)]
 
     def contribute(gen, sign, q):
-        for r in range(d):
-            row = q[r]
-            flat = space.flat(gen, r + 1)
-            for t in range(d):
-                if row[t]:
-                    out[t].add_term(flat, sign * row[t])
+        base = space.flat(gen, 1)
+        for r, row in enumerate(q):
+            flat = base + r
+            for t, v in row.items():
+                col = out[t]
+                col[flat] = col.get(flat, 0) + sign * v
 
     for word, side in ((lhs, 1), (rhs, -1)):
-        q = [[1 if r == c else 0 for c in range(d)] for r in range(d)]
+        q = [{r: 1} for r in range(d)]
         for gen, e in expand_word(word, space.spec):
             if e > 0:
                 # The step first: it raises UnknownLetter off the alphabet.
@@ -209,7 +209,7 @@ def rewrite_relation_all(space, lhs, rhs):
             else:
                 q = rep.apply_letter(q, gen, 1)
                 contribute(gen, -side, q)
-    return out
+    return [ChainVector((k, v) for k, v in col.items() if v) for col in out]
 
 
 @dataclass

@@ -5,7 +5,9 @@ Three subcommands: `compute` runs one spec and reports the group,
 suite.  Exit codes: 0 success/match, 2 invalid input (spec, flags or
 relations file), 3 unstable sampling, 4 computed group differs from the
 closed form, 5 failed verification, 141 (128 + SIGPIPE) standard output
-closed by its reader before everything was written.
+closed by its reader before everything was written, or already closed
+when the program started (then nothing is run); both leave stderr
+empty.
 """
 
 import argparse
@@ -325,10 +327,13 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    if sys.stdout is None:
+        # Started with fd 1 closed: nothing could be written, so nothing
+        # is run, and the exit is that of a reader gone before any output.
+        return EXIT_PIPE
     try:
         code = args.func(args)
-        if sys.stdout is not None:  # None when started with fd 1 closed
-            sys.stdout.flush()
+        sys.stdout.flush()
     except BrokenPipeError:
         # The reader is gone.  Send what is still buffered to devnull, so
         # the flush at interpreter exit cannot raise again.

@@ -87,6 +87,22 @@ def build_relation_system(spec, extra_relations=None):
     Partial relations are resolved into a pinned coordinate row (their
     unknown part replaced by one particular solution) plus a reference
     to the ambiguity sublattice, whose basis is computed once per kind.
+
+    The exact rows enter their echelon shortest first, which keeps the
+    fill-in small, and the order changes nothing downstream:
+
+    - in an echelon basis of a lattice L, the pivot columns and the
+      pivot values are invariants of L: the pivot at column j generates
+      {x_j : x in L, x_i = 0 for i < j};
+    - so the unit-pivot rows U of `UnitElimination` sit on the same
+      columns, r' and every quotient are unchanged;
+    - a row of U that differs from the one catalog order would give
+      differs from it by a vector of the exact lattice, and every
+      sample's lattice L contains the exact lattice, so L, and with it
+      Z^r / L = Z^r' / pi(L), is the same for either U.
+
+    The partials keep catalog order, because it decides which partial
+    instances are kept.
     """
     spec.require_free_module()
     space = ChainSpace(spec)
@@ -119,7 +135,7 @@ def build_relation_system(spec, extra_relations=None):
         else:
             system.exact.append((entry.rid, entry.vector))
             system.exact_coords.append(coords(entry.rid, entry.vector))
-    system.exact_echelon = Echelon(system.exact_coords)
+    system.exact_echelon = Echelon(sorted(system.exact_coords, key=len))
 
     # A partial relation pins its row down only modulo its ambiguity
     # sublattice, so an instance is informative exactly when its pinned

@@ -1,7 +1,9 @@
 """Dense exact integer matrices.
 
 Small and simple: the matrices handled here are at most a few hundred
-rows, so plain lists of Python ints are fast enough and exact.
+rows, so plain lists of Python ints are fast enough and exact.  They
+hold the generator matrices and word values; products are taken on
+sparse rows (`surface.Representation.apply_letter`).
 """
 
 
@@ -17,20 +19,8 @@ class IntMatrix:
         if any(len(row) != self.cols for row in self.data):
             raise ValueError("ragged rows")
 
-    @classmethod
-    def identity(cls, n):
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
     def __eq__(self, other):
         return isinstance(other, IntMatrix) and self.data == other.data
 
     def __repr__(self):
         return "IntMatrix(%r)" % (self.data,)
-
-    def __matmul__(self, other):
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        bt = list(zip(*other.data)) if other.data else []
-        return IntMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in bt] for row in self.data]
-        )

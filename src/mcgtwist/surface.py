@@ -12,11 +12,10 @@ delta_1..delta_{s+n-1}.
 
 import re
 from dataclasses import dataclass
-from operator import mul
 from typing import NamedTuple
 
 from .errors import SpecInvalid, UnknownDerived, UnknownLetter
-from .intlin import IntMatrix
+from .intlin import IntMatrix, vec_axpy
 
 FLAVORS = ("pm+", "pmk", "m")
 
@@ -221,16 +220,19 @@ class Representation:
 
     def __post_init__(self):
         # For each generator and sign, the rows of its matrix that differ
-        # from the identity, as (row, nonzero columns, their values).
-        self._moved = {}
+        # from the identity, as (row, ((col, value), ...)) over the
+        # nonzero columns.  Letter steps and boundary columns read only
+        # these.
+        self.moved = {}
         for sign, mats in ((1, self.matrices), (-1, self.inverses)):
             for gen, mat in mats.items():
-                self._moved[gen, sign] = [
-                    (r, tuple(c for c, v in enumerate(row) if v),
-                     tuple(v for v in row if v))
+                rows = (
+                    (r, tuple((c, v) for c, v in enumerate(row) if v))
                     for r, row in enumerate(mat.data)
-                    if row != [int(c == r) for c in range(mat.cols)]
-                ]
+                )
+                self.moved[gen, sign] = tuple(
+                    (r, entries) for r, entries in rows if entries != ((r, 1),)
+                )
 
     @property
     def d(self):
@@ -243,17 +245,24 @@ class Representation:
             raise UnknownLetter("no matrix for generator %s" % gen.name) from None
 
     def apply_letter(self, q, gen, exponent):
-        """psi(gen)^exponent @ q, for a d x d matrix q given as a list of
-        rows.  Only the rows where psi(gen)^exponent differs from the
-        identity are computed; the returned list shares the others with q,
-        which is left unchanged."""
+        """psi(gen)^exponent q, for a d x d matrix q given as a list of
+        sparse rows (dicts column -> nonzero value).
+
+        Row r of the product is the combination of the rows of q that
+        the nonzeros of row r of psi(gen)^exponent select, so only the
+        rows where psi(gen)^exponent differs from the identity are
+        computed.  The returned list shares the other rows with q, which
+        is left unchanged."""
         try:
-            moved = self._moved[gen, 1 if exponent > 0 else -1]
+            moved = self.moved[gen, 1 if exponent > 0 else -1]
         except KeyError:
             raise UnknownLetter("no matrix for generator %s" % gen.name) from None
         out = list(q)
-        for r, cols, vals in moved:
-            out[r] = [sum(map(mul, vals, col)) for col in zip(*(q[c] for c in cols))]
+        for r, entries in moved:
+            row = {}
+            for c, v in entries:
+                vec_axpy(row, q[c], v)
+            out[r] = row
         return out
 
 
@@ -348,8 +357,10 @@ def build_representation(spec, sign_variant=None):
 
 def evaluate_word(rep, word):
     """The matrix of a word, psi(l_1)...psi(l_m) after expanding derived
-    letters, built right to left one letter step at a time."""
-    out = IntMatrix.identity(rep.d).data
+    letters, built right to left one letter step at a time on sparse
+    rows."""
+    d = rep.d
+    out = [{r: 1} for r in range(d)]
     for gen, e in reversed(expand_word(word, rep.spec)):
         out = rep.apply_letter(out, gen, e)
-    return IntMatrix(out)
+    return IntMatrix([[row.get(c, 0) for c in range(d)] for row in out])

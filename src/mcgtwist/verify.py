@@ -13,7 +13,7 @@ from .certify import descent_check, functionals_for
 from .chains import ChainSpace, expected_boundary, kernel_generator_list
 from .engine import build_relation_system
 from .errors import NoIntegerSolution, RelationOutsideKernel
-from .intlin import Echelon, IntMatrix
+from .intlin import Echelon
 from .surface import INVOLUTION_KINDS, build_representation
 
 
@@ -42,9 +42,10 @@ def verify_spec(spec):
         return ["relation system: %s" % exc]
     space, rep = system.space, system.space.rep
     failures = []
-    ident = IntMatrix.identity(spec.d)
+    ident = [{r: 1} for r in range(spec.d)]
     for gen in space.gens:
-        if rep.psi(gen) @ rep.psi(gen, -1) != ident:
+        inverse = rep.apply_letter(ident, gen, -1)
+        if rep.apply_letter(inverse, gen, 1) != ident:
             failures.append("psi(%s) is not %s" % (
                 gen.name,
                 "an involution" if gen.kind in INVOLUTION_KINDS
@@ -82,10 +83,12 @@ def fault_checks(spec):
         caught = False
         try:
             rep = build_representation(spec, sign_variant=variant)
-            ident = IntMatrix.identity(spec.d)
+            ident = [{r: 1} for r in range(spec.d)]
             for gen in spec.generators():
-                if gen.kind in INVOLUTION_KINDS and rep.psi(gen) @ rep.psi(gen) != ident:
-                    caught = True
+                if gen.kind in INVOLUTION_KINDS:
+                    image = rep.apply_letter(ident, gen, 1)
+                    if rep.apply_letter(image, gen, 1) != ident:
+                        caught = True
             space = ChainSpace(spec, rep)
             for gen in space.gens:
                 for i in range(1, spec.d + 1):

@@ -13,7 +13,7 @@ from mcgtwist.catalog import (
 )
 from mcgtwist.chains import ChainSpace, boundary1, cycle_lattice
 from mcgtwist.surface import SurfaceSpec, evaluate_word
-from helpers import column, matvec
+from helpers import column, matmul, matvec
 
 SOUND_SPECS = [
     SurfaceSpec.make(3, 1, 0),
@@ -107,29 +107,59 @@ def target_by_products(space, x, vj, xi):
     products, psi(v_j)^-1 psi(x)^-1 psi(v_j)."""
     pv = space.rep.psi(vj)
     pvi = space.rep.psi(vj, -1)
-    yinv = pvi @ space.rep.psi(x, -1) @ pv
+    yinv = matmul(matmul(pvi, space.rep.psi(x, -1)), pv)
     q = column(pvi, xi - 1)
     t = matvec(yinv, q)
     return {r: c for r, c in enumerate(v1 - v2 for v1, v2 in zip(t, q)) if c}
 
 
-# The pm+ flavor has no puncture slides, hence no such partials.
-@pytest.mark.parametrize("spec", [
+def exact_part_by_column(space, x, vj, xi):
+    """Reference for partial_exact_part: [x] (x) xi plus [v_j] (x) the
+    dense column xi of psi(x)^-1 - I."""
+    col = column(space.rep.psi(x, -1), xi - 1)
+    col[xi - 1] -= 1
+    out = space.chain([(x.kind, x.index, xi, 1)])
+    for r, c in enumerate(col):
+        if c:
+            out.add_term(space.flat(vj, r + 1), c)
+    return out
+
+
+def slide_triples(space):
+    """Every (x, v_j, xi): x any generator, v_j any puncture slide."""
+    slides = [gen for gen in space.gens if gen.kind == "v"]
+    assert slides
+    for x in space.gens:
+        for vj in slides:
+            for xi in range(1, space.d + 1):
+                yield x, vj, xi
+
+
+# The pm+ flavor has no puncture slides; its partials (ambiguity "pm+")
+# live in the pmk and m flavors.
+SLIDE_SPECS = [
     SurfaceSpec.make(3, 0, 2, 0, "pmk"),
     SurfaceSpec.make(4, 1, 2, 1, "pmk"),
     SurfaceSpec.make(3, 2, 2, flavor="m"),
     SurfaceSpec.make(5, 0, 3, flavor="m"),
     SurfaceSpec.make(9, 3, 3, 0, "pmk"),
-], ids=str)
+]
+
+
+@pytest.mark.parametrize("spec", SLIDE_SPECS, ids=str)
 def test_partial_target_matches_products(spec):
     space = ChainSpace(spec)
-    partials = [e for e in build_catalog(spec, space) if e.ambiguity == "pm+"]
-    assert partials
-    for entry in partials:
-        x, vj = entry.conjugation
-        for xi in range(1, space.d + 1):
-            assert (partial_target_boundary(space, x, vj, xi)
-                    == target_by_products(space, x, vj, xi)), (entry.rid, xi)
+    for x, vj, xi in slide_triples(space):
+        assert (partial_target_boundary(space, x, vj, xi)
+                == target_by_products(space, x, vj, xi)), (x, vj, xi)
+
+
+@pytest.mark.parametrize("spec", SLIDE_SPECS, ids=str)
+def test_partial_exact_part_matches_dense_column(spec):
+    space = ChainSpace(spec)
+    for x, vj, xi in slide_triples(space):
+        assert (partial_exact_part(space, x, vj, xi)
+                == exact_part_by_column(space, x, vj, xi)), (x, vj, xi)
 
 
 def test_k1_ambiguity_vectors_are_cycles():

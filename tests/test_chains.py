@@ -14,7 +14,8 @@ from mcgtwist.chains import (
 )
 from mcgtwist.intlin import Echelon
 from mcgtwist.surface import Gen, SurfaceSpec, Word, build_representation, expand_word
-from helpers import matvec
+from helpers import column, matvec
+from test_surface import all_specs
 
 BOUNDARY_SPECS = [
     SurfaceSpec.make(3, 1, 0),
@@ -99,6 +100,21 @@ def test_boundary_matches_closed_form(spec):
             assert space._bcol[gen][i - 1] == expected_boundary(spec, gen, i), (
                 gen, i
             )
+
+
+def test_boundary_columns_match_dense_inverse():
+    # Boundary columns are built from the moved rows of psi(x)^-1; the
+    # reference is column i of the dense matrix psi(x)^-1 - I, for all
+    # 470 specs with g 3-12.
+    for spec in all_specs(range(3, 13)):
+        space = ChainSpace(spec)
+        for gen in space.gens:
+            inv = space.rep.psi(gen, -1)
+            for i in range(space.d):
+                dense = column(inv, i)
+                dense[i] -= 1
+                expected = {r: v for r, v in enumerate(dense) if v}
+                assert space._bcol[gen][i] == expected, (spec, gen, i)
 
 
 def test_sign_variants_break_boundary_consistency():

@@ -27,7 +27,7 @@ from mcgtwist.cli import (
 )
 from mcgtwist.engine import build_relation_system, compute_h1
 from mcgtwist.intlin import IntMatrix
-from mcgtwist.surface import INVOLUTION_KINDS, Gen, SurfaceSpec
+from mcgtwist.surface import INVOLUTION_KINDS, Gen, Representation, SurfaceSpec
 from mcgtwist.verify import verify_spec
 from test_acceptance import permutation_grid, twist_grid
 
@@ -232,17 +232,20 @@ class TestVerify:
         # Replace one inverse, after the build, by the other kind's rule.
         gen = Gen(name[0], int(name[1:]))
 
+        # The checks read the moved rows, so install a new representation.
         def corrupted(spec):
             system = build_relation_system(spec)
             rep = system.space.rep
             mat = rep.psi(gen)
+            inverses = dict(rep.inverses)
             if gen.kind in INVOLUTION_KINDS:
-                rep.inverses[gen] = IntMatrix([
+                inverses[gen] = IntMatrix([
                     [2 * (r == c) - v for c, v in enumerate(row)]
                     for r, row in enumerate(mat.data)
                 ])
             else:
-                rep.inverses[gen] = mat
+                inverses[gen] = mat
+            system.space.rep = Representation(spec, rep.matrices, inverses)
             return system
 
         monkeypatch.setattr(mcgtwist.verify, "build_relation_system",
@@ -336,13 +339,16 @@ def test_exit_codes_are_distinct():
                 EXIT_PIPE}) == 5
 
 
-@pytest.mark.parametrize("argv", [
+QUIET_ARGVS = [
     ["compute", "--genus", "4", "--boundary", "1"],
     ["table", "--genus", "3-4", "--boundary", "0-1", "--punctures", "2",
      "--flavor", "m", "--format", "csv"],
     ["verify", "--genus", "4", "--boundary", "1", "--punctures", "2",
      "--flavor", "m"],
-], ids=lambda argv: argv[0])
+]
+
+
+@pytest.mark.parametrize("argv", QUIET_ARGVS, ids=lambda argv: argv[0])
 def test_closed_pipe_exits_quietly(argv):
     # The reader of standard output is gone before anything is written.
     read_end, write_end = os.pipe()
@@ -359,29 +365,36 @@ def test_closed_pipe_exits_quietly(argv):
     assert proc.stderr == b""
 
 
+@pytest.mark.parametrize("argv", QUIET_ARGVS, ids=lambda argv: argv[0])
+def test_closed_stdout_exits_quietly(argv):
+    # Started with fd 1 closed, so sys.stdout is None.
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "mcgtwist.cli"] + argv,
+        stderr=subprocess.PIPE, env=env, timeout=120,
+        preexec_fn=lambda: os.close(1),
+    )
+    assert proc.returncode == EXIT_PIPE
+    assert proc.stderr == b""
+
+
 def test_records_match_committed_reference():
-    # Every sixth acceptance-grid spec from index 3 (the benchmark runs
-    # those from index 0) and the four g=10 specs, at two sampling
-    # seeds, against perfbench/reference.jsonl.  Records carry neither
-    # `ms` nor `seed` there.
+    # Every spec of perfbench/reference.jsonl (the 329 acceptance-grid
+    # specs and four g=10 specs), at two sampling seeds.  Records carry
+    # neither `ms` nor `seed` there.
     with open(REFERENCE, encoding="utf-8") as handle:
-        reference = {}
-        for line in handle:
-            rec = json.loads(line)
-            key = (rec["genus"], rec["boundary"], rec["punctures"], rec["k"],
-                   rec["flavor"])
-            reference[key] = line.strip()
-    specs = (list(twist_grid()) + list(permutation_grid()))[3::6]
-    specs += [
-        SurfaceSpec.make(10, 3, 3, 0, "pmk"),
-        SurfaceSpec.make(10, 1, 3, 0, "pmk"),
-        SurfaceSpec.make(10, 3, 3, flavor="m"),
-        SurfaceSpec.make(10, 3, 3, 3, "pm+"),
-    ]
-    assert len(specs) == 59
-    for spec in specs:
-        key = (spec.g, spec.s, spec.n, spec.k, spec.flavor)
+        reference = [line.strip() for line in handle]
+    grid = {(spec.g, spec.s, spec.n, spec.k, spec.flavor)
+            for spec in list(twist_grid()) + list(permutation_grid())}
+    keys = []
+    for line in reference:
+        rec = json.loads(line)
+        keys.append((rec["genus"], rec["boundary"], rec["punctures"],
+                     rec["k"], rec["flavor"]))
+    assert len(keys) == 333 and grid <= set(keys)
+    for key, line in zip(keys, reference):
+        spec = SurfaceSpec(*key)
         for seed in (0, 4):
             record = json.loads(record_json(run_record(spec, 17, seed)))
             del record["ms"], record["seed"]
-            assert json.dumps(record) == reference[key], (key, seed)
+            assert json.dumps(record) == line, (key, seed)

@@ -23,7 +23,11 @@ from mcgtwist.engine import (
 from mcgtwist.errors import RelationOutsideKernel, UnstableSampling
 from mcgtwist.intlin import AbelianInvariants, Echelon, snf_factors, vec_axpy
 from mcgtwist.surface import SurfaceSpec
-from test_acceptance import PER_SPEC_BUDGET_SECONDS
+from test_acceptance import (
+    PER_SPEC_BUDGET_SECONDS,
+    permutation_grid,
+    twist_grid,
+)
 
 
 def names(result):
@@ -331,3 +335,19 @@ def test_unstable_sampling_is_raised():
     system.ambiguity_coords["k1"][0] = vec
     with pytest.raises(UnstableSampling):
         compute_h1(spec, system=system)
+
+
+def test_exact_echelon_order_keeps_pivots_and_lattice():
+    # The exact rows enter their echelon shortest first; catalog order
+    # must give the same pivot columns, the same pivot values and the
+    # same lattice, on the 55 benchmark specs (every sixth grid spec).
+    specs = (list(twist_grid()) + list(permutation_grid()))[::6]
+    assert len(specs) == 55
+    for spec in specs:
+        system = build_relation_system(spec)
+        built = system.exact_echelon
+        catalog_order = Echelon(system.exact_coords)
+        assert built.pivot_cols() == catalog_order.pivot_cols(), spec
+        assert ({j: row[j] for j, row in built.pivots.items()}
+                == {j: row[j] for j, row in catalog_order.pivots.items()}), spec
+        assert built.same_lattice(catalog_order), spec

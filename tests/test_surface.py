@@ -4,7 +4,6 @@ import pytest
 
 from mcgtwist.catalog import build_catalog
 from mcgtwist.errors import SpecInvalid, UnknownDerived, UnknownLetter
-from mcgtwist.intlin import IntMatrix
 from mcgtwist.surface import (
     FLAVORS,
     INVOLUTION_KINDS,
@@ -16,7 +15,7 @@ from mcgtwist.surface import (
     evaluate_word,
     expand_word,
 )
-from helpers import column
+from helpers import column, identity, matmul
 
 SPECS = [
     SurfaceSpec.make(3, 1, 0),
@@ -90,16 +89,16 @@ class TestRepresentation:
     def test_unimodular_with_exact_inverses(self, spec):
         """psi @ psi^-1 = I over the integers forces det psi = +-1."""
         rep = build_representation(spec)
-        ident = IntMatrix.identity(spec.d)
+        ident = identity(spec.d)
         for gen in spec.generators():
-            assert rep.psi(gen) @ rep.psi(gen, -1) == ident
+            assert matmul(rep.psi(gen), rep.psi(gen, -1)) == ident
 
     def test_involutions(self, spec):
         rep = build_representation(spec)
-        ident = IntMatrix.identity(spec.d)
+        ident = identity(spec.d)
         for gen in spec.generators():
             if gen.kind in INVOLUTION_KINDS:
-                assert rep.psi(gen) @ rep.psi(gen) == ident
+                assert matmul(rep.psi(gen), rep.psi(gen)) == ident
 
 
 def all_specs(genera):
@@ -124,7 +123,7 @@ def test_each_letter_step_is_undone_by_its_inverse():
     for spec in all_specs(range(3, 13)):
         count += 1
         rep = build_representation(spec)
-        ident = IntMatrix.identity(spec.d).data
+        ident = [{r: 1} for r in range(spec.d)]
         for gen in spec.generators():
             for first in (1, -1):
                 q = rep.apply_letter(ident, gen, first)
@@ -135,9 +134,9 @@ def test_each_letter_step_is_undone_by_its_inverse():
 def dense_product(rep, word):
     """Reference for evaluate_word: the dense product of the generator
     matrices, left to right, after expanding derived letters."""
-    out = IntMatrix.identity(rep.d)
+    out = identity(rep.d)
     for gen, e in expand_word(word, rep.spec):
-        out = out @ rep.psi(gen, e)
+        out = matmul(out, rep.psi(gen, e))
     return out
 
 
@@ -177,11 +176,11 @@ def test_e_matrix_values():
 def test_derived_words():
     spec = SurfaceSpec.make(5, 1, 0)
     rep = build_representation(spec)
-    ident = IntMatrix.identity(spec.d)
+    ident = identity(spec.d)
     for i in (2, 3, 4):
         u = derived_word("u%d" % i, spec)
         m = evaluate_word(rep, u)
-        assert m @ m == ident
+        assert matmul(m, m) == ident
     with pytest.raises(UnknownDerived):
         derived_word("u9", spec)
     assert derived_word("e0", spec) == Word.of(Gen("a", 1))
@@ -193,9 +192,8 @@ def test_outer_twist_is_conjugate_of_a1():
     w = derived_word("W", spec)
     e_out = derived_word("e%d" % (spec.s + spec.n), spec)
     lhs = evaluate_word(rep, e_out)
-    rhs = (evaluate_word(rep, w)
-           @ rep.psi(Gen("a", 1), -1)
-           @ evaluate_word(rep, w.inverse()))
+    rhs = matmul(matmul(evaluate_word(rep, w), rep.psi(Gen("a", 1), -1)),
+                 evaluate_word(rep, w.inverse()))
     assert lhs == rhs
 
 
