@@ -84,17 +84,22 @@ def descent_check(system, functional):
     space = system.space
     report = DescentReport()
     for gen in space.gens:
-        mat = space.rep.psi(gen)
-        for c in range(space.d):
-            col_parity = sum(
-                mat.data[r][c] for r in range(functional.gamma_count)
-            ) & 1
-            if col_parity != functional.beta(c + 1):
-                report.failures.append(
-                    "%s: beta not invariant under psi(%s) at xi_%d"
-                    % (functional.name, gen.name, c + 1)
-                )
-                break
+        # Column c of beta psi(x) - beta is the sum of (row_r - e_r)[c]
+        # over r < gamma_count, and an unmoved row is e_r, so beta is
+        # invariant (mod 2) exactly when that sum over the moved rows is
+        # even in every column.
+        parity = {}
+        for r, entries in space.rep.moved[gen, 1]:
+            if r < functional.gamma_count:
+                for c, v in entries:
+                    parity[c] = parity.get(c, 0) + v
+                parity[r] = parity.get(r, 0) - 1
+        odd = [c for c, v in parity.items() if v & 1]
+        if odd:
+            report.failures.append(
+                "%s: beta not invariant under psi(%s) at xi_%d"
+                % (functional.name, gen.name, min(odd) + 1)
+            )
     vectors = [(rid, vec) for rid, vec in system.exact]
     vectors += [(p.rid, p.base) for p in system.partials]
     for key, chains in system.ambiguity_chains.items():

@@ -7,8 +7,6 @@ The class [x] (x) xi_i is written x_{j,i} (so a_{1,3} is [a_1] (x)
 gamma_3).  Coordinates are flattened as position(x) * d + (i - 1).
 """
 
-from dataclasses import dataclass
-
 from .intlin import ColumnSolver, Echelon, vec_axpy
 from .surface import Gen, build_representation, expand_word
 
@@ -22,9 +20,6 @@ class ChainVector(dict):
             self[flat] = w
         elif flat in self:
             del self[flat]
-
-    def scaled(self, c):
-        return ChainVector({k: c * v for k, v in self.items()}) if c else ChainVector()
 
     def __add__(self, other):
         out = ChainVector(self)
@@ -212,27 +207,14 @@ def rewrite_relation_all(space, lhs, rhs):
     return [ChainVector((k, v) for k, v in col.items() if v) for col in out]
 
 
-@dataclass
-class CycleLattice:
-    """The lattice of chains with zero boundary."""
-
-    echelon: Echelon
-
-    @property
-    def rank(self):
-        return self.echelon.rank
-
-    def contains(self, chain):
-        return self.echelon.contains(chain)
-
-
 def cycle_lattice(space):
-    """Kernel of the boundary map on the chain space."""
+    """Kernel of the boundary map on the chain space: the lattice of
+    chains with zero boundary, as an `Echelon`."""
     solver = ColumnSolver(space.d)
     for gen in space.gens:
         for i in range(1, space.d + 1):
             solver.add(space._bcol[gen][i - 1], tag=space.flat(gen, i))
-    return CycleLattice(Echelon(solver.kernel_basis()))
+    return Echelon(solver.kernel_basis())
 
 
 def _gamma_correction(space):

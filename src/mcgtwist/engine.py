@@ -56,7 +56,7 @@ class RelationSystem:
     spec: object
     space: ChainSpace
     catalog: list
-    lattice: object
+    lattice: Echelon  # the cycle lattice
     col_of: dict
     exact: list  # (rid, ambient ChainVector)
     exact_coords: list
@@ -73,7 +73,7 @@ class RelationSystem:
 def to_coords(system, chain, error=NotACycle):
     """Coordinates of a chain in the cycle-lattice basis (dense index ->
     coefficient); raises if the chain is not a cycle in the lattice."""
-    coeffs, rem = system.lattice.echelon.reduce(dict(chain))
+    coeffs, rem = system.lattice.reduce(dict(chain))
     if rem:
         raise error(
             "not in the cycle lattice: %s" % system.space.format_chain(chain)
@@ -107,7 +107,7 @@ def build_relation_system(spec, extra_relations=None):
     spec.require_free_module()
     space = ChainSpace(spec)
     lattice = cycle_lattice(space)
-    col_of = {j: t for t, j in enumerate(lattice.echelon.pivot_cols())}
+    col_of = {j: t for t, j in enumerate(lattice.pivot_cols())}
     catalog = build_catalog(spec, space)
     if extra_relations:
         catalog = catalog + list(extra_relations)

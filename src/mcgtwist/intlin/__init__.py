@@ -1,4 +1,8 @@
-"""Exact integer linear algebra: Smith forms, kernels, quotients."""
+"""Exact integer linear algebra: Smith forms, kernels, quotients.
+
+Every vector is a sparse dict (coordinate -> nonzero int); there are no
+dense matrices.
+"""
 
 from ._kernels import (
     echelon_insert,
@@ -12,7 +16,6 @@ from .lattice import (
     ColumnSolver,
     Echelon,
 )
-from .matrix import IntMatrix
 
 # One pure-Python kernel implementation; benchmark records carry this name.
 BACKEND_NAME = "python"
@@ -22,7 +25,6 @@ __all__ = [
     "BACKEND_NAME",
     "ColumnSolver",
     "Echelon",
-    "IntMatrix",
     "echelon_insert",
     "echelon_reduce",
     "snf_factors",

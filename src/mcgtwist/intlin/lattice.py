@@ -58,12 +58,8 @@ class ColumnSolver:
     def __init__(self, data_dim):
         self.off = data_dim
         self.pivots = {}
-        self._ntags = 0
 
-    def add(self, vec, tag=None):
-        if tag is None:
-            tag = self._ntags
-        self._ntags = max(self._ntags, tag + 1)
+    def add(self, vec, tag):
         row = {i: v for i, v in vec.items() if v}
         row[self.off + tag] = 1
         echelon_insert(self.pivots, row)

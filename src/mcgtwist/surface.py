@@ -7,7 +7,9 @@ orientation preserved at the first k) and "m" (punctures may be
 permuted).  The group acts on H_1(N; Z), a free module of rank
 d = g+s+n-1 with basis xi_1..xi_d consisting of the one-sided classes
 gamma_1..gamma_g followed by the boundary/puncture classes
-delta_1..delta_{s+n-1}.
+delta_1..delta_{s+n-1}.  Each generator's action psi(x), and its
+inverse, is held only as its rows that differ from the identity
+(`Representation.moved`); no dense matrix is formed.
 """
 
 import re
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import SpecInvalid, UnknownDerived, UnknownLetter
-from .intlin import IntMatrix, vec_axpy
+from .intlin import vec_axpy
 
 FLAVORS = ("pm+", "pmk", "m")
 
@@ -212,37 +214,18 @@ def expand_word(word, spec):
 
 @dataclass
 class Representation:
-    """The action of the group generators on H_1 of the surface."""
+    """The action of the group generators on H_1 of the surface.
+
+    `moved[gen, sign]` holds the rows of psi(gen)^sign that differ from
+    the identity, as (row, ((col, value), ...)) with the rows and the
+    nonzero columns ascending; every other row is an identity row."""
 
     spec: SurfaceSpec
-    matrices: dict
-    inverses: dict
-
-    def __post_init__(self):
-        # For each generator and sign, the rows of its matrix that differ
-        # from the identity, as (row, ((col, value), ...)) over the
-        # nonzero columns.  Letter steps and boundary columns read only
-        # these.
-        self.moved = {}
-        for sign, mats in ((1, self.matrices), (-1, self.inverses)):
-            for gen, mat in mats.items():
-                rows = (
-                    (r, tuple((c, v) for c, v in enumerate(row) if v))
-                    for r, row in enumerate(mat.data)
-                )
-                self.moved[gen, sign] = tuple(
-                    (r, entries) for r, entries in rows if entries != ((r, 1),)
-                )
+    moved: dict
 
     @property
     def d(self):
         return self.spec.d
-
-    def psi(self, gen, exponent=1):
-        try:
-            return self.matrices[gen] if exponent > 0 else self.inverses[gen]
-        except KeyError:
-            raise UnknownLetter("no matrix for generator %s" % gen.name) from None
 
     def apply_letter(self, q, gen, exponent):
         """psi(gen)^exponent q, for a d x d matrix q given as a list of
@@ -266,16 +249,29 @@ class Representation:
         return out
 
 
-def _gamma_delta_matrix(spec, fill):
-    d = spec.d
-    m = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
-    fill(m)
-    return IntMatrix(m)
+class _IdentityRows(dict):
+    """Rows of a matrix being filled: row r is the identity row {r: 1}
+    until it is first written."""
+
+    def __missing__(self, r):
+        row = self[r] = {r: 1}
+        return row
+
+
+def _moved_rows(rows):
+    """The rows of `rows` (row -> dict column -> value) that differ from
+    the identity, in the form of `Representation.moved`."""
+    out = []
+    for r in sorted(rows):
+        entries = tuple((c, v) for c, v in sorted(rows[r].items()) if v)
+        if entries != ((r, 1),):
+            out.append((r, entries))
+    return tuple(out)
 
 
 def build_representation(spec, sign_variant=None):
-    """Matrices of all generators of the given group, with their
-    inverses formed by generator kind (see `INVOLUTION_KINDS`).
+    """The moved rows of all generators of the given group and of their
+    inverses, which are formed by generator kind (see `INVOLUTION_KINDS`).
 
     `sign_variant` deliberately flips one sign to exercise the
     consistency checks: "e" flips the third delta coefficient in the
@@ -287,80 +283,76 @@ def build_representation(spec, sign_variant=None):
     if sign_variant not in (None, "e", "s"):
         raise ValueError("sign_variant must be None, 'e' or 's'")
     g, s, n, d = spec.g, spec.s, spec.n, spec.d
-    mats = {}
+    moved = {}
     for gen in spec.generators():
         kind, j = gen
-
-        def fill(m, kind=kind, j=j):
-            if kind == "a":
-                m[j - 1][j - 1] = 0
-                m[j - 1][j] = 1
-                m[j][j - 1] = -1
-                m[j][j] = 2
-            elif kind == "u":
-                m[0][0] = m[1][1] = 0
-                m[0][1] = m[1][0] = 1
-            elif kind == "b":
-                for r in range(4):
-                    for c in range(4):
-                        m[r][c] += 1 if c % 2 else -1
-            elif kind == "e":
-                m[0][0] = 0
-                m[1][0] = -1
-                m[0][1] = 1
-                m[1][1] = 2
-                for t in range(1, j + 1):
-                    m[g + t - 1][0] = -1
-                    m[g + t - 1][1] = 1
-                if sign_variant == "e" and j >= 3:
-                    m[g + 2][0] = 1
-            elif kind == "d":
-                pass
-            elif kind == "s":
-                if j < n - 1:
-                    p = g + s + j - 1
-                    m[p][p] = m[p + 1][p + 1] = 0
-                    m[p][p + 1] = m[p + 1][p] = 1
-                else:
-                    for r in range(g):
-                        m[r][d - 1] = -2
-                    for r in range(g, d):
-                        m[r][d - 1] = -1
-                    if sign_variant == "s" and d - 1 > g:
-                        m[g][d - 1] = 1
-            elif kind == "v":
-                if j < n:
-                    p = g + s + j - 1
-                    m[p][p] = -1
-                    m[p][g - 1] = 1
-                else:
-                    for r in range(g):
-                        m[r][g - 1] = -2
-                    for r in range(g, d):
-                        m[r][g - 1] = -1
-                    m[g - 1][g - 1] = -1
-
-        mats[gen] = _gamma_delta_matrix(spec, fill)
-    # An involution is its own inverse.  A transvection T has inverse
-    # 2I - T, since T (2I - T) = I - (T - I)^2 = I.
-    inverses = {}
-    for gen, mat in mats.items():
-        if gen.kind in INVOLUTION_KINDS:
-            inverses[gen] = mat
+        m = _IdentityRows()
+        if kind == "a":
+            m[j - 1][j - 1] = 0
+            m[j - 1][j] = 1
+            m[j][j - 1] = -1
+            m[j][j] = 2
+        elif kind == "u":
+            m[0][0] = m[1][1] = 0
+            m[0][1] = m[1][0] = 1
+        elif kind == "b":
+            for r in range(4):
+                for c in range(4):
+                    m[r][c] = (r == c) + (1 if c % 2 else -1)
+        elif kind == "e":
+            m[0][0] = 0
+            m[1][0] = -1
+            m[0][1] = 1
+            m[1][1] = 2
+            for t in range(1, j + 1):
+                m[g + t - 1][0] = -1
+                m[g + t - 1][1] = 1
+            if sign_variant == "e" and j >= 3:
+                m[g + 2][0] = 1
+        elif kind == "d":
+            pass
+        elif kind == "s":
+            if j < n - 1:
+                p = g + s + j - 1
+                m[p][p] = m[p + 1][p + 1] = 0
+                m[p][p + 1] = m[p + 1][p] = 1
+            else:
+                for r in range(g):
+                    m[r][d - 1] = -2
+                for r in range(g, d):
+                    m[r][d - 1] = -1
+                if sign_variant == "s" and d - 1 > g:
+                    m[g][d - 1] = 1
+        elif kind == "v":
+            if j < n:
+                p = g + s + j - 1
+                m[p][p] = -1
+                m[p][g - 1] = 1
+            else:
+                for r in range(g):
+                    m[r][g - 1] = -2
+                for r in range(g, d):
+                    m[r][g - 1] = -1
+                m[g - 1][g - 1] = -1
+        rows = moved[gen, 1] = _moved_rows(m)
+        # An involution is its own inverse.  A transvection T has inverse
+        # 2I - T, since T (2I - T) = I - (T - I)^2 = I; a row of 2I - T
+        # is an identity row exactly when that row of T is one.
+        if kind in INVOLUTION_KINDS:
+            moved[gen, -1] = rows
         else:
-            inverses[gen] = IntMatrix([
-                [2 * (r == c) - v for c, v in enumerate(row)]
-                for r, row in enumerate(mat.data)
-            ])
-    return Representation(spec, mats, inverses)
+            inverse = {r: {c: -v for c, v in entries} for r, entries in rows}
+            for r, row in inverse.items():
+                row[r] = row.get(r, 0) + 2
+            moved[gen, -1] = _moved_rows(inverse)
+    return Representation(spec, moved)
 
 
 def evaluate_word(rep, word):
-    """The matrix of a word, psi(l_1)...psi(l_m) after expanding derived
-    letters, built right to left one letter step at a time on sparse
-    rows."""
-    d = rep.d
-    out = [{r: 1} for r in range(d)]
+    """The matrix of a word, psi(l_1) ... psi(l_m) after expanding derived
+    letters, as a list of sparse rows (dicts column -> nonzero value),
+    built right to left one letter step at a time."""
+    out = [{r: 1} for r in range(rep.d)]
     for gen, e in reversed(expand_word(word, rep.spec)):
         out = rep.apply_letter(out, gen, e)
-    return IntMatrix([[row.get(c, 0) for c in range(d)] for row in out])
+    return out

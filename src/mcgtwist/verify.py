@@ -63,7 +63,7 @@ def verify_spec(spec):
     listed = Echelon(
         dict(chain) for _, chain in kernel_generator_list(space)
     )
-    if not system.lattice.echelon.same_lattice(listed):
+    if not system.lattice.same_lattice(listed):
         failures.append("cycle lattice differs from the explicit family")
 
     for functional in functionals_for(spec):
@@ -72,8 +72,8 @@ def verify_spec(spec):
 
 
 def fault_checks(spec):
-    """The deliberately flipped signs must be caught; returns failures
-    of the checks-about-checks."""
+    """The deliberately flipped signs must be caught, and checking them
+    must not raise; returns failures of the checks-about-checks."""
     failures = []
     for variant in ("e", "s"):
         if variant == "e" and spec.s + spec.n - 1 < 3:
@@ -94,8 +94,11 @@ def fault_checks(spec):
                 for i in range(1, spec.d + 1):
                     if space._bcol[gen][i - 1] != expected_boundary(spec, gen, i):
                         caught = True
-        except Exception:
-            caught = True
+        except Exception as exc:
+            # A crash is a fault of the checks, not a caught fault.
+            failures.append("sign variant %r raised %s: %s"
+                            % (variant, type(exc).__name__, exc))
+            continue
         if not caught:
             failures.append("sign variant %r went undetected" % variant)
     return failures

@@ -124,7 +124,7 @@ def test_criterion_3_cycle_lattice_equality(capfd):
         listed = Echelon(
             dict(chain) for _, chain in kernel_generator_list(space)
         )
-        if not lattice.echelon.same_lattice(listed):
+        if not lattice.same_lattice(listed):
             ok = False
     report(
         capfd,

@@ -13,7 +13,7 @@ from mcgtwist.catalog import (
 )
 from mcgtwist.chains import ChainSpace, boundary1, cycle_lattice
 from mcgtwist.surface import SurfaceSpec, evaluate_word
-from helpers import column, matmul, matvec
+from helpers import column, dense, matmul, matvec
 
 SOUND_SPECS = [
     SurfaceSpec.make(3, 1, 0),
@@ -105,9 +105,9 @@ def target_by_products(space, x, vj, xi):
     """Reference for partial_target_boundary, straight from its formula:
     (psi(y)^-1 - I) psi(v_j)^-1 xi with psi(y)^-1 formed by two dense
     products, psi(v_j)^-1 psi(x)^-1 psi(v_j)."""
-    pv = space.rep.psi(vj)
-    pvi = space.rep.psi(vj, -1)
-    yinv = matmul(matmul(pvi, space.rep.psi(x, -1)), pv)
+    pv = dense(space.rep, vj)
+    pvi = dense(space.rep, vj, -1)
+    yinv = matmul(matmul(pvi, dense(space.rep, x, -1)), pv)
     q = column(pvi, xi - 1)
     t = matvec(yinv, q)
     return {r: c for r, c in enumerate(v1 - v2 for v1, v2 in zip(t, q)) if c}
@@ -116,7 +116,7 @@ def target_by_products(space, x, vj, xi):
 def exact_part_by_column(space, x, vj, xi):
     """Reference for partial_exact_part: [x] (x) xi plus [v_j] (x) the
     dense column xi of psi(x)^-1 - I."""
-    col = column(space.rep.psi(x, -1), xi - 1)
+    col = column(dense(space.rep, x, -1), xi - 1)
     col[xi - 1] -= 1
     out = space.chain([(x.kind, x.index, xi, 1)])
     for r, c in enumerate(col):

@@ -14,6 +14,20 @@ from mcgtwist.chains import ChainVector
 from mcgtwist.engine import build_relation_system, compute_h1
 from mcgtwist.errors import SpecInvalid
 from mcgtwist.surface import Gen, SurfaceSpec
+from helpers import dense_beta_failures
+
+# Every flavor, with and without boundary, from g 3 to g 9.
+BETA_SPECS = [
+    SurfaceSpec.make(3, 1, 0),
+    SurfaceSpec.make(4, 2, 2),
+    SurfaceSpec.make(7, 3, 3),
+    SurfaceSpec.make(3, 0, 3, 1, "pmk"),
+    SurfaceSpec.make(5, 2, 3, 0, "pmk"),
+    SurfaceSpec.make(9, 3, 3, 0, "pmk"),
+    SurfaceSpec.make(3, 3, 2, flavor="m"),
+    SurfaceSpec.make(6, 1, 3, flavor="m"),
+    SurfaceSpec.make(9, 3, 3, flavor="m"),
+]
 
 
 class TestFunctionalValues:
@@ -81,7 +95,22 @@ class TestDescent:
         spec = SurfaceSpec.make(5, 0, 2, 0, "pmk")
         system = build_relation_system(spec)
         broken = Functional("alpha_2", {Gen("v", 2): 1}, spec.g - 1)
-        assert not descent_check(system, broken).ok
+        failures = descent_check(system, broken).failures
+        assert "alpha_2: beta not invariant under psi(a4) at xi_4" in failures
+
+    @pytest.mark.parametrize("spec", BETA_SPECS, ids=str)
+    def test_beta_check_matches_dense_columns(self, spec):
+        # The check reads only the moved rows; the reference sums whole
+        # columns of the dense matrices.  With alpha zero, every failure
+        # is a beta failure.
+        system = build_relation_system(spec)
+        seen = 0
+        for gamma_count in range(1, spec.d + 1):
+            f = Functional("f", {}, gamma_count)
+            failures = descent_check(system, f).failures
+            assert failures == dense_beta_failures(system.space, f), gamma_count
+            seen += len(failures)
+        assert seen
 
     def test_wrong_alpha_fails_on_relations(self):
         # Charging a twist generator makes the functional nonzero on

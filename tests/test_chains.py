@@ -14,7 +14,7 @@ from mcgtwist.chains import (
 )
 from mcgtwist.intlin import Echelon
 from mcgtwist.surface import Gen, SurfaceSpec, Word, build_representation, expand_word
-from helpers import column, matvec
+from helpers import column, dense, matvec
 from test_surface import all_specs
 
 BOUNDARY_SPECS = [
@@ -54,9 +54,9 @@ def rewrite_relation(space, lhs, rhs, xi):
                 for r, c in enumerate(q):
                     if c:
                         out.add_term(space.flat(gen, r + 1), side * c)
-                q = matvec(space.rep.psi(gen, -1), q)
+                q = matvec(dense(space.rep, gen, -1), q)
             else:
-                q = matvec(space.rep.psi(gen, 1), q)
+                q = matvec(dense(space.rep, gen, 1), q)
                 for r, c in enumerate(q):
                     if c:
                         out.add_term(space.flat(gen, r + 1), -side * c)
@@ -75,8 +75,6 @@ class TestChainVector:
         b = ChainVector({1: 2, 2: -1})
         assert a + b == {0: 1, 1: 4, 2: -1}
         assert a - b == {0: 1, 2: 1}
-        assert a.scaled(3) == {0: 3, 1: 6}
-        assert a.scaled(0) == {}
 
 
 class TestChainSpace:
@@ -109,11 +107,11 @@ def test_boundary_columns_match_dense_inverse():
     for spec in all_specs(range(3, 13)):
         space = ChainSpace(spec)
         for gen in space.gens:
-            inv = space.rep.psi(gen, -1)
+            inv = dense(space.rep, gen, -1)
             for i in range(space.d):
-                dense = column(inv, i)
-                dense[i] -= 1
-                expected = {r: v for r, v in enumerate(dense) if v}
+                col = column(inv, i)
+                col[i] -= 1
+                expected = {r: v for r, v in enumerate(col) if v}
                 assert space._bcol[gen][i] == expected, (spec, gen, i)
 
 
@@ -149,7 +147,7 @@ class TestRewriting:
                     q = [0] * spec.d
                     q[xi - 1] = 1
                     for prev, _ in letters[:t]:
-                        q = matvec(space.rep.psi(prev, -1), q)
+                        q = matvec(dense(space.rep, prev, -1), q)
                     for r, c in enumerate(q):
                         if c:
                             direct.add_term(space.flat(gen, r + 1), side * c)
@@ -208,7 +206,7 @@ def test_cycle_lattice_equals_explicit_family(spec):
     for label, chain in family:
         assert boundary1(space, chain) == {}, label
     listed = Echelon(dict(chain) for _, chain in family)
-    assert lattice.echelon.same_lattice(listed)
+    assert lattice.same_lattice(listed)
 
 
 def test_kernel_rank_small_case():

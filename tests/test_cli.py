@@ -26,9 +26,8 @@ from mcgtwist.cli import (
     run_record,
 )
 from mcgtwist.engine import build_relation_system, compute_h1
-from mcgtwist.intlin import IntMatrix
 from mcgtwist.surface import INVOLUTION_KINDS, Gen, Representation, SurfaceSpec
-from mcgtwist.verify import verify_spec
+from mcgtwist.verify import fault_checks, verify_spec
 from test_acceptance import permutation_grid, twist_grid
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -235,17 +234,20 @@ class TestVerify:
         # The checks read the moved rows, so install a new representation.
         def corrupted(spec):
             system = build_relation_system(spec)
-            rep = system.space.rep
-            mat = rep.psi(gen)
-            inverses = dict(rep.inverses)
+            moved = dict(system.space.rep.moved)
+            rows = moved[gen, 1]
             if gen.kind in INVOLUTION_KINDS:
-                inverses[gen] = IntMatrix([
-                    [2 * (r == c) - v for c, v in enumerate(row)]
-                    for r, row in enumerate(mat.data)
-                ])
+                # 2I - psi(gen): the rows psi(gen) moves, and no others.
+                flipped = []
+                for r, entries in rows:
+                    row = {c: -v for c, v in entries}
+                    row[r] = row.get(r, 0) + 2
+                    flipped.append((r, tuple(
+                        (c, v) for c, v in sorted(row.items()) if v)))
+                moved[gen, -1] = tuple(flipped)
             else:
-                inverses[gen] = mat
-            system.space.rep = Representation(spec, rep.matrices, inverses)
+                moved[gen, -1] = rows
+            system.space.rep = Representation(spec, moved)
             return system
 
         monkeypatch.setattr(mcgtwist.verify, "build_relation_system",
@@ -258,6 +260,28 @@ class TestVerify:
         )
         assert code == EXIT_VERIFY
         assert out == "FAIL (4,1,2,0,m) %s\n" % message
+
+    def test_crash_in_a_sign_variant_is_a_failure_line(self, capsys,
+                                                       monkeypatch):
+        # An exception while checking a sign variant is a fault of the
+        # checks, not a caught fault.
+        def crash(spec, sign_variant=None):
+            raise TypeError("boom")
+
+        monkeypatch.setattr(mcgtwist.verify, "build_representation", crash)
+        spec = SurfaceSpec.make(4, 1, 3, flavor="m")
+        assert fault_checks(spec) == [
+            "sign variant 'e' raised TypeError: boom",
+            "sign variant 's' raised TypeError: boom",
+        ]
+        code, out, _ = run(
+            capsys, "verify", "--genus", "4", "--boundary", "1",
+            "--punctures", "3", "--flavor", "m",
+        )
+        assert code == EXIT_VERIFY
+        assert out == "".join(
+            "FAIL (4,1,3,0,m) %s\n" % f for f in fault_checks(spec)
+        )
 
     def test_builds_the_pipeline_once(self, monkeypatch):
         # verify_spec relies on the build for the catalog checks, so it

@@ -15,7 +15,7 @@ from mcgtwist.surface import (
     evaluate_word,
     expand_word,
 )
-from helpers import column, identity, matmul
+from helpers import column, dense, identity, matmul, to_dense
 
 SPECS = [
     SurfaceSpec.make(3, 1, 0),
@@ -91,14 +91,14 @@ class TestRepresentation:
         rep = build_representation(spec)
         ident = identity(spec.d)
         for gen in spec.generators():
-            assert matmul(rep.psi(gen), rep.psi(gen, -1)) == ident
+            assert matmul(dense(rep, gen), dense(rep, gen, -1)) == ident
 
     def test_involutions(self, spec):
         rep = build_representation(spec)
         ident = identity(spec.d)
         for gen in spec.generators():
             if gen.kind in INVOLUTION_KINDS:
-                assert matmul(rep.psi(gen), rep.psi(gen)) == ident
+                assert matmul(dense(rep, gen), dense(rep, gen)) == ident
 
 
 def all_specs(genera):
@@ -131,12 +131,35 @@ def test_each_letter_step_is_undone_by_its_inverse():
     assert count == 470
 
 
+def test_moved_rows_are_canonical():
+    # 470 specs, g 3-12: rows and nonzero columns ascending, and only
+    # rows that differ from the identity.  A transvection and its
+    # inverse move the same rows; an involution's inverse is its rows.
+    for spec in all_specs(range(3, 13)):
+        rep = build_representation(spec)
+        gens = spec.generators()
+        assert set(rep.moved) == {(gen, e) for gen in gens for e in (1, -1)}
+        for (gen, _), rows in rep.moved.items():
+            assert [r for r, _ in rows] == sorted({r for r, _ in rows})
+            for r, entries in rows:
+                assert 0 <= r < spec.d and entries != ((r, 1),), (spec, gen)
+                cols = [c for c, _ in entries]
+                assert cols == sorted(set(cols)), (spec, gen)
+                assert all(0 <= c < spec.d and v for c, v in entries)
+        for gen in gens:
+            forward, inverse = rep.moved[gen, 1], rep.moved[gen, -1]
+            if gen.kind in INVOLUTION_KINDS:
+                assert inverse is forward
+            else:
+                assert [r for r, _ in inverse] == [r for r, _ in forward]
+
+
 def dense_product(rep, word):
     """Reference for evaluate_word: the dense product of the generator
     matrices, left to right, after expanding derived letters."""
     out = identity(rep.d)
     for gen, e in expand_word(word, rep.spec):
-        out = matmul(out, rep.psi(gen, e))
+        out = matmul(out, dense(rep, gen, e))
     return out
 
 
@@ -154,20 +177,21 @@ def test_evaluate_word_matches_dense_product(spec):
             words += [entry.lhs, entry.rhs]
     for word in words:
         for w in (word, word.inverse()):
-            assert evaluate_word(rep, w) == dense_product(rep, w), w.display()
+            value = to_dense(evaluate_word(rep, w), spec.d)
+            assert value == dense_product(rep, w), w.display()
 
 
 def test_a_matrix_values():
     spec = SurfaceSpec.make(3, 1, 0)
     rep = build_representation(spec)
-    assert rep.psi(Gen("a", 1)).data == [[0, 1, 0], [-1, 2, 0], [0, 0, 1]]
-    assert rep.psi(Gen("u", 1)).data == [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
+    assert dense(rep, Gen("a", 1)) == [[0, 1, 0], [-1, 2, 0], [0, 0, 1]]
+    assert dense(rep, Gen("u", 1)) == [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
 
 
 def test_e_matrix_values():
     spec = SurfaceSpec.make(3, 0, 3, 0, "pmk")
     rep = build_representation(spec)
-    m = rep.psi(Gen("e", 2))
+    m = dense(rep, Gen("e", 2))
     assert column(m, 0) == [0, -1, 0, -1, -1]
     assert column(m, 1) == [1, 2, 0, 1, 1]
     assert column(m, 2) == [0, 0, 1, 0, 0]
@@ -179,7 +203,7 @@ def test_derived_words():
     ident = identity(spec.d)
     for i in (2, 3, 4):
         u = derived_word("u%d" % i, spec)
-        m = evaluate_word(rep, u)
+        m = to_dense(evaluate_word(rep, u), spec.d)
         assert matmul(m, m) == ident
     with pytest.raises(UnknownDerived):
         derived_word("u9", spec)
@@ -191,9 +215,10 @@ def test_outer_twist_is_conjugate_of_a1():
     rep = build_representation(spec)
     w = derived_word("W", spec)
     e_out = derived_word("e%d" % (spec.s + spec.n), spec)
-    lhs = evaluate_word(rep, e_out)
-    rhs = matmul(matmul(evaluate_word(rep, w), rep.psi(Gen("a", 1), -1)),
-                 evaluate_word(rep, w.inverse()))
+    lhs = to_dense(evaluate_word(rep, e_out), spec.d)
+    rhs = matmul(matmul(to_dense(evaluate_word(rep, w), spec.d),
+                        dense(rep, Gen("a", 1), -1)),
+                 to_dense(evaluate_word(rep, w.inverse()), spec.d))
     assert lhs == rhs
 
 
@@ -230,6 +255,6 @@ def test_sign_variant_breaks_braid_involution_checks():
     good = build_representation(spec)
     bad = build_representation(spec, sign_variant="s")
     last = Gen("s", spec.n - 1)
-    assert good.psi(last) != bad.psi(last)
+    assert good.moved[last, 1] != bad.moved[last, 1]
     with pytest.raises(ValueError):
         build_representation(spec, sign_variant="q")
