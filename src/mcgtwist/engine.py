@@ -140,9 +140,11 @@ def build_relation_system(spec, extra_relations=None):
     # A partial relation pins its row down only modulo its ambiguity
     # sublattice, so an instance is informative exactly when its pinned
     # part escapes the span of the exact relations, the ambiguity
-    # sublattice and the instances already kept.  Keeping only those
-    # makes the quotient independent of the unknown parts; the sampling
-    # in compute_h1 double-checks that independence.
+    # sublattice and the instances already kept.  Only those are kept:
+    # the true rows of the dropped instances are assumed to add nothing
+    # to the quotient.  Their pinned rows do change it, so this is not
+    # proved here; the evidence is agreement with `certify.oracle`.  The
+    # sampling in compute_h1 checks the kept rows' unknown parts.
     pm_solver = None
     filters = {}
 

@@ -127,12 +127,67 @@ def echelon_reduce(pivots, row):
     return coeffs, {c: v for c, v in rem.items() if v}
 
 
+def _peel_unit_singletons(mat, colindex):
+    """Delete, in place, every row of `mat` (with `colindex`, column ->
+    row ids) that splits off as a factor 1; return how many.  Row i
+    splits off when its entry at column c is +-1 and is alone either in
+    its column or in its row:
+
+    - alone in its column: column operations with column c clear the
+      rest of row i and change no other row;
+    - alone in its row (row i is +-e_c): row operations with row i clear
+      column c elsewhere and change no other column.
+
+    Either way the matrix becomes [+-1] (+) M, where M is the matrix
+    with row i and column c deleted and every other entry as it was, so
+    its invariant factors are 1 followed by those of M.  Deleting them
+    can make new singletons, so a worklist repeats the step; each step
+    deletes a row, so the loop ends.
+    """
+    peeled = 0
+    work = list(mat)
+    while work:
+        i = work.pop()
+        ri = mat.get(i)
+        if not ri:
+            continue
+        if len(ri) == 1:
+            (c, v), = ri.items()
+            if v != 1 and v != -1:
+                continue
+            for k in colindex.pop(c):
+                if k != i:
+                    rk = mat[k]
+                    del rk[c]
+                    if len(rk) == 1:
+                        work.append(k)
+        else:
+            for c, v in ri.items():
+                if (v == 1 or v == -1) and len(colindex[c]) == 1:
+                    break
+            else:
+                continue
+            for c in ri:
+                s = colindex[c]
+                s.discard(i)
+                if len(s) == 1:
+                    work.extend(s)
+        del mat[i]
+        peeled += 1
+    return peeled
+
+
 def snf_factors(rows):
     """Invariant factors d1 | d2 | ... of the lattice spanned by `rows`.
 
     Input rows are sparse dicts; they are not mutated.  The output is the
     positive diagonal of the Smith normal form (one entry per unit of
     rank, factors of 1 included).
+
+    Two phases: every unit entry alone in its row or column splits off
+    as a factor 1 (`_peel_unit_singletons`), leaving a core of a few rows
+    of `compute_h1`'s near-bidiagonal unit bands; a pivot loop and gcd/lcm
+    exchanges give the core's chain, and the 1s go in front of it.
     """
     mat = {}
     colindex = {}
@@ -157,6 +212,7 @@ def snf_factors(rows):
                 del dst[c]
                 colindex[c].discard(i)
 
+    ones = _peel_unit_singletons(mat, colindex)
     factors = []
     while mat:
         # Rows can empty out while other pivots are cleared.
@@ -164,8 +220,8 @@ def snf_factors(rows):
             del mat[i]
         if not mat:
             break
-        # Pivot choice: smallest |value|, then sparsest row/column, which
-        # keeps fill-in negligible for the near-unit matrices seen here.
+        # Pivot choice on the core left by the peel: smallest |value|,
+        # then sparsest row/column, which keeps fill-in small.
         best = None
         for i, r in mat.items():
             for c, v in r.items():
@@ -230,4 +286,4 @@ def snf_factors(rows):
                     factors[i], factors[j] = g, a * b // g
                     changed = True
         factors.sort()
-    return factors
+    return [1] * ones + factors

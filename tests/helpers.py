@@ -3,6 +3,9 @@
 A dense matrix here is a list of rows, each a list of ints.
 """
 
+from itertools import combinations
+from math import gcd
+
 
 def dense(rep, gen, sign=1):
     """psi(gen)^sign as a dense matrix, from the moved rows of `rep`."""
@@ -61,3 +64,44 @@ def dense_beta_failures(space, functional):
                 )
                 break
     return failures
+
+
+def snf_reference(rows):
+    """Invariant factors of the lattice spanned by sparse `rows`, from
+    determinantal divisors: d_k = D_k / D_{k-1}, where D_k is the gcd of
+    the k x k minors, up to the rank.  Exponential; tiny matrices only."""
+    cols = sorted({c for row in rows for c in row})
+    mat = to_dense([{cols.index(c): v for c, v in row.items()} for row in rows],
+                   len(cols))
+    factors = []
+    previous = 1
+    for k in range(1, min(len(mat), len(cols)) + 1):
+        divisor = 0
+        for rs in combinations(range(len(mat)), k):
+            for cs in combinations(range(len(cols)), k):
+                divisor = gcd(divisor, determinant(
+                    [[mat[i][j] for j in cs] for i in rs]))
+        if not divisor:
+            break
+        factors.append(divisor // previous)
+        previous = divisor
+    return factors
+
+
+def determinant(m):
+    """The determinant of a square integer matrix, by Bareiss elimination."""
+    m = [row[:] for row in m]
+    n = len(m)
+    sign, previous = 1, 1
+    for k in range(n - 1):
+        if not m[k][k]:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // previous
+        previous = m[k][k]
+    return sign * m[n - 1][n - 1]

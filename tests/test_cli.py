@@ -11,6 +11,7 @@ from collections import Counter
 import pytest
 
 import mcgtwist.catalog
+import mcgtwist.cli
 import mcgtwist.engine
 import mcgtwist.verify
 from mcgtwist.catalog import build_catalog, parse_relations
@@ -282,6 +283,22 @@ class TestVerify:
         assert out == "".join(
             "FAIL (4,1,3,0,m) %s\n" % f for f in fault_checks(spec)
         )
+
+    def test_all_visits_the_acceptance_grid(self, capsys, monkeypatch):
+        # `verify --all` walks g, s, n and, for each, the twist specs in
+        # k order and then the permutation spec: the acceptance grid,
+        # stably sorted by (g, s, n).
+        seen = []
+        monkeypatch.setattr(mcgtwist.cli, "verify_spec",
+                            lambda spec: seen.append(spec) or [])
+        monkeypatch.setattr(mcgtwist.cli, "fault_checks", lambda spec: [])
+        code, out, _ = run(capsys, "verify", "--all")
+        assert code == EXIT_OK
+        grid = sorted(list(twist_grid()) + list(permutation_grid()),
+                      key=lambda spec: (spec.g, spec.s, spec.n))
+        assert len(grid) == len(set(grid)) == 329
+        assert seen == grid
+        assert len(out.splitlines()) == 329
 
     def test_builds_the_pipeline_once(self, monkeypatch):
         # verify_spec relies on the build for the catalog checks, so it

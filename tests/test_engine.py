@@ -8,7 +8,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mcgtwist.engine
-from mcgtwist.catalog import parse_relations
+from mcgtwist.catalog import (
+    parse_relations,
+    partial_exact_part,
+    partial_target_boundary,
+    pmplus_boundary_solver,
+)
 from mcgtwist.certify import oracle
 from mcgtwist.engine import (
     UnitElimination,
@@ -81,6 +86,22 @@ class TestSampling:
     def test_sample_count_validation(self):
         with pytest.raises(ValueError):
             compute_h1(SurfaceSpec.make(3, 1, 0), samples=0)
+
+    def test_one_sample_runs_sample_zero_only(self, monkeypatch):
+        spec = SurfaceSpec.make(5, 0, 2, 0, "pmk")
+        system = build_relation_system(spec)
+        assert system.partials
+        calls = []
+
+        def counted(rows):
+            calls.append(len(rows))
+            return snf_factors(rows)
+
+        monkeypatch.setattr(mcgtwist.engine, "snf_factors", counted)
+        result = compute_h1(spec, samples=1, system=system)
+        assert result.sampling_report.samples == 1
+        assert len(calls) == 1
+        assert result.invariants == oracle(spec)
 
 
 class TestExpressClass:
@@ -351,3 +372,38 @@ def test_exact_echelon_order_keeps_pivots_and_lattice():
         assert ({j: row[j] for j, row in built.pivots.items()}
                 == {j: row[j] for j, row in catalog_order.pivots.items()}), spec
         assert built.same_lattice(catalog_order), spec
+
+
+def test_dropped_partial_instances_would_change_the_quotient():
+    # build_relation_system drops every pm+ instance whose pinned row
+    # lies in the span of the exact relations, the ambiguity lattice and
+    # the rows kept before it, and assumes its true row adds nothing.
+    # The pinned rows are not implied by the kept ones: put back into
+    # sample 0, they change the invariants.  So a change to the filter
+    # that keeps any of them shows up here.
+    spec = SurfaceSpec.make(3, 0, 1, 0, "pmk")
+    system = build_relation_system(spec)
+    space = system.space
+    kept = {p.rid for p in system.partials}
+    solver = pmplus_boundary_solver(space)
+    dropped = []
+    for entry in system.catalog:
+        if entry.kind != "partial" or entry.ambiguity != "pm+":
+            continue
+        x, vj = entry.conjugation
+        for xi in range(1, space.d + 1):
+            base = partial_exact_part(space, x, vj, xi)
+            particular = solver.solve(partial_target_boundary(space, x, vj, xi))
+            for flat, c in particular.items():
+                base.add_term(flat, -c)
+            if base and "%s:xi%d" % (entry.rid, xi) not in kept:
+                dropped.append(to_coords(system, base))
+    assert dropped and kept
+
+    elim = UnitElimination(system.exact_echelon, system.rank)
+    rows = elim.base + [elim(p.coords) for p in system.partials]
+    sample0 = AbelianInvariants.from_factors(snf_factors(rows), elim.rank)
+    assert sample0 == compute_h1(spec, system=system).invariants == oracle(spec)
+    rows += [elim(c) for c in dropped]
+    with_dropped = AbelianInvariants.from_factors(snf_factors(rows), elim.rank)
+    assert with_dropped != sample0

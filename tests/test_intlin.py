@@ -14,7 +14,7 @@ from mcgtwist.intlin import (
     snf_factors,
     xgcd,
 )
-from helpers import matvec
+from helpers import matvec, snf_reference
 
 
 def sparse(vec):
@@ -202,3 +202,54 @@ def test_snf_factors_sparse_rows():
     assert snf_factors([{0: 2}, {1: 4}, {}]) == [2, 4]
     assert snf_factors([{0: 1, 1: 1}, {0: 1, 1: -1}]) == [1, 2]
     assert snf_factors([]) == []
+
+
+# Mostly 0 and +-1, some +-2 and +-3: the unit-rich sparse rows of the
+# sample matrices, where the unit-singleton peel of snf_factors does most
+# of the work.
+unit_rich_entries = st.sampled_from([0] * 8 + [1, -1] * 3 + [2, -2, 3, -3])
+
+
+@st.composite
+def unit_rich_matrices(draw):
+    ncols = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(unit_rich_entries, min_size=ncols,
+                                  max_size=ncols), max_size=6))
+    if rows and len(rows) < 6 and draw(st.booleans()):
+        rows.append(list(draw(st.sampled_from(rows))))  # a repeated row
+    if len(rows) < 6 and draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [0] * ncols)
+    return [sparse(row) for row in rows]
+
+
+@settings(max_examples=300, deadline=None)
+@given(unit_rich_matrices())
+def test_snf_matches_determinantal_divisors(rows):
+    assert snf_factors(rows) == snf_reference(rows)
+
+
+class TestUnitPeel:
+    # Cases that each phase of snf_factors must get right, checked
+    # against the determinantal-divisor reference as well.
+    def check(self, rows, expected):
+        assert snf_factors(rows) == expected
+        assert snf_reference(rows) == expected
+
+    def test_bidiagonal_band_peels_one_column_at_a_time(self):
+        # Column 0 meets row 0 only; deleting row 0 leaves column 1
+        # meeting row 1 only, and so on down to the core 2 * e_5.  Closed
+        # into a cycle, the band has no singleton left to peel.
+        band = [{i: 1, i + 1: -1} for i in range(5)]
+        self.check(band + [{5: 2}], [1, 1, 1, 1, 1, 2])
+        self.check(band + [{5: 2, 0: 2}], [1, 1, 1, 1, 1, 4])
+
+    def test_unit_row_singleton_whose_column_meets_other_rows(self):
+        # Row 0 is e_0; row operations clear column 0 from rows 1 and 2.
+        self.check([{0: 1}, {0: 3, 1: 2}, {0: -1, 1: 2, 2: 4}], [1, 2, 4])
+        self.check([{0: -1}, {0: 1, 1: 2}], [1, 2])
+
+    def test_non_unit_singleton_does_not_peel(self):
+        # 2 * e_0 alone in its row, and 2 alone in column 1: neither is
+        # a factor 1.
+        self.check([{0: 2}, {0: 1, 1: 1}], [1, 2])
+        self.check([{0: 3, 1: 2}, {0: 1, 2: 1}, {0: 1, 2: -1}], [1, 1, 4])
