@@ -26,7 +26,7 @@ from .errors import (
     UnknownLetter,
     UnstableSampling,
 )
-from .surface import SurfaceSpec
+from .surface import SurfaceSpec, spec_grid
 from .verify import fault_checks, verify_spec
 
 EXIT_OK = 0
@@ -112,11 +112,7 @@ RELATION_ERRORS = (
 
 
 def cmd_compute(args):
-    try:
-        spec = make_spec(args)
-    except SpecInvalid as exc:
-        print("invalid spec: %s" % exc, file=sys.stderr)
-        return EXIT_INVALID
+    spec = make_spec(args)
     try:
         extra = None
         if args.relations:
@@ -151,39 +147,11 @@ def _value_range(text):
     return values
 
 
-def grid_specs(args):
-    # Parsed ranges are never empty, so `or` only replaces a missing flag.
-    genus = args.genus or range(3, 10)
-    boundary = args.boundary or range(0, 4)
-    if args.flavor == "m":
-        punctures = args.punctures or range(2, 4)
-    else:
-        punctures = args.punctures or range(0, 4)
-    for g in genus:
-        for s in boundary:
-            for n in punctures:
-                if args.flavor == "m":
-                    if n >= 2:
-                        yield SurfaceSpec.make(g, s, n, flavor="m")
-                    continue
-                if s + n < 1:
-                    continue
-                if args.flavor == "pm+":
-                    yield SurfaceSpec.make(g, s, n, flavor="pm+")
-                    continue
-                for k in args.k or range(0, n + 1):
-                    if k <= n:
-                        yield SurfaceSpec.make(
-                            g, s, n, k, "pm+" if k == n else "pmk"
-                        )
-
-
 def cmd_table(args):
-    try:
-        specs = list(grid_specs(args))
-    except SpecInvalid as exc:
-        print("invalid spec: %s" % exc, file=sys.stderr)
-        return EXIT_INVALID
+    # The whole grid is built first, so an invalid range stops the sweep
+    # before any output.
+    specs = list(spec_grid(args.genus, args.boundary, args.punctures,
+                           args.k, args.flavor))
     records = []
     errors = []
     for spec in specs:
@@ -224,26 +192,12 @@ def cmd_table(args):
 
 def cmd_verify(args):
     if args.all:
-        specs = []
-        for g in range(3, 10):
-            for s in range(4):
-                for n in range(4):
-                    if s + n >= 1:
-                        for k in range(n + 1):
-                            specs.append(SurfaceSpec.make(
-                                g, s, n, k, "pm+" if k == n else "pmk"
-                            ))
-                    if n >= 2:
-                        specs.append(SurfaceSpec.make(g, s, n, flavor="m"))
+        specs = spec_grid()
+    elif args.genus is None:
+        print("need --genus (or --all)", file=sys.stderr)
+        return EXIT_INVALID
     else:
-        if args.genus is None:
-            print("need --genus (or --all)", file=sys.stderr)
-            return EXIT_INVALID
-        try:
-            specs = [make_spec(args)]
-        except SpecInvalid as exc:
-            print("invalid spec: %s" % exc, file=sys.stderr)
-            return EXIT_INVALID
+        specs = [make_spec(args)]
     total = 0
     for spec in specs:
         failures = verify_spec(spec) + fault_checks(spec)
@@ -334,6 +288,9 @@ def main(argv=None):
     try:
         code = args.func(args)
         sys.stdout.flush()
+    except SpecInvalid as exc:
+        print("invalid spec: %s" % exc, file=sys.stderr)
+        return EXIT_INVALID
     except BrokenPipeError:
         # The reader is gone.  Send what is still buffered to devnull, so
         # the flush at interpreter exit cannot raise again.

@@ -105,6 +105,28 @@ class SurfaceSpec:
         return gens
 
 
+def spec_grid(genus=None, boundary=None, punctures=None, k=None, flavor=None):
+    """The specs of a grid, walked by (g, s, n): first the fixed-puncture
+    specs in k order, with the full group "pm+" at k = n, then the "m"
+    spec when n >= 2.  Each range left out takes its acceptance-grid
+    value (g 3-9, s 0-3, n 0-3, every k <= n), so with no arguments this
+    is the 329-spec acceptance grid.  `flavor` keeps one family: "pmk"
+    the fixed-puncture specs, "pm+" only those at k = n (ignoring `k`),
+    "m" only the permutation specs."""
+    for g in range(3, 10) if genus is None else genus:
+        for s in range(4) if boundary is None else boundary:
+            for n in range(4) if punctures is None else punctures:
+                if flavor != "m" and s + n >= 1:
+                    ks = range(n + 1) if k is None else k
+                    for kk in [n] if flavor == "pm+" else ks:
+                        if kk <= n:
+                            yield SurfaceSpec.make(
+                                g, s, n, kk, "pm+" if kk == n else "pmk"
+                            )
+                if flavor in (None, "m") and n >= 2:
+                    yield SurfaceSpec.make(g, s, n, flavor="m")
+
+
 _LETTER_RE = re.compile(r"^([audebvs])(\d+)(\^-1)?$")
 
 

@@ -1,12 +1,13 @@
 """Internal consistency checks for one spec.
 
 `verify_spec` checks the relation system that `compute` solves: its
-representation, the boundary closed forms, the cycle lattice against its
-explicit generating family and the descent of the certifying
-functionals; building the system checks the relation catalog.
-`fault_checks` checks the checks: deliberately flipped signs must be
-caught.  Both return a list of failure messages, empty when everything
-holds.
+representation and boundary closed forms (`representation_failures`),
+the cycle lattice against its explicit generating family and the
+descent of the certifying functionals; building the system checks the
+relation catalog.  `fault_checks` checks the checks: it runs the same
+`representation_failures` on representations with a deliberately
+flipped sign, which must be caught.  Both return a list of failure
+messages, empty when everything holds.
 """
 
 from .certify import descent_check, functionals_for
@@ -17,30 +18,12 @@ from .intlin import Echelon
 from .surface import INVOLUTION_KINDS, build_representation
 
 
-def verify_spec(spec):
-    """All consistency checks for one spec; returns a list of failures.
-
-    Building the relation system checks every catalog entry, and a
-    catalog the system cannot be built from is reported as one failure
-    naming the entry:
-
-    - a word relation is rewritten over every coefficient, and the
-      rewrite must lie in the cycle lattice, which is the whole kernel
-      of the boundary map.  The boundary of the rewrite at xi is
-      (psi(lhs)^-1 - psi(rhs)^-1) xi, so every rewrite is a cycle
-      exactly when both sides act alike on H_1, given that each
-      psi(x)^-1 is right (checked below);
-    - a class relation, and the exact part of a k1 partial, must be a
-      cycle;
-    - a slide-conjugation partial must have an integer solution of its
-      unknown part, and its exact part minus that solution must be a
-      cycle, i.e. the exact part must have the prescribed boundary.
-    """
-    try:
-        system = build_relation_system(spec)
-    except (RelationOutsideKernel, NoIntegerSolution) as exc:
-        return ["relation system: %s" % exc]
-    space, rep = system.space, system.space.rep
+def representation_failures(space):
+    """The checks of a representation and its boundary map; returns a
+    list of failures.  psi(x) psi(x)^-1 must be the identity for every
+    generator x, and every boundary column of `space` must equal its
+    closed form."""
+    spec, rep = space.spec, space.rep
     failures = []
     ident = [{r: 1} for r in range(spec.d)]
     for gen in space.gens:
@@ -59,9 +42,35 @@ def verify_spec(spec):
                     "boundary of %s_(x)_xi_%d disagrees with the closed form"
                     % (gen.name, i)
                 )
+    return failures
 
+
+def verify_spec(spec):
+    """All consistency checks for one spec; returns a list of failures.
+
+    Building the relation system checks every catalog entry, and a
+    catalog the system cannot be built from is reported as one failure
+    naming the entry:
+
+    - a word relation is rewritten over every coefficient, and the
+      rewrite must lie in the cycle lattice, which is the whole kernel
+      of the boundary map.  The boundary of the rewrite at xi is
+      (psi(lhs)^-1 - psi(rhs)^-1) xi, so every rewrite is a cycle
+      exactly when both sides act alike on H_1, given that each
+      psi(x)^-1 is right (`representation_failures`);
+    - a class relation, and the exact part of a k1 partial, must be a
+      cycle;
+    - a slide-conjugation partial must have an integer solution of its
+      unknown part, and its exact part minus that solution must be a
+      cycle, i.e. the exact part must have the prescribed boundary.
+    """
+    try:
+        system = build_relation_system(spec)
+    except (RelationOutsideKernel, NoIntegerSolution) as exc:
+        return ["relation system: %s" % exc]
+    failures = representation_failures(system.space)
     listed = Echelon(
-        dict(chain) for _, chain in kernel_generator_list(space)
+        dict(chain) for _, chain in kernel_generator_list(system.space)
     )
     if not system.lattice.same_lattice(listed):
         failures.append("cycle lattice differs from the explicit family")
@@ -80,20 +89,9 @@ def fault_checks(spec):
             continue
         if variant == "s" and (spec.flavor != "m" or spec.s + spec.n < 3):
             continue
-        caught = False
         try:
             rep = build_representation(spec, sign_variant=variant)
-            ident = [{r: 1} for r in range(spec.d)]
-            for gen in spec.generators():
-                if gen.kind in INVOLUTION_KINDS:
-                    image = rep.apply_letter(ident, gen, 1)
-                    if rep.apply_letter(image, gen, 1) != ident:
-                        caught = True
-            space = ChainSpace(spec, rep)
-            for gen in space.gens:
-                for i in range(1, spec.d + 1):
-                    if space._bcol[gen][i - 1] != expected_boundary(spec, gen, i):
-                        caught = True
+            caught = bool(representation_failures(ChainSpace(spec, rep)))
         except Exception as exc:
             # A crash is a fault of the checks, not a caught fault.
             failures.append("sign variant %r raised %s: %s"

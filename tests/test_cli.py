@@ -145,6 +145,31 @@ class TestTable:
         assert code == EXIT_OK
         assert "# matched 0 of 0" in out
 
+    @pytest.mark.parametrize("argv, expected", [
+        (["--flavor", "pmk"], lambda: list(twist_grid())),
+        (["--flavor", "m"], lambda: list(permutation_grid())),
+        (["--flavor", "pm+"],
+         lambda: [spec for spec in twist_grid() if spec.k == spec.n]),
+        (["--genus", "3", "--punctures", "1-3", "--k", "1-2",
+          "--flavor", "pmk"],
+         lambda: [spec for spec in twist_grid()
+                  if spec.g == 3 and spec.n >= 1 and 1 <= spec.k <= 2]),
+    ], ids=["pmk", "m", "pm+", "k-range"])
+    def test_sweeps_the_requested_specs(self, capsys, monkeypatch, argv,
+                                        expected):
+        # Only the enumeration: each spec's record is a stand-in.
+        seen = []
+
+        def record(spec, samples, seed):
+            seen.append(spec)
+            return dict.fromkeys(RECORD_FIELDS, 0) | {"match": True}
+
+        monkeypatch.setattr(mcgtwist.cli, "run_record", record)
+        code, out, _ = run(capsys, "table", *argv, "--format", "json")
+        assert code == EXIT_OK
+        assert seen == expected()
+        assert json.loads(out)["total"] == len(seen)
+
 
 class TestVerify:
     def test_single_spec_passes(self, capsys):
@@ -283,6 +308,17 @@ class TestVerify:
         assert out == "".join(
             "FAIL (4,1,3,0,m) %s\n" % f for f in fault_checks(spec)
         )
+
+    def test_sign_variants_run_the_checks_of_verify(self, monkeypatch):
+        # Blinding verify's own representation checks must let both
+        # flipped signs through.
+        monkeypatch.setattr(mcgtwist.verify, "representation_failures",
+                            lambda space: [])
+        spec = SurfaceSpec.make(4, 1, 3, flavor="m")
+        assert fault_checks(spec) == [
+            "sign variant 'e' went undetected",
+            "sign variant 's' went undetected",
+        ]
 
     def test_all_visits_the_acceptance_grid(self, capsys, monkeypatch):
         # `verify --all` walks g, s, n and, for each, the twist specs in
