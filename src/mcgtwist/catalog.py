@@ -11,7 +11,7 @@ contribution is pinned down up to an ambiguity sublattice.
 
 from dataclasses import dataclass, field
 
-from .chains import ChainSpace, boundary1, cycle_lattice
+from .chains import ChainSpace, boundary1
 from .errors import NoIntegerSolution
 from .intlin import ColumnSolver, vec_axpy
 from .surface import PMPLUS_KINDS, Gen, Word, evaluate_word
@@ -201,15 +201,13 @@ class CatalogReport:
         return not self.failures
 
 
-def verify_catalog(space, catalog, lattice=None):
+def verify_catalog(space, catalog):
     """Necessary-condition checks for every catalog entry.
 
     Word relations must hold in the representation; class relations (and
     the exact parts of partials) must be cycles; the unknown part of
     every partial must admit an integer solution in its stated support.
     """
-    if lattice is None:
-        lattice = cycle_lattice(space)
     report = CatalogReport()
     pm_solver = None
     for entry in catalog:
@@ -219,11 +217,8 @@ def verify_catalog(space, catalog, lattice=None):
                 report.failures.append(
                     "%s: sides act differently on homology" % entry.rid
                 )
-        elif entry.kind == "class":
-            if not lattice.contains(entry.vector):
-                report.failures.append("%s: class is not a cycle" % entry.rid)
-        elif entry.ambiguity == "k1":
-            if not lattice.contains(entry.vector):
+        elif entry.kind == "class" or entry.ambiguity == "k1":
+            if boundary1(space, entry.vector):
                 report.failures.append("%s: class is not a cycle" % entry.rid)
         else:
             if pm_solver is None:

@@ -10,9 +10,8 @@ valid spec; full validation is computed-versus-oracle equality.
 
 from dataclasses import dataclass, field
 
-from .engine import _gf2_insert
 from .errors import DescentFailed, SpecInvalid
-from .intlin import AbelianInvariants
+from .intlin import AbelianInvariants, gf2_insert
 from .surface import Gen
 
 
@@ -126,7 +125,7 @@ def lower_bound(spec, result):
         for t, (_, chain) in enumerate(result.named_basis):
             if functional_value(system.space, functional, chain):
                 mask |= 1 << t
-        _gf2_insert(pivots, mask, full)
+        gf2_insert(pivots, mask, full)
     return len(pivots)
 
 

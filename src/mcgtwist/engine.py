@@ -1,13 +1,14 @@
-"""The end-to-end pipeline: cycle lattice, relation lattice, quotient.
+"""The end-to-end pipeline: relation chains, quotient, named basis.
 
 The first homology group with twisted coefficients is the quotient of
 the cycle lattice by the sublattice generated by the rewritten
-relations.  Word and class relations contribute fixed vectors.  Partial
-relations contribute a pinned part plus an unknown element of a known
-ambiguity sublattice; the unknown is handled by sampling: sample 0 takes
-it to be zero, later samples add a seeded random {0,1}-combination of
-ambiguity basis vectors, and the quotient invariants must agree across
-all samples.
+relations, each held as its chain and quotiented in the chain space
+(see `compute_h1`).  Word and class relations contribute fixed vectors.
+Partial relations contribute a pinned part plus an unknown element of a
+known ambiguity sublattice; the unknown is handled by sampling: sample 0
+takes it to be zero, later samples add a seeded random {0,1}-combination
+of ambiguity basis vectors, and the quotient invariants must agree
+across all samples.
 """
 
 import random
@@ -21,7 +22,7 @@ from .catalog import (
     partial_target_boundary,
     pmplus_boundary_solver,
 )
-from .chains import ChainSpace, ChainVector, cycle_lattice, rewrite_relation_all
+from .chains import ChainSpace, ChainVector, boundary1, rewrite_relation_all
 from .errors import (
     NoIntegerSolution,
     NotACycle,
@@ -32,6 +33,9 @@ from .intlin import (
     AbelianInvariants,
     Echelon,
     echelon_reduce,
+    gf2_insert,
+    gf2_reduce,
+    parity_mask,
     snf_factors,
     vec_axpy,
 )
@@ -45,48 +49,40 @@ class PartialRow:
 
     rid: str
     base: ChainVector
-    coords: dict
     ambiguity: str
 
 
 @dataclass
 class RelationSystem:
-    """Everything the quotient needs, precomputed once per spec."""
+    """Everything the quotient needs, as chains, precomputed per spec."""
 
     spec: object
     space: ChainSpace
     catalog: list
-    lattice: Echelon  # the cycle lattice
-    col_of: dict
-    exact: list  # (rid, ambient ChainVector)
-    exact_coords: list
-    exact_echelon: Echelon  # the lattice spanned by exact_coords
+    rank: int  # of the cycle lattice: space.dim - rank of the boundary map
+    exact: list  # (rid, ChainVector)
+    exact_echelon: Echelon  # the lattice spanned by the exact chains
     partials: list
-    ambiguity_chains: dict  # key -> list of ambient ChainVector
-    ambiguity_coords: dict  # key -> list of coordinate dicts
+    ambiguity_chains: dict  # key -> list of ChainVector
 
     @property
-    def rank(self):
-        return self.lattice.rank
+    def exact_coords(self):  # the exact chains, as perfbench counts them
+        return [vec for _, vec in self.exact]
 
 
-def to_coords(system, chain, error=NotACycle):
-    """Coordinates of a chain in the cycle-lattice basis (dense index ->
-    coefficient); raises if the chain is not a cycle in the lattice."""
-    coeffs, rem = system.lattice.reduce(dict(chain))
-    if rem:
-        raise error(
-            "not in the cycle lattice: %s" % system.space.format_chain(chain)
-        )
-    return {system.col_of[j]: v for j, v in coeffs.items() if v}
+def require_cycle(space, chain, error=NotACycle):
+    """Raise `error` unless the chain has zero boundary, that is, lies in
+    the cycle lattice."""
+    if boundary1(space, chain):
+        raise error("not in the cycle lattice: %s" % space.format_chain(chain))
 
 
 def build_relation_system(spec, extra_relations=None):
-    """Rewrite the whole catalog into cycle-lattice coordinates.
+    """Rewrite the whole catalog into relation chains, each a cycle.
 
-    Partial relations are resolved into a pinned coordinate row (their
-    unknown part replaced by one particular solution) plus a reference
-    to the ambiguity sublattice, whose basis is computed once per kind.
+    Partial relations are resolved into a pinned chain (their unknown
+    part replaced by one particular solution) plus a reference to the
+    ambiguity sublattice, whose basis is computed once per kind.
 
     The exact rows enter their echelon shortest first, which keeps the
     fill-in small, and the order changes nothing downstream:
@@ -99,30 +95,27 @@ def build_relation_system(spec, extra_relations=None):
     - a row of U that differs from the one catalog order would give
       differs from it by a vector of the exact lattice, and every
       sample's lattice L contains the exact lattice, so L, and with it
-      Z^r / L = Z^r' / pi(L), is the same for either U.
+      Z^dim / L = Z^r' / pi(L), is the same for either U.
 
     The partials keep catalog order, because it decides which partial
     instances are kept.
     """
     spec.require_free_module()
     space = ChainSpace(spec)
-    lattice = cycle_lattice(space)
-    col_of = {j: t for t, j in enumerate(lattice.pivot_cols())}
+    boundary = Echelon(col for cols in space._bcol.values() for col in cols)
     catalog = build_catalog(spec, space)
     if extra_relations:
         catalog = catalog + list(extra_relations)
 
     system = RelationSystem(
-        spec=spec, space=space, catalog=catalog, lattice=lattice,
-        col_of=col_of, exact=[], exact_coords=[], exact_echelon=None,
-        partials=[], ambiguity_chains={}, ambiguity_coords={},
+        spec=spec, space=space, catalog=catalog,
+        rank=space.dim - boundary.rank, exact=[], exact_echelon=None,
+        partials=[], ambiguity_chains={},
     )
 
-    def coords(rid, chain):
-        return to_coords(
-            system, chain,
-            error=lambda msg: RelationOutsideKernel("%s: %s" % (rid, msg)),
-        )
+    def check(rid, chain):
+        require_cycle(space, chain, error=lambda msg: RelationOutsideKernel(
+            "%s: %s" % (rid, msg)))
 
     for entry in catalog:
         if entry.kind == "partial":
@@ -130,12 +123,14 @@ def build_relation_system(spec, extra_relations=None):
         if entry.kind == "word":
             for vec in rewrite_relation_all(space, entry.lhs, entry.rhs):
                 if vec:
+                    check(entry.rid, vec)
                     system.exact.append((entry.rid, vec))
-                    system.exact_coords.append(coords(entry.rid, vec))
         else:
+            check(entry.rid, entry.vector)
             system.exact.append((entry.rid, entry.vector))
-            system.exact_coords.append(coords(entry.rid, entry.vector))
-    system.exact_echelon = Echelon(sorted(system.exact_coords, key=len))
+    system.exact_echelon = Echelon(
+        sorted((vec for _, vec in system.exact), key=len)
+    )
 
     # A partial relation pins its row down only modulo its ambiguity
     # sublattice, so an instance is informative exactly when its pinned
@@ -149,28 +144,25 @@ def build_relation_system(spec, extra_relations=None):
     filters = {}
 
     def ambiguity(key):
-        if key not in system.ambiguity_chains:
+        if key not in filters:
             if key == "pm+":
                 chains = [ChainVector(row) for row in pm_solver.kernel_basis()]
             else:
                 chains = k1_ambiguity_basis(space)
-            system.ambiguity_chains[key] = chains
-            system.ambiguity_coords[key] = [
-                to_coords(system, c, error=RelationOutsideKernel)
-                for c in chains
-            ]
             filt = system.exact_echelon.clone()
-            for c in system.ambiguity_coords[key]:
+            for c in chains:
+                require_cycle(space, c, error=RelationOutsideKernel)
                 filt.insert(dict(c))
+            system.ambiguity_chains[key] = chains
             filters[key] = filt
         return filters[key]
 
     def add_partial(rid, base, key):
-        c = coords(rid, base)
+        check(rid, base)
         filt = ambiguity(key)
-        if not filt.contains(c):
-            filt.insert(dict(c))
-            system.partials.append(PartialRow(rid, base, c, key))
+        if not filt.contains(base):
+            filt.insert(dict(base))
+            system.partials.append(PartialRow(rid, base, key))
 
     for entry in catalog:
         if entry.kind != "partial":
@@ -236,37 +228,6 @@ def named_candidates(space):
     return out
 
 
-def _parity_mask(coords):
-    m = 0
-    for c, v in coords.items():
-        if v & 1:
-            m |= 1 << c
-    return m
-
-
-def _gf2_reduce(rows, vec, full):
-    """Reduce a bit vector against a GF(2) echelon keyed by the lowest set
-    bit of the coordinate part (the bits in `full`).  Returns the
-    residual: its coordinate part is zero or starts at a non-pivot bit."""
-    while vec & full:
-        low = vec & full
-        r = rows.get(low & -low)
-        if r is None:
-            break
-        vec ^= r
-    return vec
-
-
-def _gf2_insert(rows, vec, full):
-    """Insert a bit vector into a GF(2) echelon (see `_gf2_reduce`);
-    returns the residual after reduction."""
-    vec = _gf2_reduce(rows, vec, full)
-    low = vec & full
-    if low:
-        rows[low & -low] = vec
-    return vec
-
-
 @dataclass
 class SamplingReport:
     samples: int
@@ -298,10 +259,10 @@ class UnitElimination:
       never refills one it has passed; the quotient a // 1 = a is exact,
       so pi(x) is the unique element of x + span(U) that vanishes on the
       U-pivot columns.
-    - The kernel of pi is span(U), and pi maps Z^r onto Z^rank: a vector
-      supported off the U-pivot columns is its own image.
+    - The kernel of pi is span(U), and pi maps Z^dim onto Z^rank: a
+      vector supported off the U-pivot columns is its own image.
     - span(U) lies inside the exact lattice, hence inside every sample's
-      lattice L, so Z^r / L = Z^rank / pi(L), and pi(L) is spanned by
+      lattice L, so Z^dim / L = Z^rank / pi(L), and pi(L) is spanned by
       the images of L's generators.  Reduced mod 2, pi is the same kind
       of projection over GF(2), with kernel span(U mod 2) inside L mod 2;
       so the GF(2) ranks and the greedy named basis are unchanged too.
@@ -312,10 +273,8 @@ class UnitElimination:
 
     def __init__(self, exact, ambient_rank):
         self.units = {j: row for j, row in exact.pivots.items() if row[j] == 1}
-        self.index = {}
-        for c in range(ambient_rank):
-            if c not in self.units:
-                self.index[c] = len(self.index)
+        free = [c for c in range(ambient_rank) if c not in self.units]
+        self.index = {c: t for t, c in enumerate(free)}
         self.rank = len(self.index)
         self.full = (1 << self.rank) - 1
         self.base = [
@@ -325,13 +284,27 @@ class UnitElimination:
 
     def __call__(self, coords):
         """pi(coords), as a new sparse vector."""
-        _, rem = echelon_reduce(self.units, coords)
-        index = self.index
-        return {index[c]: v for c, v in rem.items()}
+        rem = echelon_reduce(self.units, coords)
+        return {self.index[c]: v for c, v in rem.items()}
 
 
 def compute_h1(spec, samples=17, seed=0, extra_relations=None, system=None):
     """Invariants and a named basis of the twisted first homology group.
+
+    The group is Z / L, where Z = ker(boundary) is the cycle lattice in
+    the chain space Z^dim and L is spanned by the relation chains.  It
+    is computed in Z^dim, with no basis of Z:
+
+    - Z^dim / Z is the image of the boundary map, which is free, so
+      Z^dim = Z (+) C with C free of rank rank(boundary).
+    - L lies in Z, so Z^dim / L = Z / L (+) C.  The torsion is the same
+      and the free rank is larger by rank(boundary), so the free rank is
+      taken against `RelationSystem.rank` = dim - rank(boundary).
+    - Z meets L + 2 Z^dim in L + 2 Z: if a cycle is l + 2x with l in L,
+      then 2x is a cycle, so x is one.  So Z / (L + 2 Z) embeds in
+      Z^dim / (L + 2 Z^dim), cycles are independent mod 2 in one exactly
+      when they are in the other, and the named basis and
+      `express_class` reduce chains mod 2 in Z^dim.
 
     With `samples` > 1 and partial relations present, the ambiguity of
     every partial row is re-sampled per run and the invariants must
@@ -347,11 +320,12 @@ def compute_h1(spec, samples=17, seed=0, extra_relations=None, system=None):
         raise ValueError("need at least one sample")
     if system is None:
         system = build_relation_system(spec, extra_relations)
-    elim = UnitElimination(system.exact_echelon, system.rank)
-    partials = [(elim(p.coords), p.ambiguity) for p in system.partials]
+    elim = UnitElimination(system.exact_echelon, system.space.dim)
+    rank = system.rank - len(elim.units)  # the ambient rank for Z / L
+    partials = [(elim(p.base), p.ambiguity) for p in system.partials]
     ambiguity = {}
-    for key, coords in system.ambiguity_coords.items():
-        basis = [elim(c) for c in coords]
+    for key, chains in system.ambiguity_chains.items():
+        basis = [elim(c) for c in chains]
         mask = sum(1 << t for t, vec in enumerate(basis) if vec)
         ambiguity[key] = (basis, mask)
 
@@ -370,7 +344,7 @@ def compute_h1(spec, samples=17, seed=0, extra_relations=None, system=None):
                 bits &= bits - 1
             rows.append(row)
         lattice = elim.base + rows
-        inv = AbelianInvariants.from_factors(snf_factors(lattice), elim.rank)
+        inv = AbelianInvariants.from_factors(snf_factors(lattice), rank)
         if invariants is None:
             invariants, first = inv, lattice
         elif inv != invariants:
@@ -392,19 +366,19 @@ def _named_basis(system, invariants, relations, elim):
     GF(2) echelon, extended by the candidates, is returned for
     `express_class`.  Valid once the quotient is known to be an
     elementary abelian 2-group: class equality then reduces to equality
-    modulo the relations and twice the cycle lattice.
+    modulo the relations and twice the chain space (see `compute_h1`).
     """
     rows = {}
     for row in relations:
-        _gf2_insert(rows, _parity_mask(row), elim.full)
+        gf2_insert(rows, parity_mask(row), elim.full)
     width = elim.rank
     named = []
     tagmap = {}
     if invariants.is_elementary_two_group():
         for t, (name, chain) in enumerate(named_candidates(system.space)):
-            vec = _parity_mask(elim(to_coords(system, chain)))
-            vec |= 1 << (width + t)
-            if _gf2_insert(rows, vec, elim.full) & elim.full:
+            require_cycle(system.space, chain)
+            vec = parity_mask(elim(chain)) | 1 << (width + t)
+            if gf2_insert(rows, vec, elim.full) & elim.full:
                 named.append((name, chain))
                 tagmap[t] = name
     return named, (rows, elim, tagmap)
@@ -418,8 +392,8 @@ def express_class(result, chain):
     """
     rows, elim, tagmap = result._gf2
     width = elim.rank
-    vec = _parity_mask(elim(to_coords(result.system, chain)))
-    vec = _gf2_reduce(rows, vec, elim.full)
+    require_cycle(result.system.space, chain)
+    vec = gf2_reduce(rows, parity_mask(elim(chain)), elim.full)
     if vec & elim.full:
         raise ValueError("class is outside the span of the named basis")
     return {tagmap[t]: 1 for t in range((vec >> width).bit_length())

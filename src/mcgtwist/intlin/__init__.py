@@ -7,6 +7,9 @@ dense matrices.
 from ._kernels import (
     echelon_insert,
     echelon_reduce,
+    gf2_insert,
+    gf2_reduce,
+    parity_mask,
     snf_factors,
     vec_axpy,
     xgcd,
@@ -27,6 +30,9 @@ __all__ = [
     "Echelon",
     "echelon_insert",
     "echelon_reduce",
+    "gf2_insert",
+    "gf2_reduce",
+    "parity_mask",
     "snf_factors",
     "vec_axpy",
     "xgcd",

@@ -2,8 +2,9 @@
 
 Vectors are dicts mapping column index -> nonzero integer.  An echelon
 basis is a dict mapping pivot column -> row vector whose smallest column
-is that pivot with a positive entry.  These functions are the hot inner
-loops of the whole package.
+is that pivot with a positive entry.  A vector over GF(2) is an int
+bit vector, and a GF(2) echelon a dict mapping its lowest pivot bit ->
+row.  These functions are the hot inner loops of the whole package.
 """
 
 from heapq import heapify, heappop, heappush
@@ -97,12 +98,10 @@ def echelon_insert(pivots, row):
 def echelon_reduce(pivots, row):
     """Reduce a row against an echelon basis without mutating anything.
 
-    Returns (coeffs, remainder): coeffs maps pivot column -> integer
-    multiplier such that  row = sum(coeffs[j] * pivots[j]) + remainder,
-    with every remainder entry at a pivot column lying in [0, pivot).
+    Returns the remainder: row minus an integer combination of the
+    pivot rows, with every entry at a pivot column lying in [0, pivot).
     """
     rem = dict(row)
-    coeffs = {}
     heap = list(rem)
     heapify(heap)
     while heap:
@@ -115,7 +114,6 @@ def echelon_reduce(pivots, row):
             continue
         q = a // p[j]
         if q:
-            coeffs[j] = coeffs.get(j, 0) + q
             for c, v in p.items():
                 w = rem.get(c, 0) - q * v
                 if w:
@@ -124,7 +122,39 @@ def echelon_reduce(pivots, row):
                     rem[c] = w
                 elif c in rem:
                     del rem[c]
-    return coeffs, {c: v for c, v in rem.items() if v}
+    return {c: v for c, v in rem.items() if v}
+
+
+def parity_mask(vec):
+    """A sparse vector mod 2, as a bit vector (bit c: entry c is odd)."""
+    m = 0
+    for c, v in vec.items():
+        if v & 1:
+            m |= 1 << c
+    return m
+
+
+def gf2_reduce(rows, vec, full):
+    """Reduce a bit vector against a GF(2) echelon keyed by the lowest set
+    bit of the coordinate part (the bits in `full`).  Returns the
+    residual: its coordinate part is zero or starts at a non-pivot bit."""
+    while vec & full:
+        low = vec & full
+        r = rows.get(low & -low)
+        if r is None:
+            break
+        vec ^= r
+    return vec
+
+
+def gf2_insert(rows, vec, full):
+    """Insert a bit vector into a GF(2) echelon (see `gf2_reduce`);
+    returns the residual after reduction."""
+    vec = gf2_reduce(rows, vec, full)
+    low = vec & full
+    if low:
+        rows[low & -low] = vec
+    return vec
 
 
 def _peel_unit_singletons(mat, colindex):

@@ -75,7 +75,7 @@ class ColumnSolver:
 
     def solve(self, b):
         """A particular x with Sum_c x_c r_c = b, or NoIntegerSolution."""
-        _, rem = echelon_reduce(self.pivots, dict(b))
+        rem = echelon_reduce(self.pivots, b)
         if any(c < self.off for c in rem):
             raise NoIntegerSolution("target is not an integer combination")
         return {c - self.off: -v for c, v in rem.items()}
@@ -101,15 +101,8 @@ class Echelon:
         rank increased."""
         return echelon_insert(self.pivots, row)
 
-    def reduce(self, row):
-        return echelon_reduce(self.pivots, row)
-
     def contains(self, row):
-        _, rem = echelon_reduce(self.pivots, dict(row))
-        return not rem
-
-    def pivot_cols(self):
-        return sorted(self.pivots)
+        return not echelon_reduce(self.pivots, row)
 
     def clone(self):
         out = Echelon()

@@ -3,15 +3,17 @@
 `verify_spec` checks the relation system that `compute` solves: its
 representation and boundary closed forms (`representation_failures`),
 the cycle lattice against its explicit generating family and the
-descent of the certifying functionals; building the system checks the
-relation catalog.  `fault_checks` checks the checks: it runs the same
+descent of the certifying functionals (it alone builds `cycle_lattice`);
+building the system checks that every catalog relation is a cycle.
+`fault_checks` checks the checks: it runs the same
 `representation_failures` on representations with a deliberately
 flipped sign, which must be caught.  Both return a list of failure
 messages, empty when everything holds.
 """
 
 from .certify import descent_check, functionals_for
-from .chains import ChainSpace, expected_boundary, kernel_generator_list
+from .chains import ChainSpace, cycle_lattice, expected_boundary
+from .chains import kernel_generator_list
 from .engine import build_relation_system
 from .errors import NoIntegerSolution, RelationOutsideKernel
 from .intlin import Echelon
@@ -53,8 +55,8 @@ def verify_spec(spec):
     naming the entry:
 
     - a word relation is rewritten over every coefficient, and the
-      rewrite must lie in the cycle lattice, which is the whole kernel
-      of the boundary map.  The boundary of the rewrite at xi is
+      rewrite must be a cycle, i.e. lie in the cycle lattice, the whole
+      kernel of the boundary map.  The boundary of the rewrite at xi is
       (psi(lhs)^-1 - psi(rhs)^-1) xi, so every rewrite is a cycle
       exactly when both sides act alike on H_1, given that each
       psi(x)^-1 is right (`representation_failures`);
@@ -69,10 +71,8 @@ def verify_spec(spec):
     except (RelationOutsideKernel, NoIntegerSolution) as exc:
         return ["relation system: %s" % exc]
     failures = representation_failures(system.space)
-    listed = Echelon(
-        dict(chain) for _, chain in kernel_generator_list(system.space)
-    )
-    if not system.lattice.same_lattice(listed):
+    listed = Echelon(dict(c) for _, c in kernel_generator_list(system.space))
+    if not cycle_lattice(system.space).same_lattice(listed):
         failures.append("cycle lattice differs from the explicit family")
 
     for functional in functionals_for(spec):

@@ -66,6 +66,26 @@ def dense_beta_failures(space, functional):
     return failures
 
 
+def lattice_coords(space, lattice, chain):
+    """Coordinates of a cycle in the echelon basis of `lattice` (from
+    `chains.cycle_lattice`), basis vector t being the row with the t-th
+    smallest pivot column.  The pivot rows are subtracted in ascending
+    pivot order; a chain outside the lattice fails an assertion."""
+    message = "not in the cycle lattice: %s" % space.format_chain(chain)
+    rem = dict(chain)
+    coords = {}
+    for t, j in enumerate(sorted(lattice.pivots)):
+        row = lattice.pivots[j]
+        q, r = divmod(rem.get(j, 0), row[j])
+        assert not r, message
+        if q:
+            coords[t] = q
+            for c, v in row.items():
+                rem[c] = rem.get(c, 0) - q * v
+    assert not any(rem.values()), message
+    return coords
+
+
 def snf_reference(rows):
     """Invariant factors of the lattice spanned by sparse `rows`, from
     determinantal divisors: d_k = D_k / D_{k-1}, where D_k is the gcd of

@@ -357,6 +357,26 @@ class TestVerify:
                          "rewrite_relation_all": words}
         assert calls["evaluate_word"] == 0
 
+    def test_compute_builds_no_cycle_lattice(self, monkeypatch):
+        # compute works on the relation chains; only verify_spec builds a
+        # basis of the cycle lattice, to compare it with the explicit
+        # family.
+        calls = Counter()
+        for name, module in list(sys.modules.items()):
+            if (name.startswith("mcgtwist")
+                    and hasattr(module, "cycle_lattice")):
+                def counted(*args, _name=name, _f=module.cycle_lattice):
+                    calls[_name] += 1
+                    return _f(*args)
+
+                monkeypatch.setattr(module, "cycle_lattice", counted)
+        spec = SurfaceSpec.make(4, 1, 2, flavor="m")
+        assert compute_h1(spec).invariants.torsion
+        assert run_record(spec, 17, 0)["match"]
+        assert not calls
+        assert verify_spec(spec) == []
+        assert sum(calls.values()) == 1
+
 
 def run_invalid(capsys, *argv):
     """A bad invocation must exit 2 with one line on stderr."""

@@ -15,19 +15,26 @@ from mcgtwist.catalog import (
     pmplus_boundary_solver,
 )
 from mcgtwist.certify import oracle
+from mcgtwist.chains import cycle_lattice
 from mcgtwist.engine import (
     UnitElimination,
-    _gf2_insert,
-    _parity_mask,
     build_relation_system,
     compute_h1,
     express_class,
     named_candidates,
-    to_coords,
+    require_cycle,
 )
-from mcgtwist.errors import RelationOutsideKernel, UnstableSampling
-from mcgtwist.intlin import AbelianInvariants, Echelon, snf_factors, vec_axpy
+from mcgtwist.errors import NotACycle, RelationOutsideKernel, UnstableSampling
+from mcgtwist.intlin import (
+    AbelianInvariants,
+    Echelon,
+    gf2_insert,
+    parity_mask,
+    snf_factors,
+    vec_axpy,
+)
 from mcgtwist.surface import SurfaceSpec
+from helpers import lattice_coords
 from test_acceptance import (
     PER_SPEC_BUDGET_SECONDS,
     permutation_grid,
@@ -131,6 +138,12 @@ class TestExpressClass:
         )
         assert express_class(result, chain) == {"a_{1,3}": 1, "u_{1,3}": 1}
 
+    def test_non_cycle_raises(self):
+        result = compute_h1(SurfaceSpec.make(3, 1, 0))
+        chain = result.system.space.chain([("a", 1, 1, 1)])
+        with pytest.raises(NotACycle, match="not in the cycle lattice"):
+            express_class(result, chain)
+
 
 def gf2_dimension(invariants):
     return invariants.free_rank + sum(
@@ -191,13 +204,11 @@ def test_candidate_counts_match_closed_form():
 def test_partial_rows_escape_ambiguity():
     system = build_relation_system(SurfaceSpec.make(5, 0, 2, 0, "pmk"))
     assert system.partials
-    for key, coords in system.ambiguity_coords.items():
-        from mcgtwist.intlin import Echelon
-
-        amb = Echelon(dict(c) for c in coords)
+    for key, chains in system.ambiguity_chains.items():
+        amb = Echelon(dict(c) for c in chains)
         for p in system.partials:
             if p.ambiguity == key:
-                assert not amb.contains(p.coords), p.rid
+                assert not amb.contains(p.base), p.rid
 
 
 def mixed_lattice(diag, rnd, drop, extra, ops=None):
@@ -279,31 +290,51 @@ def test_unit_elimination_agrees_with_smith_form(diag, seed, ops, drop, extra):
         snf_factors(projected), elim.rank) == expected
 
 
+def test_system_rank_is_the_cycle_lattice_rank():
+    # RelationSystem.rank is dim - rank(boundary), computed from the
+    # boundary columns; it must be the rank of the cycle lattice.
+    specs = (list(twist_grid()) + list(permutation_grid()))[::12]
+    for spec in specs:
+        system = build_relation_system(spec)
+        assert system.rank == cycle_lattice(system.space).rank, spec
+
+
 def full_coordinate_sampler(system, samples, seed):
-    """Reference for compute_h1: every sample and the named basis in all
-    rank coordinates, each sample's lattice held in its own echelon.
+    """Reference for compute_h1: every sample and the named basis in the
+    coordinates of a basis of the cycle lattice (`lattice_coords`), with
+    no elimination, each sample's lattice held in its own echelon.
     Returns the invariants of each sample and the names of the named
     basis."""
-    rank = system.rank
+    space = system.space
+    lattice = cycle_lattice(space)
+    rank = lattice.rank
     full = (1 << rank) - 1
+
+    def coords(chain):
+        return lattice_coords(space, lattice, chain)
+
+    exact = [coords(vec) for _, vec in system.exact]
+    ambiguity = {key: [coords(c) for c in chains]
+                 for key, chains in system.ambiguity_chains.items()}
     base_gf2 = {}
-    for c in system.exact_coords:
-        _gf2_insert(base_gf2, _parity_mask(c), full)
+    for c in exact:
+        gf2_insert(base_gf2, parity_mask(c), full)
+    base = Echelon(exact)
     rng = random.Random(seed)
     per_sample, kept = [], None
     for m in range(samples if system.partials else 1):
-        ech = system.exact_echelon.clone()
+        ech = base.clone()
         gf2 = dict(base_gf2)
         for p in system.partials:
-            row = dict(p.coords)
+            row = coords(p.base)
             if m:
-                basis = system.ambiguity_coords[p.ambiguity]
+                basis = ambiguity[p.ambiguity]
                 bits = rng.getrandbits(len(basis)) if basis else 0
                 while bits:
                     t = (bits & -bits).bit_length() - 1
                     vec_axpy(row, basis[t], 1)
                     bits &= bits - 1
-            _gf2_insert(gf2, _parity_mask(row), full)
+            gf2_insert(gf2, parity_mask(row), full)
             ech.insert(row)
         per_sample.append(AbelianInvariants.from_factors(
             snf_factors(ech.pivots.values()), rank))
@@ -311,9 +342,9 @@ def full_coordinate_sampler(system, samples, seed):
             kept = gf2
     named = []
     if per_sample[0].is_elementary_two_group():
-        for t, (name, chain) in enumerate(named_candidates(system.space)):
-            vec = _parity_mask(to_coords(system, chain)) | (1 << (rank + t))
-            if _gf2_insert(kept, vec, full) & full:
+        for t, (name, chain) in enumerate(named_candidates(space)):
+            vec = parity_mask(coords(chain)) | (1 << (rank + t))
+            if gf2_insert(kept, vec, full) & full:
                 named.append(name)
     return per_sample, named
 
@@ -327,7 +358,8 @@ def full_coordinate_sampler(system, samples, seed):
 ], ids=spec_id)
 def test_pipeline_matches_full_coordinate_sampler(spec, monkeypatch):
     system = build_relation_system(spec)
-    rank = UnitElimination(system.exact_echelon, system.rank).rank
+    elim = UnitElimination(system.exact_echelon, system.space.dim)
+    rank = system.rank - len(elim.units)
     seen = []
 
     def recording(rows):
@@ -345,15 +377,17 @@ def test_pipeline_matches_full_coordinate_sampler(spec, monkeypatch):
 
 
 def test_unstable_sampling_is_raised():
-    # Replacing one ambiguity vector by a unit vector that survives the
-    # elimination changes the quotient of the samples that draw it.
+    # Replacing one ambiguity vector by a cycle that survives the
+    # elimination as a unit vector changes the quotient of the samples
+    # that draw it.
     spec = SurfaceSpec.make(5, 0, 2, 0, "pmk")
     system = build_relation_system(spec)
     assert compute_h1(spec, system=system).invariants == oracle(spec)
-    elim = UnitElimination(system.exact_echelon, system.rank)
-    vec = {max(elim.index): 1}
+    elim = UnitElimination(system.exact_echelon, system.space.dim)
+    vec = system.space.chain([("v", 2, 6, 1)])
+    require_cycle(system.space, vec)
     assert elim(vec) == {elim.rank - 1: 1}
-    system.ambiguity_coords["k1"][0] = vec
+    system.ambiguity_chains["k1"][0] = vec
     with pytest.raises(UnstableSampling):
         compute_h1(spec, system=system)
 
@@ -367,8 +401,8 @@ def test_exact_echelon_order_keeps_pivots_and_lattice():
     for spec in specs:
         system = build_relation_system(spec)
         built = system.exact_echelon
-        catalog_order = Echelon(system.exact_coords)
-        assert built.pivot_cols() == catalog_order.pivot_cols(), spec
+        catalog_order = Echelon(vec for _, vec in system.exact)
+        assert sorted(built.pivots) == sorted(catalog_order.pivots), spec
         assert ({j: row[j] for j, row in built.pivots.items()}
                 == {j: row[j] for j, row in catalog_order.pivots.items()}), spec
         assert built.same_lattice(catalog_order), spec
@@ -397,13 +431,15 @@ def test_dropped_partial_instances_would_change_the_quotient():
             for flat, c in particular.items():
                 base.add_term(flat, -c)
             if base and "%s:xi%d" % (entry.rid, xi) not in kept:
-                dropped.append(to_coords(system, base))
+                require_cycle(space, base)
+                dropped.append(base)
     assert dropped and kept
 
-    elim = UnitElimination(system.exact_echelon, system.rank)
-    rows = elim.base + [elim(p.coords) for p in system.partials]
-    sample0 = AbelianInvariants.from_factors(snf_factors(rows), elim.rank)
+    elim = UnitElimination(system.exact_echelon, space.dim)
+    rank = system.rank - len(elim.units)
+    rows = elim.base + [elim(p.base) for p in system.partials]
+    sample0 = AbelianInvariants.from_factors(snf_factors(rows), rank)
     assert sample0 == compute_h1(spec, system=system).invariants == oracle(spec)
     rows += [elim(c) for c in dropped]
-    with_dropped = AbelianInvariants.from_factors(snf_factors(rows), elim.rank)
+    with_dropped = AbelianInvariants.from_factors(snf_factors(rows), rank)
     assert with_dropped != sample0

@@ -11,6 +11,8 @@ from mcgtwist.intlin import (
     AbelianInvariants,
     ColumnSolver,
     Echelon,
+    gf2_insert,
+    parity_mask,
     snf_factors,
     xgcd,
 )
@@ -165,9 +167,9 @@ def test_kernel_saturation(rows):
 @settings(max_examples=60, deadline=None)
 @given(small_matrices)
 def test_quotient_matches_snf_of_columns(rows):
-    # Z^rows modulo the columns, computed as the pipeline does (solve
-    # each relation in the lattice basis, here the unit vectors, then a
-    # Smith form), against the Smith form of the matrix itself.
+    # Z^rows modulo the columns, computed by solving each column in a
+    # basis, here the unit vectors, then taking a Smith form, against
+    # the Smith form of the matrix itself.
     dim = len(rows)
     unit = [[int(i == j) for j in range(dim)] for i in range(dim)]
     solver = column_solver(unit)
@@ -175,6 +177,47 @@ def test_quotient_matches_snf_of_columns(rows):
     inv = AbelianInvariants.from_factors(snf_factors(coords), dim)
     factors = snf_factors([sparse(row) for row in rows])
     assert inv == AbelianInvariants.from_factors(factors, dim)
+
+
+def gf2_rank(rows, width):
+    pivots = {}
+    for row in rows:
+        gf2_insert(pivots, parity_mask(sparse(row)), (1 << width) - 1)
+    return len(pivots)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.integers(min_value=-3, max_value=3), min_size=2,
+                 max_size=6),
+        min_size=1, max_size=3,
+    ).filter(lambda rows: len({len(r) for r in rows}) == 1),
+    st.integers(0, 2 ** 30),
+)
+def test_quotient_of_kernel_taken_in_ambient_coordinates(rows, seed):
+    # The step compute_h1 rests on: for Z = ker A in Z^n and L inside Z,
+    # Z^n / L = Z / L (+) Z^rank(A), and Z meets L + 2 Z^n in L + 2 Z.
+    rng = random.Random(seed)
+    n = len(rows[0])
+    basis = kernel(rows)  # Z, as rows over Z^n
+    k = len(basis)
+    combos = [[rng.randint(-3, 3) for _ in range(k)]
+              for _ in range(rng.randint(0, k + 1))]
+    lattice = [[sum(c * z[i] for c, z in zip(combo, basis)) for i in range(n)]
+               for combo in combos]  # L, in ambient coordinates
+    in_kernel = AbelianInvariants.from_factors(
+        snf_factors([sparse(c) for c in combos]), k)
+    ambient = AbelianInvariants.from_factors(
+        snf_factors([sparse(v) for v in lattice]), n)
+    rank_a = Echelon(sparse(row) for row in rows).rank
+    assert rank_a == n - k
+    assert ambient.torsion == in_kernel.torsion
+    assert ambient.free_rank - rank_a == in_kernel.free_rank
+    # GF(2): the image of Z in Z^n / (L + 2 Z^n) has the dimension of
+    # Z / (L + 2 Z).
+    image = gf2_rank(lattice + basis, n) - gf2_rank(lattice, n)
+    assert image == k - gf2_rank(combos, k)
 
 
 def test_column_solver_roundtrip():
