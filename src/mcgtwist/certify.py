@@ -55,13 +55,31 @@ def functionals_for(spec):
     return []
 
 
+def odd_support(space, functional):
+    """The set of flat coordinates of the classes [x] (x) xi_i on which
+    the functional is odd: alpha(x) odd and i <= gamma_count."""
+    return frozenset(
+        space.flat(gen, i)
+        for gen, a in functional.alpha_map.items()
+        if a & 1 and gen in space.gpos
+        for i in range(1, min(functional.gamma_count, space.d) + 1)
+    )
+
+
+def parity_on(support, chain):
+    """The parity of a chain's coefficients summed over the set
+    `support`.  Most relation chains miss the support altogether, and
+    `isdisjoint` tells so without a Python-level loop."""
+    if support.isdisjoint(chain):
+        return 0
+    return sum(chain.get(flat, 0) for flat in support) & 1
+
+
 def functional_value(space, functional, chain):
-    """Value of the functional on a chain, in Z_2."""
-    total = 0
-    for flat, coef in chain.items():
-        gen, i = space.unflat(flat)
-        total += coef * functional.alpha(gen) * functional.beta(i)
-    return total & 1
+    """Value of the functional on a chain, in Z_2: the term of
+    [x] (x) xi_i is coef * alpha(x) * beta(i), which is odd exactly when
+    coef is odd and the class lies in the odd support."""
+    return parity_on(odd_support(space, functional), chain)
 
 
 @dataclass
@@ -78,7 +96,17 @@ def descent_check(system, functional):
 
     Needs beta to be invariant under every generator matrix, and the
     functional to vanish on every exact relation vector, every pinned
-    partial row, and every ambiguity basis vector.
+    partial instance (`system.instances`) and every ambiguity basis
+    vector.
+
+    Walking every instance, not only the kept ones
+    (`RelationSystem.partials`), checks more and fails no more on
+    correct data.  A dropped instance lies in the integer span of the
+    exact chains, its key's ambiguity chains and the kept rows of its
+    key, and the functional is linear mod 2, so it vanishes on the
+    dropped instance when it vanishes on those.  So a dropped instance
+    fails only when an exact chain, an ambiguity chain or a kept row of
+    its key fails too, and the filter is never built here.
     """
     space = system.space
     report = DescentReport()
@@ -100,11 +128,12 @@ def descent_check(system, functional):
                 % (functional.name, gen.name, min(odd) + 1)
             )
     vectors = [(rid, vec) for rid, vec in system.exact]
-    vectors += [(p.rid, p.base) for p in system.partials]
+    vectors += [(p.rid, p.base) for p in system.instances]
     for key, chains in system.ambiguity_chains.items():
         vectors += [("ambiguity:%s" % key, c) for c in chains]
+    support = odd_support(space, functional)
     for rid, vec in vectors:
-        if functional_value(space, functional, vec):
+        if parity_on(support, vec):
             report.failures.append(
                 "%s: nonzero on relation %s" % (functional.name, rid)
             )
@@ -121,9 +150,10 @@ def lower_bound(spec, result):
         report = descent_check(system, functional)
         if not report.ok:
             raise DescentFailed("; ".join(report.failures[:3]))
+        support = odd_support(system.space, functional)
         mask = 0
         for t, (_, chain) in enumerate(result.named_basis):
-            if functional_value(system.space, functional, chain):
+            if parity_on(support, chain):
                 mask |= 1 << t
         gf2_insert(pivots, mask, full)
     return len(pivots)

@@ -8,12 +8,16 @@ Partial relations contribute a pinned part plus an unknown element of a
 known ambiguity sublattice; the unknown is handled by sampling: sample 0
 takes it to be zero, later samples add a seeded random {0,1}-combination
 of ambiguity basis vectors, and the quotient invariants must agree
-across all samples.
+across all samples.  Only the instances that escape the exact relations
+and their ambiguity sublattice are sampled (`RelationSystem.partials`);
+that filter and the exact-relation echelon are built on first use by
+`compute_h1`, so checking a relation system (`verify`) builds neither.
 """
 
 import random
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .catalog import (
     build_catalog,
@@ -54,20 +58,62 @@ class PartialRow:
 
 @dataclass
 class RelationSystem:
-    """Everything the quotient needs, as chains, precomputed per spec."""
+    """The checked relation chains of one spec.
+
+    The build holds what every caller reads: the exact chains, every
+    pinned partial instance in catalog order (`instances`) and each
+    ambiguity key's basis chains, all checked to be cycles.  The
+    exact-relation echelon and the filtered instances (`partials`) are
+    read only by the quotient, so each is computed on first read and
+    then held on the system; `verify` builds neither.
+    """
 
     spec: object
     space: ChainSpace
     catalog: list
     rank: int  # of the cycle lattice: space.dim - rank of the boundary map
     exact: list  # (rid, ChainVector)
-    exact_echelon: Echelon  # the lattice spanned by the exact chains
-    partials: list
+    instances: list  # every PartialRow, in catalog order
     ambiguity_chains: dict  # key -> list of ChainVector
 
     @property
     def exact_coords(self):  # the exact chains, as perfbench counts them
         return [vec for _, vec in self.exact]
+
+    @cached_property
+    def exact_echelon(self):
+        """The lattice spanned by the exact chains, entered shortest first
+        (see `build_relation_system`)."""
+        return Echelon(sorted((vec for _, vec in self.exact), key=len))
+
+    @cached_property
+    def partials(self):
+        """The kept partial instances, a subsequence of `instances`.
+
+        A partial relation pins its row down only modulo its ambiguity
+        sublattice, so an instance is informative exactly when its
+        pinned part escapes the span of the exact relations, the
+        ambiguity sublattice and the instances of its key already kept.
+        Only those are kept: the true rows of the dropped instances are
+        assumed to add nothing to the quotient.  Their pinned rows do
+        change it, so this is not proved here; the evidence is agreement
+        with `certify.oracle`.  The sampling in compute_h1 checks the
+        kept rows' unknown parts.  The instances are visited in catalog
+        order, which decides which of them are kept.
+        """
+        filters = {}
+        kept = []
+        for p in self.instances:
+            if p.ambiguity not in filters:
+                filt = self.exact_echelon.clone()
+                for c in self.ambiguity_chains[p.ambiguity]:
+                    filt.insert(dict(c))
+                filters[p.ambiguity] = filt
+            filt = filters[p.ambiguity]
+            if not filt.contains(p.base):
+                filt.insert(dict(p.base))
+                kept.append(p)
+        return kept
 
 
 def require_cycle(space, chain, error=NotACycle):
@@ -82,7 +128,10 @@ def build_relation_system(spec, extra_relations=None):
 
     Partial relations are resolved into a pinned chain (their unknown
     part replaced by one particular solution) plus a reference to the
-    ambiguity sublattice, whose basis is computed once per kind.
+    ambiguity sublattice, whose basis is computed once per kind.  Every
+    chain is checked here, in catalog order, and nothing else is
+    computed: the exact echelon and the kept instances are built on
+    first read (`RelationSystem.exact_echelon`, `.partials`).
 
     The exact rows enter their echelon shortest first, which keeps the
     fill-in small, and the order changes nothing downstream:
@@ -96,9 +145,6 @@ def build_relation_system(spec, extra_relations=None):
       differs from it by a vector of the exact lattice, and every
       sample's lattice L contains the exact lattice, so L, and with it
       Z^dim / L = Z^r' / pi(L), is the same for either U.
-
-    The partials keep catalog order, because it decides which partial
-    instances are kept.
     """
     spec.require_free_module()
     space = ChainSpace(spec)
@@ -109,8 +155,8 @@ def build_relation_system(spec, extra_relations=None):
 
     system = RelationSystem(
         spec=spec, space=space, catalog=catalog,
-        rank=space.dim - boundary.rank, exact=[], exact_echelon=None,
-        partials=[], ambiguity_chains={},
+        rank=space.dim - boundary.rank, exact=[], instances=[],
+        ambiguity_chains={},
     )
 
     def check(rid, chain):
@@ -128,41 +174,20 @@ def build_relation_system(spec, extra_relations=None):
         else:
             check(entry.rid, entry.vector)
             system.exact.append((entry.rid, entry.vector))
-    system.exact_echelon = Echelon(
-        sorted((vec for _, vec in system.exact), key=len)
-    )
 
-    # A partial relation pins its row down only modulo its ambiguity
-    # sublattice, so an instance is informative exactly when its pinned
-    # part escapes the span of the exact relations, the ambiguity
-    # sublattice and the instances already kept.  Only those are kept:
-    # the true rows of the dropped instances are assumed to add nothing
-    # to the quotient.  Their pinned rows do change it, so this is not
-    # proved here; the evidence is agreement with `certify.oracle`.  The
-    # sampling in compute_h1 checks the kept rows' unknown parts.
     pm_solver = None
-    filters = {}
 
-    def ambiguity(key):
-        if key not in filters:
+    def add_partial(rid, base, key):
+        check(rid, base)
+        if key not in system.ambiguity_chains:
             if key == "pm+":
                 chains = [ChainVector(row) for row in pm_solver.kernel_basis()]
             else:
                 chains = k1_ambiguity_basis(space)
-            filt = system.exact_echelon.clone()
             for c in chains:
                 require_cycle(space, c, error=RelationOutsideKernel)
-                filt.insert(dict(c))
             system.ambiguity_chains[key] = chains
-            filters[key] = filt
-        return filters[key]
-
-    def add_partial(rid, base, key):
-        check(rid, base)
-        filt = ambiguity(key)
-        if not filt.contains(base):
-            filt.insert(dict(base))
-            system.partials.append(PartialRow(rid, base, key))
+        system.instances.append(PartialRow(rid, base, key))
 
     for entry in catalog:
         if entry.kind != "partial":
@@ -307,8 +332,11 @@ def compute_h1(spec, samples=17, seed=0, extra_relations=None, system=None):
       `express_class` reduce chains mod 2 in Z^dim.
 
     With `samples` > 1 and partial relations present, the ambiguity of
-    every partial row is re-sampled per run and the invariants must
-    agree across all runs; otherwise UnstableSampling is raised.  Every
+    every kept partial row (`RelationSystem.partials`, filtered on the
+    first call for a system and held after it) is re-sampled per run
+    and the invariants must agree across all runs; otherwise
+    UnstableSampling is raised.  The ambiguity basis is projected again
+    on every call.  Every
     sample and the named basis work modulo the unit pivots of the exact
     relations (see `UnitElimination`): the partial rows and the
     ambiguity basis vectors are projected once, a sample's draw skips

@@ -66,6 +66,16 @@ def dense_beta_failures(space, functional):
     return failures
 
 
+def functional_value_reference(space, functional, chain):
+    """Reference for `certify.functional_value`: walk the chain and add
+    coef * alpha(x) * beta(i) for each of its classes [x] (x) xi_i."""
+    total = 0
+    for flat, coef in chain.items():
+        gen, i = space.unflat(flat)
+        total += coef * functional.alpha(gen) * functional.beta(i)
+    return total & 1
+
+
 def lattice_coords(space, lattice, chain):
     """Coordinates of a cycle in the echelon basis of `lattice` (from
     `chains.cycle_lattice`), basis vector t being the row with the t-th

@@ -1,6 +1,8 @@
 """Functionals, descent conditions, lower bounds, and the oracle."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcgtwist.certify import (
     Functional,
@@ -10,11 +12,11 @@ from mcgtwist.certify import (
     lower_bound,
     oracle,
 )
-from mcgtwist.chains import ChainVector
-from mcgtwist.engine import build_relation_system, compute_h1
+from mcgtwist.chains import ChainSpace, ChainVector
+from mcgtwist.engine import PartialRow, build_relation_system, compute_h1
 from mcgtwist.errors import SpecInvalid
 from mcgtwist.surface import Gen, SurfaceSpec
-from helpers import dense_beta_failures
+from helpers import dense_beta_failures, functional_value_reference
 
 # Every flavor, with and without boundary, from g 3 to g 9.
 BETA_SPECS = [
@@ -79,6 +81,56 @@ class TestFunctionalValues:
         assert functional_value(system.space, f, beyond) == 0
 
 
+def reference_cases():
+    """(space, functional) pairs: every functional of a few specs, the
+    broken functionals of TestDescent (truncated beta, a charged twist
+    generator, alpha zero at every gamma_count), and the edge cases of
+    the odd support: an even alpha value, a generator the surface lacks
+    and a gamma_count past d."""
+    cases = []
+    for spec in (SurfaceSpec.make(5, 0, 3, 1, "pmk"),
+                 SurfaceSpec.make(3, 2, 2, flavor="m"),
+                 SurfaceSpec.make(8, 0, 2, 0, "pmk"),
+                 SurfaceSpec.make(6, 1, 3, flavor="m")):
+        space = ChainSpace(spec)
+        fns = list(functionals_for(spec))
+        fns.append(Functional("alpha_2", {Gen("v", 2): 1}, spec.g - 1))
+        fns.append(Functional("bad", {Gen("a", 1): 1}, spec.g))
+        fns.extend(Functional("f", {}, c) for c in range(1, spec.d + 1))
+        first, last = space.gens[0], space.gens[-1]
+        fns.append(Functional("even", {last: 2, first: 3}, spec.g))
+        fns.append(Functional("absent", {Gen("v", 9): 1, last: 1}, spec.g))
+        fns.append(Functional("wide", {first: 1}, spec.d + 4))
+        cases.extend((space, f) for f in fns)
+    return cases
+
+
+REFERENCE_CASES = reference_cases()
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data())
+def test_functional_value_matches_the_chain_walk(data):
+    # functional_value sums the chain over the odd support; the
+    # reference walks every entry of the chain.  Half of the drawn
+    # coordinates are classes of a generator the functional names, or
+    # of the generator after it, at any xi_i, so the chains meet the
+    # edges of the support.
+    space, functional = data.draw(st.sampled_from(REFERENCE_CASES))
+    named = [flat for gen in functional.alpha_map if gen in space.gpos
+             for flat in range(space.flat(gen, 1),
+                               min(space.flat(gen, 1) + 2 * space.d,
+                                   space.dim))]
+    flats = st.integers(0, space.dim - 1)
+    if named:
+        flats = st.one_of(flats, st.sampled_from(named))
+    terms = data.draw(st.dictionaries(flats, st.integers(-5, 5),
+                                      max_size=12))
+    chain = ChainVector({flat: c for flat, c in terms.items() if c})
+    assert (functional_value(space, functional, chain)
+            == functional_value_reference(space, functional, chain))
+
+
 class TestDescent:
     def test_builtin_functionals_descend(self):
         for spec in (SurfaceSpec.make(5, 0, 3, 1, "pmk"),
@@ -120,6 +172,23 @@ class TestDescent:
         broken = Functional("bad", {Gen("a", 1): 1}, spec.g)
         report = descent_check(system, broken)
         assert any("relation" in f for f in report.failures)
+
+    def test_every_partial_instance_is_checked(self):
+        # descent_check walks system.instances, not only the kept
+        # partials: a rogue instance on which alpha_1 is odd is named.
+        spec = SurfaceSpec.make(5, 0, 2, 0, "pmk")
+        system = build_relation_system(spec)
+        kept = iter(system.instances)
+        assert all(p in kept for p in system.partials)  # a subsequence
+        assert len(system.partials) < len(system.instances)
+        rogue = PartialRow("rogue", system.space.chain([("v", 1, 1, 1)]),
+                           "pm+")
+        system.instances.append(rogue)
+        alpha_1 = functionals_for(spec)[0]
+        assert alpha_1.name == "alpha_1"
+        assert descent_check(system, alpha_1).failures == [
+            "alpha_1: nonzero on relation rogue"
+        ]
 
 
 class TestLowerBound:

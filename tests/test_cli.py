@@ -27,6 +27,7 @@ from mcgtwist.cli import (
     run_record,
 )
 from mcgtwist.engine import build_relation_system, compute_h1
+from mcgtwist.intlin import Echelon
 from mcgtwist.surface import INVOLUTION_KINDS, Gen, Representation, SurfaceSpec
 from mcgtwist.verify import fault_checks, verify_spec
 from test_acceptance import permutation_grid, twist_grid
@@ -376,6 +377,36 @@ class TestVerify:
         assert not calls
         assert verify_spec(spec) == []
         assert sum(calls.values()) == 1
+
+    def test_verify_builds_no_exact_echelon_or_filter(self, monkeypatch):
+        # verify checks the relation chains; the exact echelon and the
+        # filtered partial instances are built on first read, which only
+        # the quotient does.
+        systems = []
+        clones = Counter()
+
+        def recording(spec):
+            systems.append(build_relation_system(spec))
+            return systems[-1]
+
+        def counted(echelon, _f=Echelon.clone):
+            clones["clone"] += 1
+            return _f(echelon)
+
+        monkeypatch.setattr(mcgtwist.verify, "build_relation_system",
+                            recording)
+        monkeypatch.setattr(Echelon, "clone", counted)
+        spec = SurfaceSpec.make(5, 1, 2, 1, "pmk")
+        assert verify_spec(spec) + fault_checks(spec) == []
+        [system] = systems
+        assert system.instances
+        assert not clones
+        assert "exact_echelon" not in vars(system)
+        assert "partials" not in vars(system)
+        assert compute_h1(spec, system=system).invariants.torsion
+        assert clones["clone"] == len(system.ambiguity_chains) == 2
+        assert "exact_echelon" in vars(system)
+        assert "partials" in vars(system)
 
 
 def run_invalid(capsys, *argv):

@@ -211,6 +211,50 @@ def test_partial_rows_escape_ambiguity():
                 assert not amb.contains(p.base), p.rid
 
 
+# The kept instance ids, pinned from the filter as it stood inside
+# build_relation_system.  (6,0,2,0,pmk) is a g=5/6 spec where the pm+
+# ambiguity has two directions outside the rational span of the exact
+# relations, which lie in the span of the kept k1 rows.
+KEPT_RIDS = {
+    (3, 0, 1, 0, "pmk"): ["R14:1:2:xi2"],
+    (5, 1, 1, 0, "pmk"): ["R14:1:2:xi2", "R14:1:3:xi3", "R14:1:4:xi4",
+                          "R15:1:1:xi1", "I5:5"],
+    (6, 2, 3, None, "m"): ["R14:3:2:xi2", "R14:3:3:xi3", "R14:3:4:xi4",
+                           "R14:3:5:xi5", "R15:3:1:xi1", "R15:3:2:xi1",
+                           "R15:3:3:xi1", "R15:3:4:xi1", "I5:5", "I5:6"],
+    (6, 0, 2, 0, "pmk"): ["R14:1:2:xi2", "R14:1:3:xi3", "R14:1:4:xi4",
+                          "R14:1:5:xi5", "R15:1:1:xi1", "R14:2:2:xi2",
+                          "R14:2:3:xi3", "R14:2:4:xi4", "R14:2:5:xi5",
+                          "R15:2:1:xi1", "I5:5", "I5:6"],
+}
+
+
+@pytest.mark.parametrize("args", list(KEPT_RIDS), ids=str)
+def test_partial_filter_is_unchanged_and_maximal(args):
+    system = build_relation_system(SurfaceSpec.make(*args))
+    assert [p.rid for p in system.partials] == KEPT_RIDS[args]
+    if args == (6, 0, 2, 0, "pmk"):
+        # The pm+ ambiguity leaves span_Q(E) in two directions, and the
+        # kept k1 rows span the same two.
+        exact = [vec for _, vec in system.exact]
+        pm = system.ambiguity_chains["pm+"]
+        k1 = [p.base for p in system.partials if p.ambiguity == "k1"]
+        ranks = {Echelon(exact + extra).rank for extra in (pm, k1, pm + k1)}
+        assert ranks == {system.exact_echelon.rank + 2}
+    # Every dropped instance lies in the integer span of the exact
+    # chains, its key's ambiguity chains and the kept rows of its key.
+    kept = {id(p) for p in system.partials}
+    dropped = [p for p in system.instances if id(p) not in kept]
+    assert dropped
+    for key, chains in system.ambiguity_chains.items():
+        span = Echelon([vec for _, vec in system.exact] + chains
+                       + [p.base for p in system.partials
+                          if p.ambiguity == key])
+        for p in dropped:
+            if p.ambiguity == key:
+                assert span.contains(p.base), p.rid
+
+
 def mixed_lattice(diag, rnd, drop, extra, ops=None):
     """Rows spanning a lattice in Z^len(diag) whose quotient is the sum
     of Z/d over diag: the diagonal, moved by `ops` (default 3 * rank)
