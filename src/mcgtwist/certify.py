@@ -75,13 +75,6 @@ def parity_on(support, chain):
     return sum(chain.get(flat, 0) for flat in support) & 1
 
 
-def functional_value(space, functional, chain):
-    """Value of the functional on a chain, in Z_2: the term of
-    [x] (x) xi_i is coef * alpha(x) * beta(i), which is odd exactly when
-    coef is odd and the class lies in the odd support."""
-    return parity_on(odd_support(space, functional), chain)
-
-
 @dataclass
 class DescentReport:
     failures: list = field(default_factory=list)

@@ -43,11 +43,9 @@ RECORD_FIELDS = (
 
 
 def make_spec(args):
-    k = getattr(args, "k", None)
-    if args.flavor == "pm+":
-        k = None  # always n; an explicit --k is ignored for this flavor
-    elif args.flavor == "pmk" and k is None:
-        k = 0
+    # --k is for pmk only: an explicit --k is ignored for pm+ (k = n)
+    # and for m (k = 0), as `table` ignores it for m.
+    k = args.k if args.flavor == "pmk" else None
     spec = SurfaceSpec.make(
         args.genus, args.boundary, args.punctures, k, args.flavor
     )

@@ -10,8 +10,8 @@ takes it to be zero, later samples add a seeded random {0,1}-combination
 of ambiguity basis vectors, and the quotient invariants must agree
 across all samples.  Only the instances that escape the exact relations
 and their ambiguity sublattice are sampled (`RelationSystem.partials`);
-that filter and the exact-relation echelon are built on first use by
-`compute_h1`, so checking a relation system (`verify`) builds neither.
+that filter, the exact-relation echelon and its unit elimination are
+built once, on first use by `compute_h1`, and `verify` builds none.
 """
 
 import random
@@ -48,12 +48,14 @@ from .intlin import (
 @dataclass
 class PartialRow:
     """One coefficient instance of a partial relation: the pinned chain
-    (exact part minus a particular solution of the unknown part) and the
-    key of the ambiguity sublattice it is defined up to."""
+    (exact part minus a particular solution of the unknown part), the
+    key of its ambiguity sublattice and, once the filter keeps it, its
+    projection by `RelationSystem.elimination`."""
 
     rid: str
     base: ChainVector
     ambiguity: str
+    projected: dict = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -63,9 +65,9 @@ class RelationSystem:
     The build holds what every caller reads: the exact chains, every
     pinned partial instance in catalog order (`instances`) and each
     ambiguity key's basis chains, all checked to be cycles.  The
-    exact-relation echelon and the filtered instances (`partials`) are
-    read only by the quotient, so each is computed on first read and
-    then held on the system; `verify` builds neither.
+    exact-relation echelon, its elimination and the filtered instances
+    (`partials`) are read only by the quotient, so each is computed on
+    first read and then held on the system; `verify` builds none.
     """
 
     spec: object
@@ -87,6 +89,12 @@ class RelationSystem:
         return Echelon(sorted((vec for _, vec in self.exact), key=len))
 
     @cached_property
+    def elimination(self):
+        """The `UnitElimination` of the exact echelon."""
+        return UnitElimination(self.exact_echelon, self.space.dim,
+                               self.ambiguity_chains)
+
+    @cached_property
     def partials(self):
         """The kept partial instances, a subsequence of `instances`.
 
@@ -100,18 +108,22 @@ class RelationSystem:
         with `certify.oracle`.  The sampling in compute_h1 checks the
         kept rows' unknown parts.  The instances are visited in catalog
         order, which decides which of them are kept.
+
+        The test is asked in the coordinates of `elimination`, with the
+        same outcome as in all dim coordinates.  For E the exact lattice,
+        A the key's ambiguity lattice and K its kept rows, p is in
+        E + A + K iff pi(p) = pi(q) for some q in E + A + K, since then
+        p - q is in ker pi = span(U), inside E; and pi(E) = span(`base`).
         """
-        filters = {}
+        elim = self.elimination
+        filters = {key: Echelon(elim.base + basis)
+                   for key, (basis, _) in elim.ambiguity.items()}
         kept = []
         for p in self.instances:
-            if p.ambiguity not in filters:
-                filt = self.exact_echelon.clone()
-                for c in self.ambiguity_chains[p.ambiguity]:
-                    filt.insert(dict(c))
-                filters[p.ambiguity] = filt
-            filt = filters[p.ambiguity]
-            if not filt.contains(p.base):
-                filt.insert(dict(p.base))
+            row = elim(p.base)
+            if not filters[p.ambiguity].contains(row):
+                filters[p.ambiguity].insert(dict(row))
+                p.projected = row
                 kept.append(p)
         return kept
 
@@ -130,8 +142,8 @@ def build_relation_system(spec, extra_relations=None):
     part replaced by one particular solution) plus a reference to the
     ambiguity sublattice, whose basis is computed once per kind.  Every
     chain is checked here, in catalog order, and nothing else is
-    computed: the exact echelon and the kept instances are built on
-    first read (`RelationSystem.exact_echelon`, `.partials`).
+    computed: the exact echelon, its elimination and the kept instances
+    are built on first read (see `RelationSystem`).
 
     The exact rows enter their echelon shortest first, which keeps the
     fill-in small, and the order changes nothing downstream:
@@ -267,7 +279,7 @@ class H1Result:
     sampling_report: SamplingReport
     ms: int
     system: RelationSystem = field(repr=False)
-    # (GF(2) echelon with named-class tags, UnitElimination, tag -> name)
+    # (GF(2) echelon with named-class tags, tag -> name)
     _gf2: tuple = field(repr=False, default=None)
 
 
@@ -293,10 +305,11 @@ class UnitElimination:
       so the GF(2) ranks and the greedy named basis are unchanged too.
 
     `base` holds the images of the non-unit exact rows, which span pi of
-    the exact lattice and so start every sample.
+    the exact lattice and so start every sample.  `ambiguity` maps each
+    key to its projected basis and the bit mask of its nonzero images.
     """
 
-    def __init__(self, exact, ambient_rank):
+    def __init__(self, exact, ambient_rank, ambiguity_chains):
         self.units = {j: row for j, row in exact.pivots.items() if row[j] == 1}
         free = [c for c in range(ambient_rank) if c not in self.units]
         self.index = {c: t for t, c in enumerate(free)}
@@ -306,6 +319,11 @@ class UnitElimination:
             self(row) for j, row in sorted(exact.pivots.items())
             if j not in self.units
         ]
+        self.ambiguity = {}
+        for key, chains in ambiguity_chains.items():
+            basis = [self(c) for c in chains]
+            self.ambiguity[key] = (basis, sum(
+                1 << t for t, vec in enumerate(basis) if vec))
 
     def __call__(self, coords):
         """pi(coords), as a new sparse vector."""
@@ -332,84 +350,72 @@ def compute_h1(spec, samples=17, seed=0, extra_relations=None, system=None):
       `express_class` reduce chains mod 2 in Z^dim.
 
     With `samples` > 1 and partial relations present, the ambiguity of
-    every kept partial row (`RelationSystem.partials`, filtered on the
-    first call for a system and held after it) is re-sampled per run
-    and the invariants must agree across all runs; otherwise
-    UnstableSampling is raised.  The ambiguity basis is projected again
-    on every call.  Every
-    sample and the named basis work modulo the unit pivots of the exact
-    relations (see `UnitElimination`): the partial rows and the
-    ambiguity basis vectors are projected once, a sample's draw skips
-    the basis vectors that project to zero, and a sample's invariants
-    are the Smith form (`snf_factors`) of its projected rows.
+    every kept partial row (`RelationSystem.partials`) is re-sampled per
+    run, and UnstableSampling is raised unless the invariants agree.
+    Every sample, taken by its Smith form (`snf_factors`), and the named
+    basis work in the projections held on the system (see
+    `UnitElimination`); a draw skips the basis vectors that project to 0.
     """
     t0 = time.perf_counter()
     if samples < 1:
         raise ValueError("need at least one sample")
     if system is None:
         system = build_relation_system(spec, extra_relations)
-    elim = UnitElimination(system.exact_echelon, system.space.dim)
+    elim = system.elimination
     rank = system.rank - len(elim.units)  # the ambient rank for Z / L
-    partials = [(elim(p.base), p.ambiguity) for p in system.partials]
-    ambiguity = {}
-    for key, chains in system.ambiguity_chains.items():
-        basis = [elim(c) for c in chains]
-        mask = sum(1 << t for t, vec in enumerate(basis) if vec)
-        ambiguity[key] = (basis, mask)
-
+    partials = system.partials
     rng = random.Random(seed)
     nsamples = samples if partials else 1
     invariants = None
     for m in range(nsamples):
-        rows = []
-        for coords, key in partials:
-            basis, mask = ambiguity[key]
+        rows = list(elim.base)
+        for p in partials:
+            basis, mask = elim.ambiguity[p.ambiguity]
             bits = rng.getrandbits(len(basis)) & mask if m and basis else 0
-            row = dict(coords) if bits else coords
+            row = dict(p.projected) if bits else p.projected
             while bits:
                 t = (bits & -bits).bit_length() - 1
                 vec_axpy(row, basis[t], 1)
                 bits &= bits - 1
             rows.append(row)
-        lattice = elim.base + rows
-        inv = AbelianInvariants.from_factors(snf_factors(lattice), rank)
+        inv = AbelianInvariants.from_factors(snf_factors(rows), rank)
         if invariants is None:
-            invariants, first = inv, lattice
+            invariants = inv
         elif inv != invariants:
             raise UnstableSampling(
                 "sample %d gave %s, sample 0 gave %s"
                 % (m, inv.describe(), invariants.describe())
             )
 
-    named, gf2 = _named_basis(system, invariants, first, elim)
+    named, gf2 = _named_basis(system, invariants)
     ms = int((time.perf_counter() - t0) * 1000)
     return H1Result(spec, invariants, named, SamplingReport(nsamples, True),
                     ms, system, gf2)
 
 
-def _named_basis(system, invariants, relations, elim):
+def _named_basis(system, invariants):
     """Greedy GF(2) reduction of the candidate list over the relations.
 
-    `relations` are sample 0's rows in the coordinates of `elim`; their
-    GF(2) echelon, extended by the candidates, is returned for
-    `express_class`.  Valid once the quotient is known to be an
+    The relations are sample 0's rows, the elimination's `base` and the
+    kept rows; their GF(2) echelon, extended by the candidates, is
+    returned for `express_class`.  Valid once the quotient is an
     elementary abelian 2-group: class equality then reduces to equality
     modulo the relations and twice the chain space (see `compute_h1`).
     """
+    elim = system.elimination
     rows = {}
-    for row in relations:
+    for row in elim.base + [p.projected for p in system.partials]:
         gf2_insert(rows, parity_mask(row), elim.full)
-    width = elim.rank
     named = []
     tagmap = {}
     if invariants.is_elementary_two_group():
         for t, (name, chain) in enumerate(named_candidates(system.space)):
             require_cycle(system.space, chain)
-            vec = parity_mask(elim(chain)) | 1 << (width + t)
+            vec = parity_mask(elim(chain)) | 1 << (elim.rank + t)
             if gf2_insert(rows, vec, elim.full) & elim.full:
                 named.append((name, chain))
                 tagmap[t] = name
-    return named, (rows, elim, tagmap)
+    return named, (rows, tagmap)
 
 
 def express_class(result, chain):
@@ -418,7 +424,8 @@ def express_class(result, chain):
     Returns a dict mapping basis class name -> 1 (empty dict for the
     zero class); raises NotACycle if the chain has nonzero boundary.
     """
-    rows, elim, tagmap = result._gf2
+    rows, tagmap = result._gf2
+    elim = result.system.elimination
     width = elim.rank
     require_cycle(result.system.space, chain)
     vec = gf2_reduce(rows, parity_mask(elim(chain)), elim.full)

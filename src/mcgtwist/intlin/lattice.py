@@ -104,11 +104,6 @@ class Echelon:
     def contains(self, row):
         return not echelon_reduce(self.pivots, row)
 
-    def clone(self):
-        out = Echelon()
-        out.pivots = {j: dict(row) for j, row in self.pivots.items()}
-        return out
-
     def same_lattice(self, other):
         if self.rank != other.rank or set(self.pivots) != set(other.pivots):
             return False

@@ -178,11 +178,6 @@ class Word(tuple):
                 out.append((g, e))
         return Word(out)
 
-    def display(self):
-        return " ".join(
-            g.name + ("^-1" if e < 0 else "") for g, e in self
-        ) or "(empty)"
-
 
 def derived_word(name, spec):
     """Words for the composite mapping classes used in relations.

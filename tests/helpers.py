@@ -1,10 +1,49 @@
-"""Dense matrix helpers used only as test references.
+"""Helpers used only by the tests, most of them as references.
 
 A dense matrix here is a list of rows, each a list of ints.
 """
 
 from itertools import combinations
 from math import gcd
+
+from mcgtwist.certify import odd_support, parity_on
+from mcgtwist.intlin import Echelon
+
+
+def display(word):
+    """A word as its letters, like "a1 a2 u1^-1"."""
+    return " ".join(
+        g.name + ("^-1" if e < 0 else "") for g, e in word
+    ) or "(empty)"
+
+
+def functional_value(space, functional, chain):
+    """Value of the functional on a chain, in Z_2: the term of
+    [x] (x) xi_i is coef * alpha(x) * beta(i), which is odd exactly when
+    coef is odd and the class lies in the odd support."""
+    return parity_on(odd_support(space, functional), chain)
+
+
+def kept_instances_reference(system):
+    """Reference for `RelationSystem.partials`: the filter in all dim
+    chain coordinates.  Per ambiguity key, a copy of the exact echelon
+    is extended by the key's ambiguity chains, and an instance is kept,
+    and inserted, when its pinned chain escapes that lattice."""
+    filters = {}
+    kept = []
+    for p in system.instances:
+        if p.ambiguity not in filters:
+            filt = Echelon()
+            filt.pivots = {j: dict(row)
+                           for j, row in system.exact_echelon.pivots.items()}
+            for c in system.ambiguity_chains[p.ambiguity]:
+                filt.insert(dict(c))
+            filters[p.ambiguity] = filt
+        filt = filters[p.ambiguity]
+        if not filt.contains(p.base):
+            filt.insert(dict(p.base))
+            kept.append(p)
+    return kept
 
 
 def dense(rep, gen, sign=1):
@@ -67,7 +106,7 @@ def dense_beta_failures(space, functional):
 
 
 def functional_value_reference(space, functional, chain):
-    """Reference for `certify.functional_value`: walk the chain and add
+    """Reference for `functional_value`: walk the chain and add
     coef * alpha(x) * beta(i) for each of its classes [x] (x) xi_i."""
     total = 0
     for flat, coef in chain.items():

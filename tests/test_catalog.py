@@ -13,7 +13,7 @@ from mcgtwist.catalog import (
 )
 from mcgtwist.chains import ChainSpace, boundary1, cycle_lattice
 from mcgtwist.surface import SurfaceSpec, evaluate_word
-from helpers import column, dense, matmul, matvec
+from helpers import column, dense, display, matmul, matvec
 
 SOUND_SPECS = [
     SurfaceSpec.make(3, 1, 0),
@@ -195,8 +195,8 @@ class TestParseRelations:
             "u1 e1 = e1 u1  # trailing comment\n"
         )
         assert [e.rid for e in entries] == ["X2", "X4"]
-        assert entries[0].lhs.display() == "a1 a2 a1"
-        assert entries[1].rhs.display() == "e1 u1"
+        assert display(entries[0].lhs) == "a1 a2 a1"
+        assert display(entries[1].rhs) == "e1 u1"
 
     def test_missing_equals(self):
         with pytest.raises(ValueError):

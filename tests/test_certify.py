@@ -7,16 +7,21 @@ from hypothesis import strategies as st
 from mcgtwist.certify import (
     Functional,
     descent_check,
-    functional_value,
     functionals_for,
     lower_bound,
+    odd_support,
     oracle,
+    parity_on,
 )
 from mcgtwist.chains import ChainSpace, ChainVector
 from mcgtwist.engine import PartialRow, build_relation_system, compute_h1
 from mcgtwist.errors import SpecInvalid
 from mcgtwist.surface import Gen, SurfaceSpec
-from helpers import dense_beta_failures, functional_value_reference
+from helpers import (
+    dense_beta_failures,
+    functional_value,
+    functional_value_reference,
+)
 
 # Every flavor, with and without boundary, from g 3 to g 9.
 BETA_SPECS = [
@@ -111,8 +116,8 @@ REFERENCE_CASES = reference_cases()
 @settings(max_examples=500, deadline=None)
 @given(data=st.data())
 def test_functional_value_matches_the_chain_walk(data):
-    # functional_value sums the chain over the odd support; the
-    # reference walks every entry of the chain.  Half of the drawn
+    # parity_on sums the chain over the odd support; the reference
+    # walks every entry of the chain.  Half of the drawn
     # coordinates are classes of a generator the functional names, or
     # of the generator after it, at any xi_i, so the chains meet the
     # edges of the support.
@@ -127,7 +132,7 @@ def test_functional_value_matches_the_chain_walk(data):
     terms = data.draw(st.dictionaries(flats, st.integers(-5, 5),
                                       max_size=12))
     chain = ChainVector({flat: c for flat, c in terms.items() if c})
-    assert (functional_value(space, functional, chain)
+    assert (parity_on(odd_support(space, functional), chain)
             == functional_value_reference(space, functional, chain))
 
 

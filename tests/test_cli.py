@@ -27,7 +27,6 @@ from mcgtwist.cli import (
     run_record,
 )
 from mcgtwist.engine import build_relation_system, compute_h1
-from mcgtwist.intlin import Echelon
 from mcgtwist.surface import INVOLUTION_KINDS, Gen, Representation, SurfaceSpec
 from mcgtwist.verify import fault_checks, verify_spec
 from test_acceptance import permutation_grid, twist_grid
@@ -91,6 +90,28 @@ class TestCompute:
         )
         assert code == EXIT_OK
         assert json.loads(out)["match"] is True
+
+
+@pytest.mark.parametrize("command", ["compute", "verify"])
+def test_k_is_ignored_for_flavor_m(capsys, command):
+    # k plays no role for m: with or without --k, and even with a --k
+    # past n, the record and the tag are those of k = 0.
+    argv = [command, "--genus", "3", "--punctures", "2", "--flavor", "m"]
+    if command == "compute":
+        argv += ["--format", "json"]
+    outputs = []
+    for extra in ([], ["--k", "2"], ["--k", "5"]):
+        code, out, err = run(capsys, *argv, *extra)
+        assert code == EXIT_OK, err
+        if command == "compute":
+            record = json.loads(out)
+            assert record["k"] == 0
+            record["ms"] = 0
+            out = json.dumps(record)
+        outputs.append(out)
+    assert outputs[0] == outputs[1] == outputs[2]
+    if command == "verify":
+        assert outputs[0] == "ok   (3,0,2,0,m)\n"
 
 
 class TestTable:
@@ -379,34 +400,25 @@ class TestVerify:
         assert sum(calls.values()) == 1
 
     def test_verify_builds_no_exact_echelon_or_filter(self, monkeypatch):
-        # verify checks the relation chains; the exact echelon and the
-        # filtered partial instances are built on first read, which only
-        # the quotient does.
+        # verify checks the relation chains; the exact echelon, its
+        # elimination and the filtered partial instances are built on
+        # first read, which only the quotient does.
         systems = []
-        clones = Counter()
+        cached = ("exact_echelon", "elimination", "partials")
 
         def recording(spec):
             systems.append(build_relation_system(spec))
             return systems[-1]
 
-        def counted(echelon, _f=Echelon.clone):
-            clones["clone"] += 1
-            return _f(echelon)
-
         monkeypatch.setattr(mcgtwist.verify, "build_relation_system",
                             recording)
-        monkeypatch.setattr(Echelon, "clone", counted)
         spec = SurfaceSpec.make(5, 1, 2, 1, "pmk")
         assert verify_spec(spec) + fault_checks(spec) == []
         [system] = systems
         assert system.instances
-        assert not clones
-        assert "exact_echelon" not in vars(system)
-        assert "partials" not in vars(system)
+        assert not any(name in vars(system) for name in cached)
         assert compute_h1(spec, system=system).invariants.torsion
-        assert clones["clone"] == len(system.ambiguity_chains) == 2
-        assert "exact_echelon" in vars(system)
-        assert "partials" in vars(system)
+        assert all(name in vars(system) for name in cached)
 
 
 def run_invalid(capsys, *argv):

@@ -34,7 +34,7 @@ from mcgtwist.intlin import (
     vec_axpy,
 )
 from mcgtwist.surface import SurfaceSpec
-from helpers import lattice_coords
+from helpers import kept_instances_reference, lattice_coords
 from test_acceptance import (
     PER_SPEC_BUDGET_SECONDS,
     permutation_grid,
@@ -255,6 +255,57 @@ def test_partial_filter_is_unchanged_and_maximal(args):
                 assert span.contains(p.base), p.rid
 
 
+def test_partial_filter_matches_the_full_coordinate_filter():
+    # The filter asks its span question in the coordinates left after
+    # the unit elimination; it must keep the same PartialRow objects, in
+    # the same order, as the same question asked in all dim coordinates.
+    # The 55 benchmark specs (every sixth grid spec) and three past the
+    # grid.
+    specs = (list(twist_grid()) + list(permutation_grid()))[::6]
+    assert len(specs) == 55
+    specs += [SurfaceSpec.make(10, 3, 3, 0, "pmk"),
+              SurfaceSpec.make(12, 3, 3, 0, "pmk"),
+              SurfaceSpec.make(10, 3, 3, flavor="m")]
+    for spec in specs:
+        system = build_relation_system(spec)
+        expected = kept_instances_reference(system)
+        assert ([id(p) for p in system.partials]
+                == [id(p) for p in expected]), spec
+
+
+def test_each_chain_is_projected_once_per_system(monkeypatch):
+    # The elimination is built once per system; its first read projects
+    # every ambiguity chain, and the filter every instance, once.  A
+    # second compute_h1 on the same system projects only the named
+    # candidates.
+    spec = SurfaceSpec.make(5, 1, 1, 0, "pmk")
+    system = build_relation_system(spec)
+    built, projected = [], []
+    init, call = UnitElimination.__init__, UnitElimination.__call__
+
+    def counted_init(elim, *args):
+        built.append(elim)
+        init(elim, *args)
+
+    def counted_call(elim, coords):
+        projected.append(coords)
+        return call(elim, coords)
+
+    monkeypatch.setattr(UnitElimination, "__init__", counted_init)
+    monkeypatch.setattr(UnitElimination, "__call__", counted_call)
+    first = compute_h1(spec, system=system)
+    chains = [c for cs in system.ambiguity_chains.values() for c in cs]
+    chains += [p.base for p in system.instances]
+    assert len(system.ambiguity_chains) == 2 and system.partials
+    for chain in chains:
+        assert sum(c is chain for c in projected) == 1
+    projected.clear()
+    again = compute_h1(spec, system=system)
+    assert built == [system.elimination]
+    assert projected == [c for _, c in named_candidates(system.space)]
+    assert names(again) == names(first)
+
+
 def mixed_lattice(diag, rnd, drop, extra, ops=None):
     """Rows spanning a lattice in Z^len(diag) whose quotient is the sum
     of Z/d over diag: the diagonal, moved by `ops` (default 3 * rank)
@@ -327,7 +378,7 @@ def test_unit_elimination_agrees_with_smith_form(diag, seed, ops, drop, extra):
             for row in mixed_lattice(diag, rnd, drop, extra, ops)]
     rnd.shuffle(rows)
     split = rnd.randint(0, len(rows))
-    elim = UnitElimination(Echelon(rows[:split]), rank)
+    elim = UnitElimination(Echelon(rows[:split]), rank, {})
     projected = elim.base + [elim(row) for row in rows[split:]]
     expected = AbelianInvariants.from_factors(snf_factors(rows), rank)
     assert AbelianInvariants.from_factors(
@@ -367,7 +418,8 @@ def full_coordinate_sampler(system, samples, seed):
     rng = random.Random(seed)
     per_sample, kept = [], None
     for m in range(samples if system.partials else 1):
-        ech = base.clone()
+        ech = Echelon()
+        ech.pivots = {j: dict(row) for j, row in base.pivots.items()}
         gf2 = dict(base_gf2)
         for p in system.partials:
             row = coords(p.base)
@@ -402,8 +454,7 @@ def full_coordinate_sampler(system, samples, seed):
 ], ids=spec_id)
 def test_pipeline_matches_full_coordinate_sampler(spec, monkeypatch):
     system = build_relation_system(spec)
-    elim = UnitElimination(system.exact_echelon, system.space.dim)
-    rank = system.rank - len(elim.units)
+    rank = system.rank - len(system.elimination.units)
     seen = []
 
     def recording(rows):
@@ -423,15 +474,19 @@ def test_pipeline_matches_full_coordinate_sampler(spec, monkeypatch):
 def test_unstable_sampling_is_raised():
     # Replacing one ambiguity vector by a cycle that survives the
     # elimination as a unit vector changes the quotient of the samples
-    # that draw it.
+    # that draw it.  The projections are held on the system from its
+    # first read, so the swap is made on a fresh system before that.
     spec = SurfaceSpec.make(5, 0, 2, 0, "pmk")
+    plain = build_relation_system(spec)
+    assert compute_h1(spec, system=plain).invariants == oracle(spec)
     system = build_relation_system(spec)
-    assert compute_h1(spec, system=system).invariants == oracle(spec)
-    elim = UnitElimination(system.exact_echelon, system.space.dim)
     vec = system.space.chain([("v", 2, 6, 1)])
     require_cycle(system.space, vec)
-    assert elim(vec) == {elim.rank - 1: 1}
     system.ambiguity_chains["k1"][0] = vec
+    elim = system.elimination
+    assert elim(vec) == {elim.rank - 1: 1}
+    assert ([p.rid for p in system.partials]
+            == [p.rid for p in plain.partials])
     with pytest.raises(UnstableSampling):
         compute_h1(spec, system=system)
 
@@ -479,7 +534,7 @@ def test_dropped_partial_instances_would_change_the_quotient():
                 dropped.append(base)
     assert dropped and kept
 
-    elim = UnitElimination(system.exact_echelon, space.dim)
+    elim = system.elimination
     rank = system.rank - len(elim.units)
     rows = elim.base + [elim(p.base) for p in system.partials]
     sample0 = AbelianInvariants.from_factors(snf_factors(rows), rank)

@@ -15,7 +15,7 @@ from mcgtwist.surface import (
     evaluate_word,
     expand_word,
 )
-from helpers import column, dense, identity, matmul, to_dense
+from helpers import column, dense, display, identity, matmul, to_dense
 
 SPECS = [
     SurfaceSpec.make(3, 1, 0),
@@ -68,7 +68,7 @@ class TestSpec:
 class TestWord:
     def test_parse_display(self):
         w = Word.parse("a1 a2 u1^-1")
-        assert w.display() == "a1 a2 u1^-1"
+        assert display(w) == "a1 a2 u1^-1"
         assert w == Word.of(Gen("a", 1), Gen("a", 2), (Gen("u", 1), -1))
 
     def test_parse_error(self):
@@ -81,7 +81,7 @@ class TestWord:
         assert (w ** -2) == (w ** 2).inverse()
 
     def test_power(self):
-        assert (Word.parse("a1") ** 3).display() == "a1 a1 a1"
+        assert display(Word.parse("a1") ** 3) == "a1 a1 a1"
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=str)
@@ -178,7 +178,7 @@ def test_evaluate_word_matches_dense_product(spec):
     for word in words:
         for w in (word, word.inverse()):
             value = to_dense(evaluate_word(rep, w), spec.d)
-            assert value == dense_product(rep, w), w.display()
+            assert value == dense_product(rep, w), display(w)
 
 
 def test_a_matrix_values():
