@@ -8,7 +8,7 @@ gamma_3).  Coordinates are flattened as position(x) * d + (i - 1).
 """
 
 from .intlin import ColumnSolver, Echelon, vec_axpy
-from .surface import Gen, build_representation, expand_word
+from .surface import Gen, Word, build_representation, expand_word
 
 
 class ChainVector(dict):
@@ -57,6 +57,7 @@ class ChainSpace:
                     if v:
                         cols[c][r] = v
             self._bcol[gen] = cols
+        self._fox = {}  # letter -> (C, B), see `_fox_columns`
 
     def flat(self, gen, i):
         """Flat coordinate of [gen] (x) xi_i (i is 1-based)."""
@@ -166,24 +167,10 @@ def expected_boundary(spec, gen, i):
     raise ValueError("unknown generator kind %r" % kind)
 
 
-def rewrite_relation_all(space, lhs, rhs):
-    """Rewrite a relation over every basis coefficient at once.
-
-    Returns a list of d chains, entry i-1 being the homology class of
-    the relation lhs = rhs with coefficient xi_i.  Each side
-    w = l_1..l_m contributes, for the letter l_t at prefix
-    p = l_1..l_{t-1}: +[x] (x) psi(p)^-1 xi if l_t = x, and
-    -[x] (x) psi(p l_t)^-1 xi if l_t = x^-1; the result is
-    contribution(lhs) - contribution(rhs), with derived letters expanded
-    first.  One pass over the letters is shared by all coefficients: the
-    running matrix Q = psi(prefix)^-1 is held as sparse rows and updated
-    by one letter step (`Representation.apply_letter`) per letter, and a
-    contribution adds the nonzeros of Q's rows, row r of Q feeding the
-    class [x] (x) xi_{r+1} of every coefficient its columns name.
-    """
-    d = space.d
+def _walk(space, word, side, out):
+    """Add side times the contribution of `word` to the chains `out`,
+    one per coefficient (see `rewrite_relation_all`)."""
     rep = space.rep
-    out = [{} for _ in range(d)]
 
     def contribute(gen, sign, q):
         base = space.flat(gen, 1)
@@ -193,18 +180,112 @@ def rewrite_relation_all(space, lhs, rhs):
                 col = out[t]
                 col[flat] = col.get(flat, 0) + sign * v
 
-    for word, side in ((lhs, 1), (rhs, -1)):
-        q = [{r: 1} for r in range(d)]
-        for gen, e in expand_word(word, space.spec):
-            if e > 0:
-                # The step first: it raises UnknownLetter off the alphabet.
-                step = rep.apply_letter(q, gen, -1)
-                contribute(gen, side, q)
-                q = step
-            else:
-                q = rep.apply_letter(q, gen, 1)
-                contribute(gen, -side, q)
-    return [ChainVector((k, v) for k, v in col.items() if v) for col in out]
+    q = [{r: 1} for r in range(space.d)]
+    for gen, e in expand_word(word, space.spec):
+        if e > 0:
+            # The step first: it raises UnknownLetter off the alphabet.
+            step = rep.apply_letter(q, gen, -1)
+            contribute(gen, side, q)
+            q = step
+        else:
+            q = rep.apply_letter(q, gen, 1)
+            contribute(gen, -side, q)
+
+
+def _fox_columns(space, gen):
+    """(C, B) of a letter, built once per space: C[k] = C(gen) e_k and
+    B[k] = B_gen e_k.  A derived u_i is walked once along its expansion;
+    the boundary of C(w) e_k is B_w e_k, by the Fox rule."""
+    if gen in space._bcol and gen not in space._fox:
+        base = space.flat(gen, 1)
+        space._fox[gen] = ([{base + k: 1} for k in range(space.d)],
+                           space._bcol[gen])
+    elif gen not in space._fox:
+        chains = [{} for _ in range(space.d)]
+        _walk(space, Word.of(gen), 1, chains)
+        chains = [{f: v for f, v in c.items() if v} for c in chains]
+        space._fox[gen] = chains, [boundary1(space, c) for c in chains]
+    return space._fox[gen]
+
+
+def _closed_form_pair(space, lhs, rhs):
+    """(x, y) when lhs = rhs reads x y = y x or x y x = y x y, x and y
+    alphabet letters or derived u_i; else None."""
+    m = len(lhs)
+    if m not in (2, 3):
+        return None
+    x, y = lhs[0][0], lhs[1][0]
+    shaped = (lhs, rhs) == (((x, 1), (y, 1), (x, 1))[:m],
+                            ((y, 1), (x, 1), (y, 1))[:m])
+    if shaped and all(gen in space._bcol or gen.kind == "u"
+                      and 1 < gen.index < space.spec.g for gen in (x, y)):
+        return x, y
+    return None
+
+
+def rewrite_relation_all(space, lhs, rhs):
+    """Rewrite a relation over every basis coefficient at once.
+
+    Returns a list of d chains, entry i-1 being the homology class of
+    the relation lhs = rhs with coefficient xi_i.  Each side
+    w = l_1..l_m contributes, for the letter l_t at prefix
+    p = l_1..l_{t-1}: +[x] (x) psi(p)^-1 xi if l_t = x, and
+    -[x] (x) psi(p l_t)^-1 xi if l_t = x^-1; the result is
+    contribution(lhs) - contribution(rhs), with derived letters expanded
+    first.
+
+    With C(w) the map xi -> contribution(w) at xi (C(x) xi_r is
+    [x] (x) xi_r) and B_x = psi(x)^-1 - I (the boundary columns of x),
+    this is the Fox rule C(w1 w2) = C(w1) + C(w2) psi(w1)^-1.  It alone
+    gives chain k in closed form for the shapes of most of the catalog,
+    with x, y alphabet letters or derived u_i (`_fox_columns`):
+
+    - x y = y x: C(xy) - C(yx) = C(y) B_x - C(x) B_y, at e_k;
+    - x y x = y x y: psi(xy)^-1 = I + B_x + B_y + B_y B_x, so
+      C(xyx) = C(x)(2I + B_x + B_y + B_y B_x) + C(y)(I + B_x); less the
+      same with x, y swapped: C(x)(I + B_x + B_y B_x) - C(y)(I + B_y +
+      B_x B_y), at e_k.
+
+    Neither form assumes the relation, so a false one still gives a
+    non-cycle.  Any other relation is walked, one pass over the letters
+    shared by all coefficients: the running matrix Q = psi(prefix)^-1 is
+    held as sparse rows and updated by one letter step
+    (`Representation.apply_letter`) per letter, and a contribution adds
+    the nonzeros of Q's rows, row r of Q feeding the class
+    [x] (x) xi_{r+1} of every coefficient its columns name.
+    """
+    pair = _closed_form_pair(space, lhs, rhs)
+    if pair is None:
+        out = [{} for _ in range(space.d)]
+        _walk(space, lhs, 1, out)
+        _walk(space, rhs, -1, out)
+        return [ChainVector((k, v) for k, v in col.items() if v)
+                for col in out]
+
+    cx, bx = _fox_columns(space, pair[0])
+    cy, by = _fox_columns(space, pair[1])
+
+    def braid_vector(k, b1, b2):  # e_k + B_1 e_k + B_2 B_1 e_k
+        vec = {k: 1}
+        vec_axpy(vec, b1[k], 1)
+        for r, c in b1[k].items():
+            vec_axpy(vec, b2[r], c)
+        return vec
+
+    out = []
+    for k in range(space.d):
+        if len(lhs) == 2:
+            terms = ((cy, bx[k], 1), (cx, by[k], -1))
+        else:
+            terms = ((cx, braid_vector(k, bx, by), 1),
+                     (cy, braid_vector(k, by, bx), -1))
+        chain = ChainVector()
+        for cols, vec, sign in terms:
+            for r, c in vec.items():
+                for flat, v in cols[r].items():
+                    chain.add_term(flat, sign * c * v)
+        out.append(chain)
+    return out
 
 
 def cycle_lattice(space):

@@ -43,11 +43,13 @@ RECORD_FIELDS = (
 
 
 def make_spec(args):
-    # --k is for pmk only: an explicit --k is ignored for pm+ (k = n)
-    # and for m (k = 0), as `table` ignores it for m.
-    k = args.k if args.flavor == "pmk" else None
+    # An absent flag is None and takes its default here.  --k is for pmk
+    # only: an explicit --k is ignored for pm+ (k = n) and for m (k = 0),
+    # as `table` ignores it for m.
+    flavor = args.flavor or "pm+"
+    k = args.k if flavor == "pmk" else None
     spec = SurfaceSpec.make(
-        args.genus, args.boundary, args.punctures, k, args.flavor
+        args.genus, args.boundary or 0, args.punctures or 0, k, flavor
     )
     spec.require_free_module()
     return spec
@@ -190,6 +192,13 @@ def cmd_table(args):
 
 def cmd_verify(args):
     if args.all:
+        given = [name for name in ("genus", "boundary", "punctures",
+                                   "flavor", "k")
+                 if getattr(args, name) is not None]
+        if given:
+            print("--all takes no spec flags, got --%s" % " --".join(given),
+                  file=sys.stderr)
+            return EXIT_INVALID
         specs = spec_grid()
     elif args.genus is None:
         print("need --genus (or --all)", file=sys.stderr)
@@ -231,12 +240,13 @@ def _sample_count(text):
 
 
 def _add_spec_flags(parser, required=True):
+    # An absent flag is None, so `verify --all` can refuse every given
+    # one; `make_spec` fills in the defaults.
     parser.add_argument("--genus", type=int, required=required)
-    parser.add_argument("--boundary", type=int, default=0)
-    parser.add_argument("--punctures", type=int, default=0)
-    parser.add_argument("--flavor", choices=("pm+", "pmk", "m"),
-                        default="pm+")
-    parser.add_argument("--k", type=int, default=None)
+    parser.add_argument("--boundary", type=int)
+    parser.add_argument("--punctures", type=int)
+    parser.add_argument("--flavor", choices=("pm+", "pmk", "m"))
+    parser.add_argument("--k", type=int)
 
 
 def build_parser():

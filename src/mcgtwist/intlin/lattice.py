@@ -103,8 +103,3 @@ class Echelon:
 
     def contains(self, row):
         return not echelon_reduce(self.pivots, row)
-
-    def same_lattice(self, other):
-        if self.rank != other.rank or set(self.pivots) != set(other.pivots):
-            return False
-        return all(other.contains(row) for row in self.pivots.values())

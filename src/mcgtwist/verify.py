@@ -2,21 +2,21 @@
 
 `verify_spec` checks the relation system that `compute` solves: its
 representation and boundary closed forms (`representation_failures`),
-the cycle lattice against its explicit generating family and the
-descent of the certifying functionals (it alone builds `cycle_lattice`);
-building the system checks that every catalog relation is a cycle.
-`fault_checks` checks the checks: it runs the same
-`representation_failures` on representations with a deliberately
-flipped sign, which must be caught.  Both return a list of failure
-messages, empty when everything holds.
+the explicit generating family of the cycle lattice, certified by its
+boundaries and its Smith form without a second kernel, and the descent
+of the certifying functionals; building the system checks that every
+catalog relation is a cycle.  `fault_checks` checks the checks: it runs
+the same `representation_failures` on representations with a
+deliberately flipped sign, which must be caught.  Both return a list of
+failure messages, empty when everything holds.
 """
 
 from .certify import descent_check, functionals_for
-from .chains import ChainSpace, cycle_lattice, expected_boundary
+from .chains import ChainSpace, boundary1, expected_boundary
 from .chains import kernel_generator_list
 from .engine import build_relation_system
 from .errors import NoIntegerSolution, RelationOutsideKernel
-from .intlin import Echelon
+from .intlin import snf_factors
 from .surface import INVOLUTION_KINDS, build_representation
 
 
@@ -47,6 +47,18 @@ def representation_failures(space):
     return failures
 
 
+def spans_cycle_lattice(system, chains):
+    """True when `chains` span the cycle lattice Z, certified without
+    computing Z: every chain has zero boundary, and their Smith form is
+    `system.rank` factors 1.  Then their span L lies in Z, has Z's rank,
+    and Z^dim / L is free, so Z / L is a finite subgroup of a free group,
+    hence 0.  Conversely Z^dim / Z embeds in the free module of
+    boundaries, so the certificate holds exactly when L = Z."""
+    space = system.space
+    return (not any(boundary1(space, c) for c in chains)
+            and snf_factors(chains) == [1] * system.rank)
+
+
 def verify_spec(spec):
     """All consistency checks for one spec; returns a list of failures.
 
@@ -65,14 +77,16 @@ def verify_spec(spec):
     - a slide-conjugation partial must have an integer solution of its
       unknown part, and its exact part minus that solution must be a
       cycle, i.e. the exact part must have the prescribed boundary.
+
+    The family of `kernel_generator_list` must span the cycle lattice.
     """
     try:
         system = build_relation_system(spec)
     except (RelationOutsideKernel, NoIntegerSolution) as exc:
         return ["relation system: %s" % exc]
     failures = representation_failures(system.space)
-    listed = Echelon(dict(c) for _, c in kernel_generator_list(system.space))
-    if not cycle_lattice(system.space).same_lattice(listed):
+    listed = [c for _, c in kernel_generator_list(system.space)]
+    if not spans_cycle_lattice(system, listed):
         failures.append("cycle lattice differs from the explicit family")
 
     for functional in functionals_for(spec):

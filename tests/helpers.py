@@ -46,6 +46,14 @@ def kept_instances_reference(system):
     return kept
 
 
+def same_lattice(a, b):
+    """True when the `Echelon`s a and b span the same lattice: the same
+    rank, the same pivot columns and each basis inside the other."""
+    if a.rank != b.rank or set(a.pivots) != set(b.pivots):
+        return False
+    return all(b.contains(row) for row in a.pivots.values())
+
+
 def dense(rep, gen, sign=1):
     """psi(gen)^sign as a dense matrix, from the moved rows of `rep`."""
     out = identity(rep.d)

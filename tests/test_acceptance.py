@@ -15,6 +15,7 @@ from mcgtwist.engine import compute_h1
 from mcgtwist.intlin import Echelon
 from mcgtwist.surface import SurfaceSpec
 from mcgtwist.verify import fault_checks
+from helpers import same_lattice
 
 GRID_BUDGET_SECONDS = 300.0
 PER_SPEC_BUDGET_SECONDS = 2.0
@@ -124,7 +125,7 @@ def test_criterion_3_cycle_lattice_equality(capfd):
         listed = Echelon(
             dict(chain) for _, chain in kernel_generator_list(space)
         )
-        if not lattice.same_lattice(listed):
+        if not same_lattice(lattice, listed):
             ok = False
     report(
         capfd,

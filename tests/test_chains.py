@@ -1,20 +1,25 @@
 """Chain level: boundaries, rewriting, and the cycle lattice."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcgtwist.catalog import build_catalog
 from mcgtwist.chains import (
     ChainSpace,
     ChainVector,
+    _closed_form_pair,
     boundary1,
     cycle_lattice,
     expected_boundary,
     kernel_generator_list,
     rewrite_relation_all,
 )
+from mcgtwist.errors import UnknownDerived, UnknownLetter
 from mcgtwist.intlin import Echelon
 from mcgtwist.surface import Gen, SurfaceSpec, Word, build_representation, expand_word
-from helpers import column, dense, matvec
+from helpers import column, dense, matvec, same_lattice
+from test_acceptance import permutation_grid, twist_grid
 from test_surface import all_specs
 
 BOUNDARY_SPECS = [
@@ -46,6 +51,20 @@ def rewrite_relation(space, lhs, rhs, xi):
     psi(prefix)^-1 xi_i instead of one running matrix.
     """
     out = ChainVector()
+    columns = {}
+
+    def step(gen, sign, q):
+        # psi(gen)^sign q, as the sum of the dense columns q selects.
+        if (gen, sign) not in columns:
+            m = dense(space.rep, gen, sign)
+            columns[gen, sign] = [column(m, c) for c in range(space.d)]
+        image = [0] * space.d
+        for c, v in enumerate(q):
+            if v:
+                image = [a + v * b
+                         for a, b in zip(image, columns[gen, sign][c])]
+        return image
+
     for word, side in ((lhs, 1), (rhs, -1)):
         q = [0] * space.d
         q[xi - 1] = 1
@@ -54,9 +73,9 @@ def rewrite_relation(space, lhs, rhs, xi):
                 for r, c in enumerate(q):
                     if c:
                         out.add_term(space.flat(gen, r + 1), side * c)
-                q = matvec(dense(space.rep, gen, -1), q)
+                q = step(gen, -1, q)
             else:
-                q = matvec(dense(space.rep, gen, 1), q)
+                q = step(gen, 1, q)
                 for r, c in enumerate(q):
                     if c:
                         out.add_term(space.flat(gen, r + 1), -side * c)
@@ -198,6 +217,92 @@ class TestRewriting:
             assert boundary1(space, vec) == {}
 
 
+# Specs of every flavor, with derived letters u_2..u_{g-1} up to u_6.
+CLOSED_FORM_SPECS = [
+    SurfaceSpec.make(3, 1, 1),
+    SurfaceSpec.make(4, 2, 1, 0, "pmk"),
+    SurfaceSpec.make(5, 0, 3, 1, "pmk"),
+    SurfaceSpec.make(6, 1, 2, flavor="m"),
+    SurfaceSpec.make(7, 1, 3, flavor="m"),
+]
+
+
+def shaped(x, y, braid):
+    """x y x = y x y when `braid`, else x y = y x."""
+    if braid:
+        return Word.of(x, y, x), Word.of(y, x, y)
+    return Word.of(x, y), Word.of(y, x)
+
+
+def assert_matches_reference(space, lhs, rhs):
+    vecs = rewrite_relation_all(space, lhs, rhs)
+    assert len(vecs) == space.d
+    for xi in range(1, space.d + 1):
+        assert vecs[xi - 1] == rewrite_relation(space, lhs, rhs, xi), xi
+
+
+class TestClosedForms:
+    """`rewrite_relation_all` rewrites commutations and braid relations
+    in closed form; the letter-by-letter reference must agree, whether
+    or not the relation holds."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_random_pairs_match_the_walk(self, data):
+        spec = data.draw(st.sampled_from(CLOSED_FORM_SPECS))
+        letters = spec.generators() + [Gen("u", i) for i in range(2, spec.g)]
+        x = data.draw(st.sampled_from(letters))
+        y = data.draw(st.sampled_from(letters))
+        lhs, rhs = shaped(x, y, data.draw(st.booleans()))
+        # A fresh space builds its derived letters in the drawn order.
+        space = ChainSpace(spec)
+        assert _closed_form_pair(space, lhs, rhs) == (x, y)
+        assert_matches_reference(space, lhs, rhs)
+
+    @pytest.mark.parametrize("spec", CLOSED_FORM_SPECS[1:], ids=str)
+    def test_false_relations_give_the_walks_non_cycles(self, spec):
+        # a1, a2 and u1, u2 braid (R1, R9), so they do not commute, and
+        # a1, u2 do not braid: each false form must still equal the
+        # reference, which is then not a cycle.
+        space = ChainSpace(spec)
+        for x, y, braid in ((Gen("a", 1), Gen("a", 2), False),
+                            (Gen("a", 1), Gen("u", 2), True),
+                            (Gen("u", 1), Gen("u", 2), False)):
+            lhs, rhs = shaped(x, y, braid)
+            assert_matches_reference(space, lhs, rhs)
+            assert any(boundary1(space, vec)
+                       for vec in rewrite_relation_all(space, lhs, rhs))
+
+    def test_every_word_relation_of_the_bench_and_large_specs(self):
+        # The 55 benchmark specs (every sixth grid spec) and four specs
+        # past the grid: every catalog word relation, closed form or
+        # walked, equals the reference at every coefficient.
+        specs = (list(twist_grid()) + list(permutation_grid()))[::6]
+        specs += [SurfaceSpec.make(g, 3, 3, 0, "pmk") for g in (10, 11, 12)]
+        specs.append(SurfaceSpec.make(10, 3, 3, flavor="m"))
+        closed = 0
+        for spec in specs:
+            space = ChainSpace(spec)
+            for entry in build_catalog(spec, space):
+                if entry.kind == "word":
+                    closed += _closed_form_pair(
+                        space, entry.lhs, entry.rhs) is not None
+                    assert_matches_reference(space, entry.lhs, entry.rhs)
+        assert closed > 1000
+
+    def test_letters_off_the_alphabet_raise_as_the_walk_does(self):
+        space = ChainSpace(SurfaceSpec.make(4, 1, 1))
+        with pytest.raises(UnknownLetter):
+            rewrite_relation_all(space, Word.parse("v1 a1"),
+                                 Word.parse("a1 v1"))
+        with pytest.raises(UnknownDerived):
+            rewrite_relation_all(space, Word.parse("u9 a1"),
+                                 Word.parse("a1 u9"))
+        with pytest.raises(UnknownDerived):
+            rewrite_relation_all(space, Word.parse("u1 u9 u1"),
+                                 Word.parse("u9 u1 u9"))
+
+
 @pytest.mark.parametrize("spec", LATTICE_SPECS, ids=str)
 def test_cycle_lattice_equals_explicit_family(spec):
     space = ChainSpace(spec)
@@ -206,7 +311,7 @@ def test_cycle_lattice_equals_explicit_family(spec):
     for label, chain in family:
         assert boundary1(space, chain) == {}, label
     listed = Echelon(dict(chain) for _, chain in family)
-    assert lattice.same_lattice(listed)
+    assert same_lattice(lattice, listed)
 
 
 def test_kernel_rank_small_case():

@@ -7,10 +7,12 @@ import re
 import subprocess
 import sys
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
 import mcgtwist.catalog
+import mcgtwist.chains
 import mcgtwist.cli
 import mcgtwist.engine
 import mcgtwist.verify
@@ -26,9 +28,23 @@ from mcgtwist.cli import (
     record_json,
     run_record,
 )
+from mcgtwist.chains import (
+    ChainSpace,
+    ChainVector,
+    cycle_lattice,
+    kernel_generator_list,
+)
 from mcgtwist.engine import build_relation_system, compute_h1
-from mcgtwist.surface import INVOLUTION_KINDS, Gen, Representation, SurfaceSpec
-from mcgtwist.verify import fault_checks, verify_spec
+from mcgtwist.intlin import Echelon
+from mcgtwist.surface import (
+    INVOLUTION_KINDS,
+    Gen,
+    Representation,
+    SurfaceSpec,
+    spec_grid,
+)
+from mcgtwist.verify import fault_checks, spans_cycle_lattice, verify_spec
+from helpers import same_lattice
 from test_acceptance import permutation_grid, twist_grid
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -364,7 +380,8 @@ class TestVerify:
         names = ("cycle_lattice", "build_catalog", "rewrite_relation_all",
                  "evaluate_word")
         calls = Counter()
-        for module in (mcgtwist.verify, mcgtwist.engine, mcgtwist.catalog):
+        for module in (mcgtwist.verify, mcgtwist.engine, mcgtwist.catalog,
+                       mcgtwist.chains):
             for name in names:
                 if hasattr(module, name):
                     def counted(*args, _name=name, _f=getattr(module, name)):
@@ -375,14 +392,13 @@ class TestVerify:
         spec = SurfaceSpec.make(4, 1, 2, flavor="m")
         words = sum(entry.kind == "word" for entry in build_catalog(spec))
         assert verify_spec(spec) == []
-        assert calls == {"cycle_lattice": 1, "build_catalog": 1,
-                         "rewrite_relation_all": words}
+        assert calls == {"build_catalog": 1, "rewrite_relation_all": words}
         assert calls["evaluate_word"] == 0
 
     def test_compute_builds_no_cycle_lattice(self, monkeypatch):
-        # compute works on the relation chains; only verify_spec builds a
-        # basis of the cycle lattice, to compare it with the explicit
-        # family.
+        # compute works on the relation chains, and verify_spec certifies
+        # the explicit family without a basis of the cycle lattice
+        # (`spans_cycle_lattice`): neither builds one.
         calls = Counter()
         for name, module in list(sys.modules.items()):
             if (name.startswith("mcgtwist")
@@ -397,7 +413,44 @@ class TestVerify:
         assert run_record(spec, 17, 0)["match"]
         assert not calls
         assert verify_spec(spec) == []
-        assert sum(calls.values()) == 1
+        assert not calls
+
+    def test_certificate_agrees_with_the_cycle_lattice(self):
+        # spans_cycle_lattice against an echelon basis of the kernel, on
+        # the grid and on four specs past it; on every seventh spec also
+        # for the family with a generator dropped, one doubled and a
+        # non-cycle added, which must all fail.
+        specs = list(spec_grid())
+        specs += [SurfaceSpec.make(g, 3, 3, 0, "pmk") for g in (10, 11, 12)]
+        specs.append(SurfaceSpec.make(10, 3, 3, flavor="m"))
+        for t, spec in enumerate(specs):
+            space = ChainSpace(spec)
+            lattice = cycle_lattice(space)
+            system = SimpleNamespace(space=space, rank=lattice.rank)
+            listed = [c for _, c in kernel_generator_list(space)]
+            assert spans_cycle_lattice(system, listed), spec
+            assert same_lattice(lattice, Echelon(listed)), spec
+            if t % 7:
+                continue
+            for family in broken_families(space, listed):
+                assert not spans_cycle_lattice(system, family), spec
+                assert not same_lattice(lattice, Echelon(family)), spec
+
+    @pytest.mark.parametrize("fault", range(3))
+    def test_broken_family_is_a_fail_line(self, capsys, monkeypatch, fault):
+        def broken(space):
+            family = kernel_generator_list(space)
+            chains = broken_families(space, [c for _, c in family])[fault]
+            return [("K", c) for c in chains]
+
+        monkeypatch.setattr(mcgtwist.verify, "kernel_generator_list", broken)
+        code, out, _ = run(
+            capsys, "verify", "--genus", "4", "--boundary", "1",
+            "--punctures", "2", "--flavor", "m",
+        )
+        assert code == EXIT_VERIFY
+        assert out == ("FAIL (4,1,2,0,m) cycle lattice differs from the "
+                       "explicit family\n")
 
     def test_verify_builds_no_exact_echelon_or_filter(self, monkeypatch):
         # verify checks the relation chains; the exact echelon, its
@@ -419,6 +472,14 @@ class TestVerify:
         assert not any(name in vars(system) for name in cached)
         assert compute_h1(spec, system=system).invariants.torsion
         assert all(name in vars(system) for name in cached)
+
+
+def broken_families(space, chains):
+    """The family with its last chain dropped, its first doubled, and a
+    non-cycle added."""
+    doubled = ChainVector({f: 2 * v for f, v in chains[0].items()})
+    return [chains[:-1], [doubled] + chains[1:],
+            chains + [space.chain([("a", 1, 1, 1)])]]
 
 
 def run_invalid(capsys, *argv):
@@ -450,6 +511,8 @@ class TestBadInput:
         ("e5 = e5\n", "e5"),              # parses, but (3,1,0) has no e5
         ("a1 a2\n", "lhs = rhs"),         # no `=`
         ("a1 = a2\n", "cycle lattice"),   # RelationOutsideKernel
+        ("a1 a2 = a2 a1\n", "X1"),        # the same, through a closed form
+        ("v1 a1 = a1 v1\n", "v1"),        # UnknownLetter in a commutation
     ])
     def test_bad_relation(self, capsys, tmp_path, text, named):
         path = tmp_path / "extra.txt"
@@ -466,6 +529,18 @@ class TestBadInput:
     def test_bad_table_range(self, capsys, genus, named):
         err = run_invalid(capsys, "table", "--genus", genus)
         assert named in err
+
+    @pytest.mark.parametrize("flags", [
+        ("--genus", "3", "--flavor", "m"),
+        ("--boundary", "0"),
+        ("--punctures", "1", "--k", "0"),
+    ])
+    def test_verify_all_takes_no_spec_flags(self, capsys, monkeypatch, flags):
+        # A spec flag with --all used to be dropped silently.
+        monkeypatch.setattr(mcgtwist.cli, "verify_spec",
+                            lambda spec: pytest.fail("verified %s" % (spec,)))
+        err = run_invalid(capsys, "verify", "--all", *flags)
+        assert "--all" in err and flags[0] in err
 
     @pytest.mark.parametrize("command", ["compute", "verify"])
     def test_no_boundary_or_puncture(self, capsys, command):

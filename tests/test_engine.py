@@ -1,5 +1,6 @@
 """The quotient pipeline: invariants, named bases, sampling."""
 
+import os
 import random
 import time
 
@@ -34,7 +35,8 @@ from mcgtwist.intlin import (
     vec_axpy,
 )
 from mcgtwist.surface import SurfaceSpec
-from helpers import kept_instances_reference, lattice_coords
+from helpers import kept_instances_reference, lattice_coords, same_lattice
+from make_relation_manifest import manifest_lines
 from test_acceptance import (
     PER_SPEC_BUDGET_SECONDS,
     permutation_grid,
@@ -394,6 +396,17 @@ def test_system_rank_is_the_cycle_lattice_rank():
         assert system.rank == cycle_lattice(system.space).rank, spec
 
 
+def test_relation_chains_match_the_manifest():
+    # Every exact chain and pinned instance of the grid, in build order,
+    # against the digests committed in relation_manifest.txt (written by
+    # make_relation_manifest.py).
+    path = os.path.join(os.path.dirname(__file__), "relation_manifest.txt")
+    with open(path, encoding="utf-8") as handle:
+        committed = handle.read().splitlines()
+    assert len(committed) == 329
+    assert list(manifest_lines()) == committed
+
+
 def full_coordinate_sampler(system, samples, seed):
     """Reference for compute_h1: every sample and the named basis in the
     coordinates of a basis of the cycle lattice (`lattice_coords`), with
@@ -504,7 +517,7 @@ def test_exact_echelon_order_keeps_pivots_and_lattice():
         assert sorted(built.pivots) == sorted(catalog_order.pivots), spec
         assert ({j: row[j] for j, row in built.pivots.items()}
                 == {j: row[j] for j, row in catalog_order.pivots.items()}), spec
-        assert built.same_lattice(catalog_order), spec
+        assert same_lattice(built, catalog_order), spec
 
 
 def test_dropped_partial_instances_would_change_the_quotient():
