@@ -8,6 +8,7 @@ Z_2 summands.  The closed-form oracle gives the expected group for any
 valid spec; full validation is computed-versus-oracle equality.
 """
 
+import itertools
 from dataclasses import dataclass, field
 
 from .errors import DescentFailed, SpecInvalid
@@ -120,16 +121,15 @@ def descent_check(system, functional):
                 "%s: beta not invariant under psi(%s) at xi_%d"
                 % (functional.name, gen.name, min(odd) + 1)
             )
-    vectors = [(rid, vec) for rid, vec in system.exact]
-    vectors += [(p.rid, p.base) for p in system.instances]
-    for key, chains in system.ambiguity_chains.items():
-        vectors += [("ambiguity:%s" % key, c) for c in chains]
     support = odd_support(space, functional)
-    for rid, vec in vectors:
-        if parity_on(support, vec):
-            report.failures.append(
-                "%s: nonzero on relation %s" % (functional.name, rid)
-            )
+    relations = itertools.chain(
+        system.exact,
+        ((p.rid, p.base) for p in system.instances),
+        (("ambiguity:%s" % key, c)
+         for key, chains in system.ambiguity_chains.items() for c in chains),
+    )
+    report.failures += ["%s: nonzero on relation %s" % (functional.name, rid)
+                        for rid, vec in relations if parity_on(support, vec)]
     return report
 
 

@@ -8,7 +8,7 @@ gamma_3).  Coordinates are flattened as position(x) * d + (i - 1).
 """
 
 from .intlin import ColumnSolver, Echelon, vec_axpy
-from .surface import Gen, Word, build_representation, expand_word
+from .surface import Word, build_representation, expand_word
 
 
 class ChainVector(dict):
@@ -46,8 +46,10 @@ class ChainSpace:
         self.dim = len(self.gens) * self.d
         # Boundary columns: the image of [x] (x) xi_i is column i of
         # psi(x)^-1 - I, which is zero outside the rows where psi(x)^-1
-        # differs from the identity.
+        # differs from the identity.  `_bflat` holds them by flat
+        # coordinate and `_bcol` by generator, as the same dicts.
         self._bcol = {}
+        self._bflat = []
         for gen in self.gens:
             cols = [{} for _ in range(self.d)]
             for r, entries in self.rep.moved[gen, -1]:
@@ -57,6 +59,7 @@ class ChainSpace:
                     if v:
                         cols[c][r] = v
             self._bcol[gen] = cols
+            self._bflat.extend(cols)
         self._fox = {}  # letter -> (C, B), see `_fox_columns`
 
     def flat(self, gen, i):
@@ -74,8 +77,10 @@ class ChainSpace:
     def chain(self, terms):
         """Build a chain from (kind, generator index, basis index, coef)."""
         out = ChainVector()
+        gpos, d = self.gpos, self.d
         for kind, j, i, coef in terms:
-            out.add_term(self.flat(Gen(kind, j), i), coef)
+            # A Gen is a tuple, so (kind, j) finds its position.
+            out.add_term(gpos[kind, j] * d + i - 1, coef)
         return out
 
     def format_chain(self, chain):
@@ -93,11 +98,17 @@ class ChainSpace:
 
 
 def boundary1(space, chain):
-    """The boundary of a chain, as a sparse module vector (0-based rows)."""
+    """The boundary of a chain, as a sparse module vector (0-based rows):
+    the sum of coef times the boundary column of each of its classes."""
     out = {}
+    cols = space._bflat
     for flat, coef in chain.items():
-        gen, i = space.unflat(flat)
-        vec_axpy(out, space._bcol[gen][i - 1], coef)
+        for r, v in cols[flat].items():
+            w = out.get(r, 0) + coef * v
+            if w:
+                out[r] = w
+            elif r in out:
+                del out[r]
     return out
 
 
@@ -247,7 +258,11 @@ def rewrite_relation_all(space, lhs, rhs):
       B_x B_y), at e_k.
 
     Neither form assumes the relation, so a false one still gives a
-    non-cycle.  Any other relation is walked, one pass over the letters
+    non-cycle.  Most coefficients are moved by neither letter: when
+    B_x e_k = B_y e_k = 0, the commutation's chain k is 0, and since
+    e_k + B_x e_k + B_y B_x e_k = e_k (and likewise with x, y swapped)
+    the braid's chain k is C(x) e_k - C(y) e_k.  Those chains are
+    built as such.  Any other relation is walked, one pass over the letters
     shared by all coefficients: the running matrix Q = psi(prefix)^-1 is
     held as sparse rows and updated by one letter step
     (`Representation.apply_letter`) per letter, and a contribution adds
@@ -274,16 +289,19 @@ def rewrite_relation_all(space, lhs, rhs):
 
     out = []
     for k in range(space.d):
-        if len(lhs) == 2:
-            terms = ((cy, bx[k], 1), (cx, by[k], -1))
-        else:
-            terms = ((cx, braid_vector(k, bx, by), 1),
-                     (cy, braid_vector(k, by, bx), -1))
         chain = ChainVector()
-        for cols, vec, sign in terms:
-            for r, c in vec.items():
-                for flat, v in cols[r].items():
-                    chain.add_term(flat, sign * c * v)
+        if bx[k] or by[k]:
+            if len(lhs) == 2:
+                terms = ((cy, bx[k], 1), (cx, by[k], -1))
+            else:
+                terms = ((cx, braid_vector(k, bx, by), 1),
+                         (cy, braid_vector(k, by, bx), -1))
+            for cols, vec, sign in terms:
+                for r, c in vec.items():
+                    vec_axpy(chain, cols[r], sign * c)
+        elif len(lhs) == 3:  # unmoved by both letters: see above
+            chain.update(cx[k])
+            vec_axpy(chain, cy[k], -1)
         out.append(chain)
     return out
 

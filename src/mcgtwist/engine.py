@@ -50,12 +50,15 @@ class PartialRow:
     """One coefficient instance of a partial relation: the pinned chain
     (exact part minus a particular solution of the unknown part), the
     key of its ambiguity sublattice and, once the filter keeps it, its
-    projection by `RelationSystem.elimination`."""
+    projection by `RelationSystem.elimination`.  `in_ambiguity` marks
+    an instance whose pinned chain is known to lie in that sublattice
+    (see `build_relation_system`), so the filter drops it unseen."""
 
     rid: str
     base: ChainVector
     ambiguity: str
     projected: dict = field(default=None, repr=False, compare=False)
+    in_ambiguity: bool = field(default=False, repr=False, compare=False)
 
 
 @dataclass
@@ -114,12 +117,17 @@ class RelationSystem:
         A the key's ambiguity lattice and K its kept rows, p is in
         E + A + K iff pi(p) = pi(q) for some q in E + A + K, since then
         p - q is in ker pi = span(U), inside E; and pi(E) = span(`base`).
+        An instance marked `in_ambiguity` has p in A, inside E + A + K
+        whatever K is, so the test would drop it, and a dropped instance
+        changes no filter; it is skipped without being projected.
         """
         elim = self.elimination
         filters = {key: Echelon(elim.base + basis)
                    for key, (basis, _) in elim.ambiguity.items()}
         kept = []
         for p in self.instances:
+            if p.in_ambiguity:
+                continue
             row = elim(p.base)
             if not filters[p.ambiguity].contains(row):
                 filters[p.ambiguity].insert(dict(row))
@@ -157,10 +165,21 @@ def build_relation_system(spec, extra_relations=None):
       differs from it by a vector of the exact lattice, and every
       sample's lattice L contains the exact lattice, so L, and with it
       Z^dim / L = Z^r' / pi(L), is the same for either U.
+
+    A slide conjugation x v_j = v_j y at a coefficient xi that x does
+    not move (B_x xi = 0, with B_x = psi(x)^-1 - I) has exact part
+    [x] (x) xi + [v_j] (x) B_x xi = [x] (x) xi and target boundary
+    psi(v_j)^-1 B_x xi = 0, whose solution is 0 (the solver's remainder
+    of 0 is 0).  So its pinned instance is [x] (x) xi, built as such and
+    still checked.  It is a cycle on a kind of `PMPLUS_KINDS`, so it
+    lies in the kernel of `pmplus_boundary_solver`, which the pm+
+    ambiguity chains span over Z; it is marked `in_ambiguity`.  The
+    boundary rank skips the empty boundary columns, which an echelon
+    drops anyway.
     """
     spec.require_free_module()
     space = ChainSpace(spec)
-    boundary = Echelon(col for cols in space._bcol.values() for col in cols)
+    boundary = Echelon(col for col in space._bflat if col)
     catalog = build_catalog(spec, space)
     if extra_relations:
         catalog = catalog + list(extra_relations)
@@ -189,7 +208,7 @@ def build_relation_system(spec, extra_relations=None):
 
     pm_solver = None
 
-    def add_partial(rid, base, key):
+    def add_partial(rid, base, key, in_ambiguity=False):
         check(rid, base)
         if key not in system.ambiguity_chains:
             if key == "pm+":
@@ -199,7 +218,8 @@ def build_relation_system(spec, extra_relations=None):
             for c in chains:
                 require_cycle(space, c, error=RelationOutsideKernel)
             system.ambiguity_chains[key] = chains
-        system.instances.append(PartialRow(rid, base, key))
+        system.instances.append(
+            PartialRow(rid, base, key, in_ambiguity=in_ambiguity))
 
     for entry in catalog:
         if entry.kind != "partial":
@@ -212,6 +232,10 @@ def build_relation_system(spec, extra_relations=None):
             x, vj = entry.conjugation
             for xi in range(1, space.d + 1):
                 rid = "%s:xi%d" % (entry.rid, xi)
+                if not space._bcol[x][xi - 1]:  # x fixes xi: see above
+                    add_partial(rid, space.chain([(x.kind, x.index, xi, 1)]),
+                                "pm+", in_ambiguity=True)
+                    continue
                 base = partial_exact_part(space, x, vj, xi)
                 try:
                     particular = pm_solver.solve(

@@ -60,7 +60,18 @@ class ColumnSolver:
         self.pivots = {}
 
     def add(self, vec, tag):
+        """Register `vec` under `tag`; tags must be distinct.
+
+        A zero vector is stored as its bookkeeping row {off+tag: 1}, a
+        pivot at its own column, which is what `echelon_insert` makes of
+        that row: every stored row is a combination of the rows added
+        before, so none has an entry in column off+tag, and the column
+        has no pivot to reduce by.
+        """
         row = {i: v for i, v in vec.items() if v}
+        if not row:
+            self.pivots[self.off + tag] = {self.off + tag: 1}
+            return
         row[self.off + tag] = 1
         echelon_insert(self.pivots, row)
 

@@ -21,30 +21,26 @@ from .surface import INVOLUTION_KINDS, build_representation
 
 
 def representation_failures(space):
-    """The checks of a representation and its boundary map; returns a
-    list of failures.  psi(x) psi(x)^-1 must be the identity for every
-    generator x, and every boundary column of `space` must equal its
-    closed form."""
+    """The checks of a representation and its boundary map; yields each
+    failure.  psi(x) psi(x)^-1 must be the identity for every generator
+    x, and every boundary column of `space` must equal its closed
+    form."""
     spec, rep = space.spec, space.rep
-    failures = []
     ident = [{r: 1} for r in range(spec.d)]
     for gen in space.gens:
         inverse = rep.apply_letter(ident, gen, -1)
         if rep.apply_letter(inverse, gen, 1) != ident:
-            failures.append("psi(%s) is not %s" % (
+            yield "psi(%s) is not %s" % (
                 gen.name,
                 "an involution" if gen.kind in INVOLUTION_KINDS
                 else "a transvection",
-            ))
+            )
 
     for gen in space.gens:
         for i in range(1, spec.d + 1):
             if space._bcol[gen][i - 1] != expected_boundary(spec, gen, i):
-                failures.append(
-                    "boundary of %s_(x)_xi_%d disagrees with the closed form"
-                    % (gen.name, i)
-                )
-    return failures
+                yield ("boundary of %s_(x)_xi_%d disagrees with the closed form"
+                       % (gen.name, i))
 
 
 def spans_cycle_lattice(system, chains):
@@ -84,7 +80,7 @@ def verify_spec(spec):
         system = build_relation_system(spec)
     except (RelationOutsideKernel, NoIntegerSolution) as exc:
         return ["relation system: %s" % exc]
-    failures = representation_failures(system.space)
+    failures = list(representation_failures(system.space))
     listed = [c for _, c in kernel_generator_list(system.space)]
     if not spans_cycle_lattice(system, listed):
         failures.append("cycle lattice differs from the explicit family")
@@ -96,7 +92,9 @@ def verify_spec(spec):
 
 def fault_checks(spec):
     """The deliberately flipped signs must be caught, and checking them
-    must not raise; returns failures of the checks-about-checks."""
+    must not raise; returns failures of the checks-about-checks.  A
+    variant is caught at the first failure `representation_failures`
+    yields; a crash before it is reported as raised."""
     failures = []
     for variant in ("e", "s"):
         if variant == "e" and spec.s + spec.n - 1 < 3:
@@ -105,7 +103,7 @@ def fault_checks(spec):
             continue
         try:
             rep = build_representation(spec, sign_variant=variant)
-            caught = bool(representation_failures(ChainSpace(spec, rep)))
+            caught = any(representation_failures(ChainSpace(spec, rep)))
         except Exception as exc:
             # A crash is a fault of the checks, not a caught fault.
             failures.append("sign variant %r raised %s: %s"

@@ -7,7 +7,7 @@ from itertools import combinations
 from math import gcd
 
 from mcgtwist.certify import odd_support, parity_on
-from mcgtwist.intlin import Echelon
+from mcgtwist.intlin import Echelon, vec_axpy
 
 
 def display(word):
@@ -22,6 +22,17 @@ def functional_value(space, functional, chain):
     [x] (x) xi_i is coef * alpha(x) * beta(i), which is odd exactly when
     coef is odd and the class lies in the odd support."""
     return parity_on(odd_support(space, functional), chain)
+
+
+def boundary_reference(space, chain):
+    """Reference for `chains.boundary1`: each class [x] (x) xi_i of the
+    chain, looked up by its generator, adds coef times the boundary
+    column of [x] (x) xi_i."""
+    out = {}
+    for flat, coef in chain.items():
+        gen, i = space.unflat(flat)
+        vec_axpy(out, space._bcol[gen][i - 1], coef)
+    return out
 
 
 def kept_instances_reference(system):

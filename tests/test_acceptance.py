@@ -1,7 +1,8 @@
 """End-to-end acceptance gate.
 
 Eight criteria, each printed as a single PASS/FAIL line.  The full
-parameter grids are computed once in a module fixture and shared.
+parameter grids are computed once in a module fixture and shared.  A
+fixed list of specs past the grid is run end to end too.
 """
 
 import time
@@ -11,10 +12,11 @@ import pytest
 from mcgtwist.catalog import build_catalog, verify_catalog
 from mcgtwist.certify import descent_check, functionals_for, lower_bound, oracle
 from mcgtwist.chains import ChainSpace, cycle_lattice, kernel_generator_list
+from mcgtwist.cli import run_record
 from mcgtwist.engine import compute_h1
 from mcgtwist.intlin import Echelon
 from mcgtwist.surface import SurfaceSpec
-from mcgtwist.verify import fault_checks
+from mcgtwist.verify import fault_checks, verify_spec
 from helpers import same_lattice
 
 GRID_BUDGET_SECONDS = 300.0
@@ -218,3 +220,31 @@ def test_criterion_8_named_bases(grids, capfd):
         "named candidate classes form a basis for every grid spec",
         ok,
     )
+
+
+# Past the grid: genus 10-16 with up to six boundary components and
+# punctures, every flavor.
+PAST_GRID_SPECS = [
+    SurfaceSpec.make(10, 4, 4, 0, "pmk"),
+    SurfaceSpec.make(12, 2, 5, 2, "pmk"),
+    SurfaceSpec.make(13, 6, 3, 0, "pmk"),
+    SurfaceSpec.make(16, 6, 6, 3, "pmk"),
+    SurfaceSpec.make(14, 3, 6, 6, "pm+"),
+    SurfaceSpec.make(15, 5, 5, 5, "pm+"),
+    SurfaceSpec.make(10, 5, 4, flavor="m"),
+    SurfaceSpec.make(12, 6, 3, flavor="m"),
+    SurfaceSpec.make(14, 2, 6, flavor="m"),
+    SurfaceSpec.make(16, 5, 5, flavor="m"),
+]
+
+
+@pytest.mark.parametrize("spec", PAST_GRID_SPECS, ids=str)
+def test_spec_past_the_grid(spec):
+    # The record matches the closed form, within the per-spec budget,
+    # and every check of `verify` is clean.
+    start = time.perf_counter()
+    record = run_record(spec, 17, 0)
+    seconds = time.perf_counter() - start
+    assert record["match"] and record["lower_bound"] <= record["oracle"]
+    assert seconds < PER_SPEC_BUDGET_SECONDS
+    assert verify_spec(spec) + fault_checks(spec) == []

@@ -18,7 +18,7 @@ from mcgtwist.chains import (
 from mcgtwist.errors import UnknownDerived, UnknownLetter
 from mcgtwist.intlin import Echelon
 from mcgtwist.surface import Gen, SurfaceSpec, Word, build_representation, expand_word
-from helpers import column, dense, matvec, same_lattice
+from helpers import boundary_reference, column, dense, matvec, same_lattice
 from test_acceptance import permutation_grid, twist_grid
 from test_surface import all_specs
 
@@ -132,6 +132,21 @@ def test_boundary_columns_match_dense_inverse():
                 col[i] -= 1
                 expected = {r: v for r, v in enumerate(col) if v}
                 assert space._bcol[gen][i] == expected, (spec, gen, i)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(BOUNDARY_SPECS), st.data())
+def test_boundary1_matches_the_per_generator_reference(spec, data):
+    # boundary1 reads the columns by flat coordinate; they must be the
+    # very columns the reference looks up by generator.  Zero
+    # coefficients and boundaries that cancel are drawn too.
+    space = ChainSpace(spec)
+    for gen in space.gens:
+        for i in range(space.d):
+            assert space._bflat[space.flat(gen, i + 1)] is space._bcol[gen][i]
+    chain = data.draw(st.dictionaries(
+        st.integers(0, space.dim - 1), st.integers(-3, 3), max_size=12))
+    assert boundary1(space, chain) == boundary_reference(space, chain)
 
 
 def test_sign_variants_break_boundary_consistency():

@@ -347,6 +347,29 @@ class TestVerify:
             "FAIL (4,1,3,0,m) %s\n" % f for f in fault_checks(spec)
         )
 
+    def test_sign_variant_checks_stop_at_the_first_failure(self,
+                                                           monkeypatch):
+        # fault_checks reads the checks lazily: the first failure catches
+        # the variant and nothing after it runs, while a crash before it
+        # is still a failure line.
+        def first_then_crash(space):
+            yield "first"
+            raise TypeError("boom")
+
+        def crash(space):
+            raise TypeError("boom")
+            yield  # a generator: the crash comes while it is read
+
+        spec = SurfaceSpec.make(4, 1, 3, flavor="m")
+        monkeypatch.setattr(mcgtwist.verify, "representation_failures",
+                            first_then_crash)
+        assert fault_checks(spec) == []
+        monkeypatch.setattr(mcgtwist.verify, "representation_failures", crash)
+        assert fault_checks(spec) == [
+            "sign variant 'e' raised TypeError: boom",
+            "sign variant 's' raised TypeError: boom",
+        ]
+
     def test_sign_variants_run_the_checks_of_verify(self, monkeypatch):
         # Blinding verify's own representation checks must let both
         # flipped signs through.
@@ -520,6 +543,16 @@ class TestBadInput:
         err = run_invalid(capsys, "compute", "--genus", "3", "--boundary", "1",
                           "--relations", str(path))
         assert named in err
+
+    def test_false_commutation_names_its_first_chain(self, capsys, tmp_path):
+        # The closed form builds no chain at the coefficients neither
+        # letter moves; the first nonzero chain is still the one named.
+        path = tmp_path / "extra.txt"
+        path.write_text("a1 a2 = a2 a1\n")
+        err = run_invalid(capsys, "compute", "--genus", "3", "--boundary", "1",
+                          "--relations", str(path))
+        assert err.endswith(
+            "X1: not in the cycle lattice: +a_{2,1} +a_{2,2}\n"), err
 
     @pytest.mark.parametrize("genus, named", [
         ("abc", "--genus"),   # not a number

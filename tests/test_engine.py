@@ -257,6 +257,41 @@ def test_partial_filter_is_unchanged_and_maximal(args):
                 assert span.contains(p.base), p.rid
 
 
+def test_marked_instances_are_the_general_pinned_chains():
+    # An instance is marked in_ambiguity exactly when x fixes xi, and
+    # its chain is what the general path pins: the exact part less the
+    # solution of the target boundary.  The filter in all dim
+    # coordinates, which projects every instance, keeps none of them.
+    # The grid and four specs past it.
+    specs = list(twist_grid()) + list(permutation_grid())
+    specs += [SurfaceSpec.make(g, 3, 3, 0, "pmk") for g in (10, 11, 12)]
+    specs.append(SurfaceSpec.make(10, 3, 3, flavor="m"))
+    marked = 0
+    for spec in specs:
+        system = build_relation_system(spec)
+        space = system.space
+        instances = {p.rid: p for p in system.instances}
+        solver = None
+        for entry in system.catalog:
+            if entry.conjugation is None:
+                continue
+            solver = solver or pmplus_boundary_solver(space)
+            x, vj = entry.conjugation
+            for xi in range(1, space.d + 1):
+                p = instances.get("%s:xi%d" % (entry.rid, xi))
+                fixed = not space._bcol[x][xi - 1]
+                assert (p is not None and p.in_ambiguity) == fixed
+                if fixed:
+                    pinned = partial_exact_part(space, x, vj, xi)
+                    particular = solver.solve(
+                        partial_target_boundary(space, x, vj, xi))
+                    assert pinned - particular == p.base, p.rid
+                    marked += 1
+        assert not any(p.in_ambiguity
+                       for p in kept_instances_reference(system)), spec
+    assert marked > 10000
+
+
 def test_partial_filter_matches_the_full_coordinate_filter():
     # The filter asks its span question in the coordinates left after
     # the unit elimination; it must keep the same PartialRow objects, in
@@ -277,7 +312,8 @@ def test_partial_filter_matches_the_full_coordinate_filter():
 
 def test_each_chain_is_projected_once_per_system(monkeypatch):
     # The elimination is built once per system; its first read projects
-    # every ambiguity chain, and the filter every instance, once.  A
+    # every ambiguity chain, and the filter every instance, once, except
+    # the instances marked in_ambiguity, which it never projects.  A
     # second compute_h1 on the same system projects only the named
     # candidates.
     spec = SurfaceSpec.make(5, 1, 1, 0, "pmk")
@@ -297,10 +333,13 @@ def test_each_chain_is_projected_once_per_system(monkeypatch):
     monkeypatch.setattr(UnitElimination, "__call__", counted_call)
     first = compute_h1(spec, system=system)
     chains = [c for cs in system.ambiguity_chains.values() for c in cs]
-    chains += [p.base for p in system.instances]
-    assert len(system.ambiguity_chains) == 2 and system.partials
+    chains += [p.base for p in system.instances if not p.in_ambiguity]
+    marked = [p.base for p in system.instances if p.in_ambiguity]
+    assert len(system.ambiguity_chains) == 2 and system.partials and marked
     for chain in chains:
         assert sum(c is chain for c in projected) == 1
+    for chain in marked:
+        assert not any(c is chain for c in projected)
     projected.clear()
     again = compute_h1(spec, system=system)
     assert built == [system.elimination]

@@ -11,6 +11,7 @@ from mcgtwist.intlin import (
     AbelianInvariants,
     ColumnSolver,
     Echelon,
+    echelon_insert,
     gf2_insert,
     parity_mask,
     snf_factors,
@@ -218,6 +219,39 @@ def test_quotient_of_kernel_taken_in_ambient_coordinates(rows, seed):
     # Z / (L + 2 Z).
     image = gf2_rank(lattice + basis, n) - gf2_rank(lattice, n)
     assert image == k - gf2_rank(combos, k)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.just([0, 0, 0]),
+                  st.lists(st.integers(min_value=-3, max_value=3),
+                           min_size=3, max_size=3)),
+        min_size=1, max_size=7,
+    ),
+    st.lists(st.integers(min_value=-6, max_value=6), min_size=3, max_size=3),
+)
+def test_column_solver_stores_zero_vectors_as_echelon_insert_does(vecs,
+                                                                  target):
+    # ColumnSolver.add stores a zero vector's bookkeeping row directly;
+    # a solver built by echelon_insert alone must end up the same.
+    solver = ColumnSolver(3)
+    reference = ColumnSolver(3)
+    for t, v in enumerate(vecs):
+        solver.add(sparse(v), tag=t)
+        row = sparse(v)
+        row[3 + t] = 1
+        echelon_insert(reference.pivots, row)
+    assert solver.pivots == reference.pivots
+    assert solver.kernel_basis() == reference.kernel_basis()
+    for b in (sparse(target), {}, sparse(vecs[-1])):
+        try:
+            expected = reference.solve(b)
+        except NoIntegerSolution:
+            with pytest.raises(NoIntegerSolution):
+                solver.solve(b)
+        else:
+            assert solver.solve(b) == expected
 
 
 def test_column_solver_roundtrip():
