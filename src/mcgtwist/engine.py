@@ -11,7 +11,9 @@ of ambiguity basis vectors, and the quotient invariants must agree
 across all samples.  Only the instances that escape the exact relations
 and their ambiguity sublattice are sampled (`RelationSystem.partials`);
 that filter, the exact-relation echelon and its unit elimination are
-built once, on first use by `compute_h1`, and `verify` builds none.
+built once, on first use by `compute_h1`, and `verify` builds none.  No
+instance known to lie in its ambiguity sublattice is built, and no
+boundary echelon (see `build_relation_system`).
 """
 
 import random
@@ -50,15 +52,12 @@ class PartialRow:
     """One coefficient instance of a partial relation: the pinned chain
     (exact part minus a particular solution of the unknown part), the
     key of its ambiguity sublattice and, once the filter keeps it, its
-    projection by `RelationSystem.elimination`.  `in_ambiguity` marks
-    an instance whose pinned chain is known to lie in that sublattice
-    (see `build_relation_system`), so the filter drops it unseen."""
+    projection by `RelationSystem.elimination`."""
 
     rid: str
     base: ChainVector
     ambiguity: str
     projected: dict = field(default=None, repr=False, compare=False)
-    in_ambiguity: bool = field(default=False, repr=False, compare=False)
 
 
 @dataclass
@@ -76,9 +75,9 @@ class RelationSystem:
     spec: object
     space: ChainSpace
     catalog: list
-    rank: int  # of the cycle lattice: space.dim - rank of the boundary map
+    rank: int  # of the cycle lattice: space.dim - d
     exact: list  # (rid, ChainVector)
-    instances: list  # every PartialRow, in catalog order
+    instances: list  # every built PartialRow, in catalog order
     ambiguity_chains: dict  # key -> list of ChainVector
 
     @property
@@ -117,17 +116,13 @@ class RelationSystem:
         A the key's ambiguity lattice and K its kept rows, p is in
         E + A + K iff pi(p) = pi(q) for some q in E + A + K, since then
         p - q is in ker pi = span(U), inside E; and pi(E) = span(`base`).
-        An instance marked `in_ambiguity` has p in A, inside E + A + K
-        whatever K is, so the test would drop it, and a dropped instance
-        changes no filter; it is skipped without being projected.
+        Every instance is projected once, here.
         """
         elim = self.elimination
         filters = {key: Echelon(elim.base + basis)
                    for key, (basis, _) in elim.ambiguity.items()}
         kept = []
         for p in self.instances:
-            if p.in_ambiguity:
-                continue
             row = elim(p.base)
             if not filters[p.ambiguity].contains(row):
                 filters[p.ambiguity].insert(dict(row))
@@ -166,27 +161,32 @@ def build_relation_system(spec, extra_relations=None):
       sample's lattice L contains the exact lattice, so L, and with it
       Z^dim / L = Z^r' / pi(L), is the same for either U.
 
-    A slide conjugation x v_j = v_j y at a coefficient xi that x does
-    not move (B_x xi = 0, with B_x = psi(x)^-1 - I) has exact part
-    [x] (x) xi + [v_j] (x) B_x xi = [x] (x) xi and target boundary
-    psi(v_j)^-1 B_x xi = 0, whose solution is 0 (the solver's remainder
-    of 0 is 0).  So its pinned instance is [x] (x) xi, built as such and
-    still checked.  It is a cycle on a kind of `PMPLUS_KINDS`, so it
-    lies in the kernel of `pmplus_boundary_solver`, which the pm+
-    ambiguity chains span over Z; it is marked `in_ambiguity`.  The
-    boundary rank skips the empty boundary columns, which an echelon
-    drops anyway.
+    A slide conjugation x v_j = v_j y builds no instance at a
+    coefficient xi that x fixes (B_x xi = 0, B_x = psi(x)^-1 - I).  The
+    general path pins [x] (x) xi there: the exact part is [x] (x) xi +
+    [v_j] (x) B_x xi = [x] (x) xi, and the target boundary
+    psi(v_j)^-1 B_x xi is 0, solved by 0.  That chain is a cycle on a
+    kind of `PMPLUS_KINDS`, so an integer combination of the pm+
+    ambiguity chains, which span the kernel of `pmplus_boundary_solver`:
+    the filter never kept it, its cycle check was vacuous, and
+    `descent_check` (linear mod 2) covers it through those chains.
+
+    The cycle lattice has rank dim - d: the boundary columns of
+    [a_j] (x) xi_j, [u_1] (x) xi_1 and [e_j] (x) xi_1 are gamma_j +
+    gamma_{j+1} (j < g), gamma_2 - gamma_1 and gamma_1 + gamma_2 +
+    delta_1 + ... + delta_j (j < s + n), d vectors of Z^d, independent
+    (delta_j enters first with e_j, and the rest span the gamma_i over
+    Q); every spec has these letters.
     """
     spec.require_free_module()
     space = ChainSpace(spec)
-    boundary = Echelon(col for col in space._bflat if col)
     catalog = build_catalog(spec, space)
     if extra_relations:
         catalog = catalog + list(extra_relations)
 
     system = RelationSystem(
         spec=spec, space=space, catalog=catalog,
-        rank=space.dim - boundary.rank, exact=[], instances=[],
+        rank=space.dim - spec.d, exact=[], instances=[],
         ambiguity_chains={},
     )
 
@@ -208,7 +208,7 @@ def build_relation_system(spec, extra_relations=None):
 
     pm_solver = None
 
-    def add_partial(rid, base, key, in_ambiguity=False):
+    def add_partial(rid, base, key):
         check(rid, base)
         if key not in system.ambiguity_chains:
             if key == "pm+":
@@ -218,8 +218,7 @@ def build_relation_system(spec, extra_relations=None):
             for c in chains:
                 require_cycle(space, c, error=RelationOutsideKernel)
             system.ambiguity_chains[key] = chains
-        system.instances.append(
-            PartialRow(rid, base, key, in_ambiguity=in_ambiguity))
+        system.instances.append(PartialRow(rid, base, key))
 
     for entry in catalog:
         if entry.kind != "partial":
@@ -231,11 +230,9 @@ def build_relation_system(spec, extra_relations=None):
                 pm_solver = pmplus_boundary_solver(space)
             x, vj = entry.conjugation
             for xi in range(1, space.d + 1):
-                rid = "%s:xi%d" % (entry.rid, xi)
                 if not space._bcol[x][xi - 1]:  # x fixes xi: see above
-                    add_partial(rid, space.chain([(x.kind, x.index, xi, 1)]),
-                                "pm+", in_ambiguity=True)
                     continue
+                rid = "%s:xi%d" % (entry.rid, xi)
                 base = partial_exact_part(space, x, vj, xi)
                 try:
                     particular = pm_solver.solve(
@@ -365,8 +362,8 @@ def compute_h1(spec, samples=17, seed=0, extra_relations=None, system=None):
     - Z^dim / Z is the image of the boundary map, which is free, so
       Z^dim = Z (+) C with C free of rank rank(boundary).
     - L lies in Z, so Z^dim / L = Z / L (+) C.  The torsion is the same
-      and the free rank is larger by rank(boundary), so the free rank is
-      taken against `RelationSystem.rank` = dim - rank(boundary).
+      and the free rank is larger by rank(boundary) = d, so the free
+      rank is taken against `RelationSystem.rank` = dim - d.
     - Z meets L + 2 Z^dim in L + 2 Z: if a cycle is l + 2x with l in L,
       then 2x is a cycle, so x is one.  So Z / (L + 2 Z) embeds in
       Z^dim / (L + 2 Z^dim), cycles are independent mod 2 in one exactly
@@ -379,12 +376,18 @@ def compute_h1(spec, samples=17, seed=0, extra_relations=None, system=None):
     Every sample, taken by its Smith form (`snf_factors`), and the named
     basis work in the projections held on the system (see
     `UnitElimination`); a draw skips the basis vectors that project to 0.
+
+    A `system` given must be built for `spec`, with any extra relations
+    already in its catalog; otherwise ValueError is raised.
     """
     t0 = time.perf_counter()
     if samples < 1:
         raise ValueError("need at least one sample")
     if system is None:
         system = build_relation_system(spec, extra_relations)
+    elif system.spec != spec or extra_relations:
+        raise ValueError("a given system must be built for %s, extra "
+                         "relations included" % (spec,))
     elim = system.elimination
     rank = system.rank - len(elim.units)  # the ambient rank for Z / L
     partials = system.partials

@@ -62,16 +62,11 @@ class ColumnSolver:
     def add(self, vec, tag):
         """Register `vec` under `tag`; tags must be distinct.
 
-        A zero vector is stored as its bookkeeping row {off+tag: 1}, a
-        pivot at its own column, which is what `echelon_insert` makes of
-        that row: every stored row is a combination of the rows added
-        before, so none has an entry in column off+tag, and the column
-        has no pivot to reduce by.
+        The stored row is `vec` plus a bookkeeping entry 1 at off+tag.
+        No row stored before has an entry there, so a zero vector
+        becomes a pivot row at that column, with no special case.
         """
         row = {i: v for i, v in vec.items() if v}
-        if not row:
-            self.pivots[self.off + tag] = {self.off + tag: 1}
-            return
         row[self.off + tag] = 1
         echelon_insert(self.pivots, row)
 

@@ -16,7 +16,7 @@ from mcgtwist.catalog import (
     pmplus_boundary_solver,
 )
 from mcgtwist.certify import oracle
-from mcgtwist.chains import cycle_lattice
+from mcgtwist.chains import ChainSpace, cycle_lattice
 from mcgtwist.engine import (
     UnitElimination,
     build_relation_system,
@@ -34,10 +34,11 @@ from mcgtwist.intlin import (
     snf_factors,
     vec_axpy,
 )
-from mcgtwist.surface import SurfaceSpec
+from mcgtwist.surface import Gen, SurfaceSpec
 from helpers import kept_instances_reference, lattice_coords, same_lattice
 from make_relation_manifest import manifest_lines
 from test_acceptance import (
+    PAST_GRID_SPECS,
     PER_SPEC_BUDGET_SECONDS,
     permutation_grid,
     twist_grid,
@@ -184,10 +185,21 @@ def test_false_relation_is_rejected():
         compute_h1(spec, extra_relations=parse_relations("a1 = a2"))
 
 
-def test_candidate_counts_match_closed_form():
-    from mcgtwist.certify import oracle
-    from mcgtwist.chains import ChainSpace
+def test_a_given_system_must_match_its_call():
+    # A system holds its spec and its extra relations; compute_h1
+    # refuses a system of another spec and extra relations given with a
+    # system, which it could not add.
+    spec = SurfaceSpec.make(4, 1, 1, 0, "pmk")
+    system = build_relation_system(spec)
+    with pytest.raises(ValueError, match="built for"):
+        compute_h1(SurfaceSpec.make(4, 1, 1, 1, "pm+"), system=system)
+    with pytest.raises(ValueError, match="built for"):
+        compute_h1(spec, system=system,
+                   extra_relations=parse_relations("a1 a2 a1 = a2 a1 a2"))
+    assert compute_h1(spec, system=system).invariants == oracle(spec)
 
+
+def test_candidate_counts_match_closed_form():
     specs = [
         SurfaceSpec.make(3, 0, 2, 0, "pmk"),
         SurfaceSpec.make(3, 2, 1, 1, "pm+"),
@@ -257,39 +269,42 @@ def test_partial_filter_is_unchanged_and_maximal(args):
                 assert span.contains(p.base), p.rid
 
 
-def test_marked_instances_are_the_general_pinned_chains():
-    # An instance is marked in_ambiguity exactly when x fixes xi, and
-    # its chain is what the general path pins: the exact part less the
-    # solution of the target boundary.  The filter in all dim
-    # coordinates, which projects every instance, keeps none of them.
-    # The grid and four specs past it.
+def test_no_instance_is_built_at_a_coefficient_the_letter_fixes():
+    # At a coefficient xi that x fixes, no instance is built: the general
+    # path (the exact part less the solution of the target boundary)
+    # pins [x] (x) xi there, which lies in the pm+ ambiguity lattice.  At
+    # a coefficient x moves, an instance is built exactly when its
+    # pinned chain is nonzero, and it is that chain.  The grid and four
+    # specs past it.
     specs = list(twist_grid()) + list(permutation_grid())
     specs += [SurfaceSpec.make(g, 3, 3, 0, "pmk") for g in (10, 11, 12)]
     specs.append(SurfaceSpec.make(10, 3, 3, flavor="m"))
-    marked = 0
+    skipped = 0
     for spec in specs:
         system = build_relation_system(spec)
         space = system.space
         instances = {p.rid: p for p in system.instances}
-        solver = None
+        solver = ambiguity = None
         for entry in system.catalog:
             if entry.conjugation is None:
                 continue
-            solver = solver or pmplus_boundary_solver(space)
+            if solver is None:
+                solver = pmplus_boundary_solver(space)
+                ambiguity = Echelon(system.ambiguity_chains["pm+"])
             x, vj = entry.conjugation
             for xi in range(1, space.d + 1):
-                p = instances.get("%s:xi%d" % (entry.rid, xi))
-                fixed = not space._bcol[x][xi - 1]
-                assert (p is not None and p.in_ambiguity) == fixed
-                if fixed:
-                    pinned = partial_exact_part(space, x, vj, xi)
-                    particular = solver.solve(
-                        partial_target_boundary(space, x, vj, xi))
-                    assert pinned - particular == p.base, p.rid
-                    marked += 1
-        assert not any(p.in_ambiguity
-                       for p in kept_instances_reference(system)), spec
-    assert marked > 10000
+                rid = "%s:xi%d" % (entry.rid, xi)
+                pinned = partial_exact_part(space, x, vj, xi) - solver.solve(
+                    partial_target_boundary(space, x, vj, xi))
+                if space._bcol[x][xi - 1]:
+                    p = instances.get(rid)
+                    assert (p.base if p else None) == (pinned or None), rid
+                    continue
+                assert rid not in instances
+                assert pinned == space.chain([(x.kind, x.index, xi, 1)]), rid
+                assert ambiguity.contains(pinned), rid
+                skipped += 1
+    assert skipped > 20000
 
 
 def test_partial_filter_matches_the_full_coordinate_filter():
@@ -312,8 +327,7 @@ def test_partial_filter_matches_the_full_coordinate_filter():
 
 def test_each_chain_is_projected_once_per_system(monkeypatch):
     # The elimination is built once per system; its first read projects
-    # every ambiguity chain, and the filter every instance, once, except
-    # the instances marked in_ambiguity, which it never projects.  A
+    # every ambiguity chain, and the filter every instance, once.  A
     # second compute_h1 on the same system projects only the named
     # candidates.
     spec = SurfaceSpec.make(5, 1, 1, 0, "pmk")
@@ -333,13 +347,10 @@ def test_each_chain_is_projected_once_per_system(monkeypatch):
     monkeypatch.setattr(UnitElimination, "__call__", counted_call)
     first = compute_h1(spec, system=system)
     chains = [c for cs in system.ambiguity_chains.values() for c in cs]
-    chains += [p.base for p in system.instances if not p.in_ambiguity]
-    marked = [p.base for p in system.instances if p.in_ambiguity]
-    assert len(system.ambiguity_chains) == 2 and system.partials and marked
+    chains += [p.base for p in system.instances]
+    assert len(system.ambiguity_chains) == 2 and system.partials
     for chain in chains:
         assert sum(c is chain for c in projected) == 1
-    for chain in marked:
-        assert not any(c is chain for c in projected)
     projected.clear()
     again = compute_h1(spec, system=system)
     assert built == [system.elimination]
@@ -427,12 +438,22 @@ def test_unit_elimination_agrees_with_smith_form(diag, seed, ops, drop, extra):
 
 
 def test_system_rank_is_the_cycle_lattice_rank():
-    # RelationSystem.rank is dim - rank(boundary), computed from the
-    # boundary columns; it must be the rank of the cycle lattice.
-    specs = (list(twist_grid()) + list(permutation_grid()))[::12]
-    for spec in specs:
+    # RelationSystem.rank is dim - d, taken from the spec; it must be
+    # the rank of the cycle lattice (every 12th grid spec and the specs
+    # past the grid).  On every grid spec, the boundary columns of
+    # [a_j] (x) xi_j, [u_1] (x) xi_1 and [e_j] (x) xi_1, the witnesses
+    # that rank(boundary) = d, have rank d.
+    grid = list(twist_grid()) + list(permutation_grid())
+    for spec in grid[::12] + PAST_GRID_SPECS:
         system = build_relation_system(spec)
         assert system.rank == cycle_lattice(system.space).rank, spec
+    for spec in grid:
+        cols = ChainSpace(spec)._bcol
+        witnesses = [cols[Gen("a", j)][j - 1] for j in range(1, spec.g)]
+        witnesses.append(cols[Gen("u", 1)][0])
+        witnesses += [cols[Gen("e", j)][0] for j in range(1, spec.s + spec.n)]
+        assert len(witnesses) == spec.d
+        assert Echelon(witnesses).rank == spec.d, spec
 
 
 def test_relation_chains_match_the_manifest():

@@ -233,8 +233,9 @@ def test_quotient_of_kernel_taken_in_ambient_coordinates(rows, seed):
 )
 def test_column_solver_stores_zero_vectors_as_echelon_insert_does(vecs,
                                                                   target):
-    # ColumnSolver.add stores a zero vector's bookkeeping row directly;
-    # a solver built by echelon_insert alone must end up the same.
+    # ColumnSolver.add hands every row, zero vectors included, to
+    # echelon_insert with its bookkeeping entry; a solver built by
+    # echelon_insert alone must end up the same.
     solver = ColumnSolver(3)
     reference = ColumnSolver(3)
     for t, v in enumerate(vecs):
