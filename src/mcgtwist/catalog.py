@@ -167,10 +167,9 @@ def partial_exact_part(space, x, vj, xi):
     """The explicitly known chain part of the relation x v_j = v_j y
     at coefficient xi: [x] (x) xi + [v_j] (x) (psi(x)^-1 - I) xi, whose
     module part is the boundary column of [x] (x) xi."""
-    out = space.chain([(x.kind, x.index, xi, 1)])
-    for r, c in space._bcol[x][xi - 1].items():
-        out.add_term(space.flat(vj, r + 1), c)
-    return out
+    return space.chain([(x.kind, x.index, xi, 1)] + [
+        (vj.kind, vj.index, r + 1, c)
+        for r, c in space._bcol[x][xi - 1].items()])
 
 
 def partial_target_boundary(space, x, vj, xi):

@@ -2,36 +2,15 @@
 rewriting and the cycle lattice.
 
 A chain is a sparse integer vector over the classes [x] (x) xi_i, where
-x runs over the generator alphabet and xi_1..xi_d over the module basis.
-The class [x] (x) xi_i is written x_{j,i} (so a_{1,3} is [a_1] (x)
-gamma_3).  Coordinates are flattened as position(x) * d + (i - 1).
+x runs over the generator alphabet and xi_1..xi_d over the module basis:
+the `intlin` vector, a dict from flat coordinate to nonzero int, updated
+by `vec_axpy`.  The class [x] (x) xi_i is written x_{j,i} (so a_{1,3} is
+[a_1] (x) gamma_3).  Coordinates are flattened as position(x) * d +
+(i - 1).
 """
 
 from .intlin import ColumnSolver, Echelon, vec_axpy
 from .surface import Word, build_representation, expand_word
-
-
-class ChainVector(dict):
-    """Sparse chain: flat coordinate -> integer coefficient."""
-
-    def add_term(self, flat, coef):
-        w = self.get(flat, 0) + coef
-        if w:
-            self[flat] = w
-        elif flat in self:
-            del self[flat]
-
-    def __add__(self, other):
-        out = ChainVector(self)
-        for k, v in other.items():
-            out.add_term(k, v)
-        return out
-
-    def __sub__(self, other):
-        out = ChainVector(self)
-        for k, v in other.items():
-            out.add_term(k, -v)
-        return out
 
 
 class ChainSpace:
@@ -75,12 +54,13 @@ class ChainSpace:
         return "%s_{%d,%d}" % (gen.kind, gen.index, i)
 
     def chain(self, terms):
-        """Build a chain from (kind, generator index, basis index, coef)."""
-        out = ChainVector()
+        """The chain summing terms (kind, generator index, basis index,
+        coef); a class whose terms cancel has no key."""
+        out = {}
         gpos, d = self.gpos, self.d
         for kind, j, i, coef in terms:
             # A Gen is a tuple, so (kind, j) finds its position.
-            out.add_term(gpos[kind, j] * d + i - 1, coef)
+            vec_axpy(out, {gpos[kind, j] * d + i - 1: 1}, coef)
         return out
 
     def format_chain(self, chain):
@@ -274,8 +254,7 @@ def rewrite_relation_all(space, lhs, rhs):
         out = [{} for _ in range(space.d)]
         _walk(space, lhs, 1, out)
         _walk(space, rhs, -1, out)
-        return [ChainVector((k, v) for k, v in col.items() if v)
-                for col in out]
+        return [{k: v for k, v in col.items() if v} for col in out]
 
     cx, bx = _fox_columns(space, pair[0])
     cy, by = _fox_columns(space, pair[1])
@@ -289,7 +268,7 @@ def rewrite_relation_all(space, lhs, rhs):
 
     out = []
     for k in range(space.d):
-        chain = ChainVector()
+        chain = {}
         if bx[k] or by[k]:
             if len(lhs) == 2:
                 terms = ((cy, bx[k], 1), (cx, by[k], -1))
@@ -316,38 +295,35 @@ def cycle_lattice(space):
     return Echelon(solver.kernel_basis())
 
 
-def _gamma_correction(space):
-    """The unique combination of a- and u-classes on the diagonal whose
-    boundary is gamma_1 + gamma_2 + 2*gamma_3 + ... + 2*gamma_g."""
-    g = space.spec.g
+def _gamma_terms(g):
+    """The terms of the unique combination of a- and u-classes on the
+    diagonal whose boundary is gamma_1 + gamma_2 + 2*gamma_3 + ... +
+    2*gamma_g."""
     if g % 2:
-        terms = [("u", 1, 1, -1)] + [("a", j, j, 2) for j in range(2, g, 2)]
-    else:
-        terms = [("a", 1, 1, 1)] + [("a", j, j, 2) for j in range(3, g, 2)]
-    return space.chain(terms)
+        return [("u", 1, 1, -1)] + [("a", j, j, 2) for j in range(2, g, 2)]
+    return [("a", 1, 1, 1)] + [("a", j, j, 2) for j in range(3, g, 2)]
 
 
-def _e_unit(space, j, coef):
-    """The class e_{j,1}, with e_0 standing for a_1."""
+def _e_unit(j, coef):
+    """The term coef * e_{j,1}, with e_0 standing for a_1."""
     if j == 0:
-        return space.chain([("a", 1, 1, coef)])
-    return space.chain([("e", j, 1, coef)])
+        return ("a", 1, 1, coef)
+    return ("e", j, 1, coef)
 
 
 def _vtilde(space, j, i):
     """The cycle-corrected puncture-slide class for v_j and xi_i."""
     spec = space.spec
     g, s, n = spec.g, spec.s, spec.n
-    base = space.chain([("v", j, i, 1)])
+    terms = [("v", j, i, 1)]
     if j < n:
         if i == g:
-            return base + _e_unit(space, s + j - 1, 1) + _e_unit(space, s + j, -1)
-        if i == g + s + j:
-            return base + _e_unit(space, s + j - 1, -2) + _e_unit(space, s + j, 2)
-        return base
-    if i == g:
-        return base + _e_unit(space, s + n - 1, 1) + _gamma_correction(space)
-    return base
+            terms += [_e_unit(s + j - 1, 1), _e_unit(s + j, -1)]
+        elif i == g + s + j:
+            terms += [_e_unit(s + j - 1, -2), _e_unit(s + j, 2)]
+    elif i == g:
+        terms += [_e_unit(s + n - 1, 1)] + _gamma_terms(g)
+    return space.chain(terms)
 
 
 def kernel_generator_list(space):
@@ -404,19 +380,27 @@ def kernel_generator_list(space):
                 out.append(
                     (
                         "K15",
-                        space.chain([("s", j, g + s + j, 1)])
-                        + _e_unit(space, s + j - 1, -1)
-                        + _e_unit(space, s + j, 2)
-                        + _e_unit(space, s + j + 1, -1),
+                        space.chain(
+                            [
+                                ("s", j, g + s + j, 1),
+                                _e_unit(s + j - 1, -1),
+                                _e_unit(s + j, 2),
+                                _e_unit(s + j + 1, -1),
+                            ]
+                        ),
                     )
                 )
         out.append(
             (
                 "K16",
-                space.chain([("s", n - 1, g + s + n - 1, 1)])
-                + _e_unit(space, s + n - 1, 2)
-                + _e_unit(space, s + n - 2, -1)
-                + _gamma_correction(space),
+                space.chain(
+                    [
+                        ("s", n - 1, g + s + n - 1, 1),
+                        _e_unit(s + n - 1, 2),
+                        _e_unit(s + n - 2, -1),
+                    ]
+                    + _gamma_terms(g)
+                ),
             )
         )
     return out

@@ -28,7 +28,7 @@ from .catalog import (
     partial_target_boundary,
     pmplus_boundary_solver,
 )
-from .chains import ChainSpace, ChainVector, boundary1, rewrite_relation_all
+from .chains import ChainSpace, boundary1, rewrite_relation_all
 from .errors import (
     NoIntegerSolution,
     NotACycle,
@@ -55,7 +55,7 @@ class PartialRow:
     projection by `RelationSystem.elimination`."""
 
     rid: str
-    base: ChainVector
+    base: dict
     ambiguity: str
     projected: dict = field(default=None, repr=False, compare=False)
 
@@ -76,9 +76,9 @@ class RelationSystem:
     space: ChainSpace
     catalog: list
     rank: int  # of the cycle lattice: space.dim - d
-    exact: list  # (rid, ChainVector)
+    exact: list  # (rid, chain)
     instances: list  # every built PartialRow, in catalog order
-    ambiguity_chains: dict  # key -> list of ChainVector
+    ambiguity_chains: dict  # key -> list of chains
 
     @property
     def exact_coords(self):  # the exact chains, as perfbench counts them
@@ -212,7 +212,7 @@ def build_relation_system(spec, extra_relations=None):
         check(rid, base)
         if key not in system.ambiguity_chains:
             if key == "pm+":
-                chains = [ChainVector(row) for row in pm_solver.kernel_basis()]
+                chains = pm_solver.kernel_basis()
             else:
                 chains = k1_ambiguity_basis(space)
             for c in chains:
@@ -240,8 +240,7 @@ def build_relation_system(spec, extra_relations=None):
                     )
                 except NoIntegerSolution as exc:
                     raise NoIntegerSolution("%s: %s" % (rid, exc)) from None
-                for flat, c in particular.items():
-                    base.add_term(flat, -c)
+                vec_axpy(base, particular, -1)
                 if base:
                     add_partial(rid, base, "pm+")
     return system
@@ -352,7 +351,7 @@ class UnitElimination:
         return {self.index[c]: v for c, v in rem.items()}
 
 
-def compute_h1(spec, samples=17, seed=0, extra_relations=None, system=None):
+def compute_h1(spec, samples=17, seed=0, extra_relations=None):
     """Invariants and a named basis of the twisted first homology group.
 
     The group is Z / L, where Z = ker(boundary) is the cycle lattice in
@@ -376,18 +375,11 @@ def compute_h1(spec, samples=17, seed=0, extra_relations=None, system=None):
     Every sample, taken by its Smith form (`snf_factors`), and the named
     basis work in the projections held on the system (see
     `UnitElimination`); a draw skips the basis vectors that project to 0.
-
-    A `system` given must be built for `spec`, with any extra relations
-    already in its catalog; otherwise ValueError is raised.
     """
     t0 = time.perf_counter()
     if samples < 1:
         raise ValueError("need at least one sample")
-    if system is None:
-        system = build_relation_system(spec, extra_relations)
-    elif system.spec != spec or extra_relations:
-        raise ValueError("a given system must be built for %s, extra "
-                         "relations included" % (spec,))
+    system = build_relation_system(spec, extra_relations)
     elim = system.elimination
     rank = system.rank - len(elim.units)  # the ambient rank for Z / L
     partials = system.partials

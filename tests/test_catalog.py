@@ -12,6 +12,7 @@ from mcgtwist.catalog import (
     verify_catalog,
 )
 from mcgtwist.chains import ChainSpace, boundary1, cycle_lattice
+from mcgtwist.intlin import vec_axpy
 from mcgtwist.surface import SurfaceSpec, evaluate_word
 from helpers import column, dense, display, matmul, matvec
 
@@ -120,8 +121,7 @@ def exact_part_by_column(space, x, vj, xi):
     col[xi - 1] -= 1
     out = space.chain([(x.kind, x.index, xi, 1)])
     for r, c in enumerate(col):
-        if c:
-            out.add_term(space.flat(vj, r + 1), c)
+        vec_axpy(out, {space.flat(vj, r + 1): 1}, c)
     return out
 
 

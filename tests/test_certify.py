@@ -13,7 +13,7 @@ from mcgtwist.certify import (
     oracle,
     parity_on,
 )
-from mcgtwist.chains import ChainSpace, ChainVector
+from mcgtwist.chains import ChainSpace
 from mcgtwist.engine import PartialRow, build_relation_system, compute_h1
 from mcgtwist.errors import SpecInvalid
 from mcgtwist.surface import Gen, SurfaceSpec
@@ -76,7 +76,7 @@ class TestFunctionalValues:
         spec = SurfaceSpec.make(5, 0, 2, 0, "pmk")
         system = build_relation_system(spec)
         for f in functionals_for(spec):
-            assert functional_value(system.space, f, ChainVector()) == 0
+            assert functional_value(system.space, f, {}) == 0
 
     def test_beta_counts_only_crosscap_coordinates(self):
         spec = SurfaceSpec.make(3, 0, 2, 0, "pmk")
@@ -131,7 +131,7 @@ def test_functional_value_matches_the_chain_walk(data):
         flats = st.one_of(flats, st.sampled_from(named))
     terms = data.draw(st.dictionaries(flats, st.integers(-5, 5),
                                       max_size=12))
-    chain = ChainVector({flat: c for flat, c in terms.items() if c})
+    chain = {flat: c for flat, c in terms.items() if c}
     assert (parity_on(odd_support(space, functional), chain)
             == functional_value_reference(space, functional, chain))
 

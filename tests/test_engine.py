@@ -99,8 +99,6 @@ class TestSampling:
 
     def test_one_sample_runs_sample_zero_only(self, monkeypatch):
         spec = SurfaceSpec.make(5, 0, 2, 0, "pmk")
-        system = build_relation_system(spec)
-        assert system.partials
         calls = []
 
         def counted(rows):
@@ -108,7 +106,8 @@ class TestSampling:
             return snf_factors(rows)
 
         monkeypatch.setattr(mcgtwist.engine, "snf_factors", counted)
-        result = compute_h1(spec, samples=1, system=system)
+        result = compute_h1(spec, samples=1)
+        assert result.system.partials
         assert result.sampling_report.samples == 1
         assert len(calls) == 1
         assert result.invariants == oracle(spec)
@@ -183,20 +182,6 @@ def test_false_relation_is_rejected():
     spec = SurfaceSpec.make(3, 1, 0)
     with pytest.raises(RelationOutsideKernel):
         compute_h1(spec, extra_relations=parse_relations("a1 = a2"))
-
-
-def test_a_given_system_must_match_its_call():
-    # A system holds its spec and its extra relations; compute_h1
-    # refuses a system of another spec and extra relations given with a
-    # system, which it could not add.
-    spec = SurfaceSpec.make(4, 1, 1, 0, "pmk")
-    system = build_relation_system(spec)
-    with pytest.raises(ValueError, match="built for"):
-        compute_h1(SurfaceSpec.make(4, 1, 1, 1, "pm+"), system=system)
-    with pytest.raises(ValueError, match="built for"):
-        compute_h1(spec, system=system,
-                   extra_relations=parse_relations("a1 a2 a1 = a2 a1 a2"))
-    assert compute_h1(spec, system=system).invariants == oracle(spec)
 
 
 def test_candidate_counts_match_closed_form():
@@ -294,8 +279,9 @@ def test_no_instance_is_built_at_a_coefficient_the_letter_fixes():
             x, vj = entry.conjugation
             for xi in range(1, space.d + 1):
                 rid = "%s:xi%d" % (entry.rid, xi)
-                pinned = partial_exact_part(space, x, vj, xi) - solver.solve(
-                    partial_target_boundary(space, x, vj, xi))
+                pinned = partial_exact_part(space, x, vj, xi)
+                vec_axpy(pinned, solver.solve(
+                    partial_target_boundary(space, x, vj, xi)), -1)
                 if space._bcol[x][xi - 1]:
                     p = instances.get(rid)
                     assert (p.base if p else None) == (pinned or None), rid
@@ -327,11 +313,8 @@ def test_partial_filter_matches_the_full_coordinate_filter():
 
 def test_each_chain_is_projected_once_per_system(monkeypatch):
     # The elimination is built once per system; its first read projects
-    # every ambiguity chain, and the filter every instance, once.  A
-    # second compute_h1 on the same system projects only the named
-    # candidates.
+    # every ambiguity chain, and the filter every instance, once.
     spec = SurfaceSpec.make(5, 1, 1, 0, "pmk")
-    system = build_relation_system(spec)
     built, projected = [], []
     init, call = UnitElimination.__init__, UnitElimination.__call__
 
@@ -345,17 +328,13 @@ def test_each_chain_is_projected_once_per_system(monkeypatch):
 
     monkeypatch.setattr(UnitElimination, "__init__", counted_init)
     monkeypatch.setattr(UnitElimination, "__call__", counted_call)
-    first = compute_h1(spec, system=system)
+    system = compute_h1(spec).system
     chains = [c for cs in system.ambiguity_chains.values() for c in cs]
     chains += [p.base for p in system.instances]
     assert len(system.ambiguity_chains) == 2 and system.partials
     for chain in chains:
         assert sum(c is chain for c in projected) == 1
-    projected.clear()
-    again = compute_h1(spec, system=system)
     assert built == [system.elimination]
-    assert projected == [c for _, c in named_candidates(system.space)]
-    assert names(again) == names(first)
 
 
 def mixed_lattice(diag, rnd, drop, extra, ops=None):
@@ -536,22 +515,25 @@ def test_pipeline_matches_full_coordinate_sampler(spec, monkeypatch):
         return factors
 
     monkeypatch.setattr(mcgtwist.engine, "snf_factors", recording)
+    monkeypatch.setattr(mcgtwist.engine, "build_relation_system",
+                        lambda spec, extra_relations: system)
     for seed in range(3):
         seen.clear()
-        result = compute_h1(spec, seed=seed, system=system)
+        result = compute_h1(spec, seed=seed)
         per_sample, named = full_coordinate_sampler(system, 17, seed)
         assert seen == per_sample, seed
         assert names(result) == named, seed
 
 
-def test_unstable_sampling_is_raised():
+def test_unstable_sampling_is_raised(monkeypatch):
     # Replacing one ambiguity vector by a cycle that survives the
     # elimination as a unit vector changes the quotient of the samples
     # that draw it.  The projections are held on the system from its
     # first read, so the swap is made on a fresh system before that.
     spec = SurfaceSpec.make(5, 0, 2, 0, "pmk")
-    plain = build_relation_system(spec)
-    assert compute_h1(spec, system=plain).invariants == oracle(spec)
+    result = compute_h1(spec)
+    assert result.invariants == oracle(spec)
+    plain = result.system
     system = build_relation_system(spec)
     vec = system.space.chain([("v", 2, 6, 1)])
     require_cycle(system.space, vec)
@@ -560,8 +542,10 @@ def test_unstable_sampling_is_raised():
     assert elim(vec) == {elim.rank - 1: 1}
     assert ([p.rid for p in system.partials]
             == [p.rid for p in plain.partials])
+    monkeypatch.setattr(mcgtwist.engine, "build_relation_system",
+                        lambda spec, extra_relations: system)
     with pytest.raises(UnstableSampling):
-        compute_h1(spec, system=system)
+        compute_h1(spec)
 
 
 def test_exact_echelon_order_keeps_pivots_and_lattice():
@@ -600,8 +584,7 @@ def test_dropped_partial_instances_would_change_the_quotient():
         for xi in range(1, space.d + 1):
             base = partial_exact_part(space, x, vj, xi)
             particular = solver.solve(partial_target_boundary(space, x, vj, xi))
-            for flat, c in particular.items():
-                base.add_term(flat, -c)
+            vec_axpy(base, particular, -1)
             if base and "%s:xi%d" % (entry.rid, xi) not in kept:
                 require_cycle(space, base)
                 dropped.append(base)
@@ -611,7 +594,7 @@ def test_dropped_partial_instances_would_change_the_quotient():
     rank = system.rank - len(elim.units)
     rows = elim.base + [elim(p.base) for p in system.partials]
     sample0 = AbelianInvariants.from_factors(snf_factors(rows), rank)
-    assert sample0 == compute_h1(spec, system=system).invariants == oracle(spec)
+    assert sample0 == compute_h1(spec).invariants == oracle(spec)
     rows += [elim(c) for c in dropped]
     with_dropped = AbelianInvariants.from_factors(snf_factors(rows), rank)
     assert with_dropped != sample0
