@@ -9,11 +9,16 @@ known ambiguity sublattice; the unknown is handled by sampling: sample 0
 takes it to be zero, later samples add a seeded random {0,1}-combination
 of ambiguity basis vectors, and the quotient invariants must agree
 across all samples.  Only the instances that escape the exact relations
-and their ambiguity sublattice are sampled (`RelationSystem.partials`);
-that filter, the exact-relation echelon and its unit elimination are
-built once, on first use by `compute_h1`, and `verify` builds none.  No
-instance known to lie in its ambiguity sublattice is built, and no
-boundary echelon (see `build_relation_system`).
+and their ambiguity sublattice are sampled (`RelationSystem.partials`).
+
+What no sample changes is done once per spec.  The exact relations are
+eliminated by a signed forest and the unit pivots of the rest
+(`UnitElimination`), built on first use by `compute_h1`, as is the
+filter; `verify` builds neither.  Equal projected ambiguity vectors are
+drawn as one, and the unit singletons no draw can disturb are split off
+the sample matrix before the first sample (`SampleMatrix`).  No instance
+known to lie in its ambiguity sublattice is built, and no boundary
+echelon (see `build_relation_system`).
 """
 
 import random
@@ -42,6 +47,7 @@ from .intlin import (
     gf2_insert,
     gf2_reduce,
     parity_mask,
+    peel_unit_singletons,
     snf_factors,
     vec_axpy,
 )
@@ -67,9 +73,10 @@ class RelationSystem:
     The build holds what every caller reads: the exact chains, every
     pinned partial instance in catalog order (`instances`) and each
     ambiguity key's basis chains, all checked to be cycles.  The
-    exact-relation echelon, its elimination and the filtered instances
-    (`partials`) are read only by the quotient, so each is computed on
-    first read and then held on the system; `verify` builds none.
+    elimination of the exact relations (a signed forest, then the unit
+    pivots of the rest) and the filtered instances (`partials`) are read
+    only by the quotient, so each is computed on first read and then
+    held on the system; `verify` builds neither.
     """
 
     spec: object
@@ -85,16 +92,10 @@ class RelationSystem:
         return [vec for _, vec in self.exact]
 
     @cached_property
-    def exact_echelon(self):
-        """The lattice spanned by the exact chains, entered shortest first
-        (see `build_relation_system`)."""
-        return Echelon(sorted((vec for _, vec in self.exact), key=len))
-
-    @cached_property
     def elimination(self):
-        """The `UnitElimination` of the exact echelon."""
-        return UnitElimination(self.exact_echelon, self.space.dim,
-                               self.ambiguity_chains)
+        """The `UnitElimination` of the exact chains."""
+        return UnitElimination([vec for _, vec in self.exact],
+                               self.space.dim, self.ambiguity_chains)
 
     @cached_property
     def partials(self):
@@ -115,12 +116,13 @@ class RelationSystem:
         same outcome as in all dim coordinates.  For E the exact lattice,
         A the key's ambiguity lattice and K its kept rows, p is in
         E + A + K iff pi(p) = pi(q) for some q in E + A + K, since then
-        p - q is in ker pi = span(U), inside E; and pi(E) = span(`base`).
-        Every instance is projected once, here.
+        p - q is in ker pi, inside E; pi(E) = span(`base`), and pi(A) is
+        spanned by the key's distinct nonzero images.  Every instance is
+        projected once, here.
         """
         elim = self.elimination
-        filters = {key: Echelon(elim.base + basis)
-                   for key, (basis, _) in elim.ambiguity.items()}
+        filters = {key: Echelon(elim.base + [image for _, image in groups])
+                   for key, (_, groups) in elim.ambiguity.items()}
         kept = []
         for p in self.instances:
             row = elim(p.base)
@@ -145,21 +147,8 @@ def build_relation_system(spec, extra_relations=None):
     part replaced by one particular solution) plus a reference to the
     ambiguity sublattice, whose basis is computed once per kind.  Every
     chain is checked here, in catalog order, and nothing else is
-    computed: the exact echelon, its elimination and the kept instances
-    are built on first read (see `RelationSystem`).
-
-    The exact rows enter their echelon shortest first, which keeps the
-    fill-in small, and the order changes nothing downstream:
-
-    - in an echelon basis of a lattice L, the pivot columns and the
-      pivot values are invariants of L: the pivot at column j generates
-      {x_j : x in L, x_i = 0 for i < j};
-    - so the unit-pivot rows U of `UnitElimination` sit on the same
-      columns, r' and every quotient are unchanged;
-    - a row of U that differs from the one catalog order would give
-      differs from it by a vector of the exact lattice, and every
-      sample's lattice L contains the exact lattice, so L, and with it
-      Z^dim / L = Z^r' / pi(L), is the same for either U.
+    computed: the elimination of the exact chains and the kept
+    instances are built on first read (see `RelationSystem`).
 
     A slide conjugation x v_j = v_j y builds no instance at a
     coefficient xi that x fixes (B_x xi = 0, B_x = psi(x)^-1 - I).  The
@@ -304,51 +293,222 @@ class H1Result:
 
 
 class UnitElimination:
-    """The quotient map that removes the unit pivots of the exact relations.
+    """The quotient map pi = pi_U o phi that removes what the exact
+    relations make redundant: a signed forest, then unit pivots.
 
-    U is the set of rows of the exact-relation echelon whose pivot is 1,
-    and pi(x) is the remainder of reducing x by U (`echelon_reduce`,
-    which sweeps the columns in ascending order), written in the
-    coordinates that are not pivots of U, renumbered 0..rank-1 in order.
+    **The forest.**  The exact rows +-e_a and +-e_a +- e_b are joined in
+    a signed union-find over the dim chain coordinates: every coordinate
+    c is tied to the root of its component, its smallest coordinate, by
+    a sign s_c with e_c = s_c e_root modulo E, the exact lattice (by
+    induction along the links, each a forest row).  A row +-e_a kills
+    the component of a.  A row v_a e_a + v_b e_b whose ends already
+    share a root closes a cycle; it is balanced when v_a s_a + v_b s_b
+    = 0 and adds nothing, and otherwise it is +-2 e_root modulo E and
+    joins the residual rows.  phi maps e_c to s_c e_t, t the index of
+    c's root among the roots of live components in ascending order, and
+    to 0 on a killed component; it is the identity on a coordinate no
+    forest row meets.
 
-    - pi is linear.  Each row of U has entry 1 at its pivot and nothing
-      to the left of it, so the sweep clears every U-pivot column and
-      never refills one it has passed; the quotient a // 1 = a is exact,
-      so pi(x) is the unique element of x + span(U) that vanishes on the
-      U-pivot columns.
-    - The kernel of pi is span(U), and pi maps Z^dim onto Z^rank: a
-      vector supported off the U-pivot columns is its own image.
-    - span(U) lies inside the exact lattice, hence inside every sample's
-      lattice L, so Z^dim / L = Z^rank / pi(L), and pi(L) is spanned by
-      the images of L's generators.  Reduced mod 2, pi is the same kind
-      of projection over GF(2), with kernel span(U mod 2) inside L mod 2;
-      so the GF(2) ranks and the greedy named basis are unchanged too.
+    - phi maps Z^dim onto Z^r, r the number of live components: it
+      maps each root onto its own coordinate.
+    - Its kernel is spanned by e_c - s_c e_root on live components and
+      by e_c on killed ones, all in E.  A forest row that links two
+      components, or kills a live one, maps to 0; every other exact row
+      is residual, so phi(E) is spanned by the images of the residual
+      rows (the rows that are not forest rows and the unbalanced
+      cycles), taken through the final phi.
+    - So Z^dim / L = Z^r / phi(L) for every lattice L that contains E,
+      and likewise Z^dim / (L + 2 Z^dim) = Z^r / (phi(L) + 2 Z^r): a
+      map onto with its kernel inside L identifies both quotients.
 
-    `base` holds the images of the non-unit exact rows, which span pi of
-    the exact lattice and so start every sample.  `ambiguity` maps each
-    key to its projected basis and the bit mask of its nonzero images.
+    **The unit pivots.**  The residual images enter an echelon shortest
+    first, which keeps the fill-in small.  U is the set of its rows
+    whose pivot is 1, and pi_U(x) is the remainder of reducing x by U
+    (`echelon_reduce`, which sweeps the columns in ascending order),
+    written in the coordinates that are not pivots of U, renumbered
+    0..rank-1 in order.
+
+    - pi_U is linear.  Each row of U has entry 1 at its pivot and
+      nothing to the left of it, so the sweep clears every U-pivot
+      column and never refills one it has passed; the quotient a // 1
+      = a is exact, so pi_U(x) is the unique element of x + span(U)
+      that vanishes on the U-pivot columns.
+    - The kernel of pi_U is span(U), inside phi(E), and pi_U maps Z^r
+      onto Z^rank: a vector supported off the U-pivot columns is its
+      own image.  So ker pi lies in E, pi is onto, and for every sample's
+      lattice L, which contains E, Z^dim / L = Z^rank / pi(L), with
+      pi(L) spanned by the images of L's generators.  Reduced mod 2 the
+      same holds, so the GF(2) ranks and the greedy named basis are
+      unchanged too.
+    - The order of the residual rows changes nothing.  In an echelon
+      basis of a lattice the pivot columns and values are invariants
+      (the pivot at column j generates {x_j : x in the lattice, x_i = 0
+      for i < j}), so U sits on the same columns in any order, and a
+      row of U another order would give differs from this one by a
+      vector of phi(E), so every pi(L) is the same.
+
+    `base` holds the images of the non-unit pivot rows, which span pi(E)
+    and so start every sample.  `ambiguity` maps each key to its number
+    of basis chains and its groups: each distinct nonzero image of a
+    basis chain, with the bit mask of the chains that have it.
     """
 
-    def __init__(self, exact, ambient_rank, ambiguity_chains):
-        self.units = {j: row for j, row in exact.pivots.items() if row[j] == 1}
-        free = [c for c in range(ambient_rank) if c not in self.units]
+    def __init__(self, exact, dim, ambiguity_chains):
+        up = list(range(dim))
+        sign = [1] * dim
+        killed = [False] * dim
+
+        def find(c):  # (root, s_c), compressing the path
+            path = []
+            while up[c] != c:
+                path.append(c)
+                c = up[c]
+            s = 1
+            for x in reversed(path):
+                s *= sign[x]
+                sign[x], up[x] = s, c
+            return c, s
+
+        residual = []
+        for row in exact:
+            if len(row) > 2 or any(v != 1 and v != -1 for v in row.values()):
+                residual.append(row)
+            elif len(row) == 1:
+                killed[find(next(iter(row)))[0]] = True
+            elif row:
+                (a, va), (b, vb) = row.items()
+                (ra, sa), (rb, sb) = find(a), find(b)
+                if ra == rb:
+                    if va * sa + vb * sb:
+                        residual.append(row)
+                    continue
+                if rb < ra:
+                    ra, rb = rb, ra
+                up[rb] = ra
+                sign[rb] = -va * sa * vb * sb
+                killed[ra] = killed[ra] or killed[rb]
+        self.phi = phi = [None] * dim
+        live = {}
+        for c in range(dim):
+            root, s = find(c)
+            if not killed[root]:
+                if root == c:
+                    live[c] = len(live)
+                phi[c] = (live[root], s)
+
+        echelon = Echelon(sorted(
+            filter(None, map(self._forest, residual)), key=len))
+        self.units = {j: row for j, row in echelon.pivots.items()
+                      if row[j] == 1}
+        free = [c for c in range(len(live)) if c not in self.units]
         self.index = {c: t for t, c in enumerate(free)}
         self.rank = len(self.index)
         self.full = (1 << self.rank) - 1
         self.base = [
-            self(row) for j, row in sorted(exact.pivots.items())
+            self._unit(row) for j, row in sorted(echelon.pivots.items())
             if j not in self.units
         ]
         self.ambiguity = {}
         for key, chains in ambiguity_chains.items():
-            basis = [self(c) for c in chains]
-            self.ambiguity[key] = (basis, sum(
-                1 << t for t, vec in enumerate(basis) if vec))
+            groups = {}
+            for t, chain in enumerate(chains):
+                image = self(chain)
+                if image:
+                    group = groups.setdefault(frozenset(image.items()),
+                                              [0, image])
+                    group[0] |= 1 << t
+            self.ambiguity[key] = (len(chains),
+                                   [tuple(g) for g in groups.values()])
 
-    def __call__(self, coords):
-        """pi(coords), as a new sparse vector."""
-        rem = echelon_reduce(self.units, coords)
-        return {self.index[c]: v for c, v in rem.items()}
+    def __call__(self, chain):
+        """pi(chain), as a new sparse vector."""
+        return self._unit(self._forest(chain))
+
+    def _forest(self, chain):
+        """phi(chain), as a new sparse vector."""
+        out = {}
+        phi = self.phi
+        for c, v in chain.items():
+            image = phi[c]
+            if image is not None:
+                t, s = image
+                w = out.get(t, 0) + s * v
+                if w:
+                    out[t] = w
+                else:
+                    del out[t]
+        return out
+
+    def _unit(self, vec):
+        """pi_U(vec), as a new sparse vector."""
+        index = self.index
+        return {index[c]: v
+                for c, v in echelon_reduce(self.units, vec).items()}
+
+
+class SampleMatrix:
+    """The rows of every sample of one spec, with the unit singletons no
+    draw can disturb split off once.
+
+    A sample's rows are `base` and, for each kept partial row p, its
+    projection plus, in sample m > 0, the images of a random set of its
+    key's basis chains.  Equal images are grouped: with bits the draw,
+    the row adds popcount(bits & mask) times each distinct image, which
+    is the sum of the drawn images, from the same random bits.
+
+    So every draw is confined to the rows of the kept partials whose key
+    has a nonzero image, and to the columns S those images meet.
+    `peel_unit_singletons` splits off, once, every unit singleton that
+    stays one in each sample: a +-1 alone in a column outside S, or a
+    fixed row +-e_c (proof in `_peel_unit_singletons`).  Every sample's
+    invariant factors are then one 1 per column of `cut` followed by
+    those of the rows `rows` returns.  `rest` maps the index of each row
+    left (in `base` followed by the kept partial rows) to its entries
+    off `cut`.
+    """
+
+    def __init__(self, elim, partials, drawing):
+        self.draws = [elim.ambiguity[p.ambiguity] for p in partials]
+        nbase = len(elim.base)
+        moving = {i for i, (_, groups) in enumerate(self.draws, nbase)
+                  if groups} if drawing else set()
+        support = {c for i in moving
+                   for _, image in self.draws[i - nbase][1] for c in image}
+        self.rest, cut = peel_unit_singletons(
+            elim.base + [p.projected for p in partials], moving, support)
+        self.cut = cut = set(cut)
+        self.base = [row for i, row in self.rest.items() if i < nbase and row]
+        self.slots = []  # per kept partial: None if peeled, else (row, groups)
+        for i, (_, groups) in enumerate(self.draws, nbase):
+            if i not in self.rest:
+                self.slots.append(None)
+                continue
+            if i not in moving:
+                groups = ()
+            self.slots.append((self.rest[i], [
+                (mask, {c: v for c, v in image.items() if c not in cut})
+                for mask, image in groups]))
+
+    def rows(self, rng=None):
+        """One sample's rows left after the peel: sample 0 with no `rng`,
+        and with one the next draw.  Every kept partial row whose key has
+        basis chains draws one bit per chain, peeled or not, so each row's
+        draw is the bits it would take with no peel."""
+        rows = list(self.base)
+        for (nbits, _), slot in zip(self.draws, self.slots):
+            bits = rng.getrandbits(nbits) if rng is not None and nbits else 0
+            if slot is None:
+                continue
+            row, groups = slot
+            if bits:
+                row = dict(row)
+                for mask, image in groups:
+                    count = (bits & mask).bit_count()
+                    if count:
+                        vec_axpy(row, image, count)
+            if row:
+                rows.append(row)
+        return rows
 
 
 def compute_h1(spec, samples=17, seed=0, extra_relations=None):
@@ -362,7 +522,8 @@ def compute_h1(spec, samples=17, seed=0, extra_relations=None):
       Z^dim = Z (+) C with C free of rank rank(boundary).
     - L lies in Z, so Z^dim / L = Z / L (+) C.  The torsion is the same
       and the free rank is larger by rank(boundary) = d, so the free
-      rank is taken against `RelationSystem.rank` = dim - d.
+      rank is taken against dim - d, or against rank - d in the
+      coordinates of the elimination, which removes dim - rank.
     - Z meets L + 2 Z^dim in L + 2 Z: if a cycle is l + 2x with l in L,
       then 2x is a cycle, so x is one.  So Z / (L + 2 Z) embeds in
       Z^dim / (L + 2 Z^dim), cycles are independent mod 2 in one exactly
@@ -372,31 +533,25 @@ def compute_h1(spec, samples=17, seed=0, extra_relations=None):
     With `samples` > 1 and partial relations present, the ambiguity of
     every kept partial row (`RelationSystem.partials`) is re-sampled per
     run, and UnstableSampling is raised unless the invariants agree.
-    Every sample, taken by its Smith form (`snf_factors`), and the named
-    basis work in the projections held on the system (see
-    `UnitElimination`); a draw skips the basis vectors that project to 0.
+    Every sample and the named basis work in the projections held on
+    the system (see `UnitElimination`).  The unit singletons no draw can
+    disturb are split off once (`SampleMatrix`), each as a factor 1, and
+    each sample takes the Smith form (`snf_factors`) of the rows left,
+    against the coordinates left for Z / L.
     """
     t0 = time.perf_counter()
     if samples < 1:
         raise ValueError("need at least one sample")
     system = build_relation_system(spec, extra_relations)
     elim = system.elimination
-    rank = system.rank - len(elim.units)  # the ambient rank for Z / L
     partials = system.partials
-    rng = random.Random(seed)
     nsamples = samples if partials else 1
+    matrix = SampleMatrix(elim, partials, nsamples > 1)
+    rank = elim.rank - spec.d - len(matrix.cut)
+    rng = random.Random(seed)
     invariants = None
     for m in range(nsamples):
-        rows = list(elim.base)
-        for p in partials:
-            basis, mask = elim.ambiguity[p.ambiguity]
-            bits = rng.getrandbits(len(basis)) & mask if m and basis else 0
-            row = dict(p.projected) if bits else p.projected
-            while bits:
-                t = (bits & -bits).bit_length() - 1
-                vec_axpy(row, basis[t], 1)
-                bits &= bits - 1
-            rows.append(row)
+        rows = matrix.rows(rng if m else None)
         inv = AbelianInvariants.from_factors(snf_factors(rows), rank)
         if invariants is None:
             invariants = inv

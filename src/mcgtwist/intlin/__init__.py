@@ -10,6 +10,7 @@ from ._kernels import (
     gf2_insert,
     gf2_reduce,
     parity_mask,
+    peel_unit_singletons,
     snf_factors,
     vec_axpy,
     xgcd,
@@ -33,6 +34,7 @@ __all__ = [
     "gf2_insert",
     "gf2_reduce",
     "parity_mask",
+    "peel_unit_singletons",
     "snf_factors",
     "vec_axpy",
     "xgcd",

@@ -33,7 +33,7 @@ def vec_axpy(dst, src, q):
         w = dst.get(j, 0) + q * v
         if w:
             dst[j] = w
-        else:
+        elif j in dst:
             del dst[j]
 
 
@@ -157,11 +157,12 @@ def gf2_insert(rows, vec, full):
     return vec
 
 
-def _peel_unit_singletons(mat, colindex):
+def _peel_unit_singletons(mat, colindex, moving_rows=(), moving_cols=()):
     """Delete, in place, every row of `mat` (with `colindex`, column ->
-    row ids) that splits off as a factor 1; return how many.  Row i
-    splits off when its entry at column c is +-1 and is alone either in
-    its column or in its row:
+    row ids) that splits off as a factor 1, with the column it splits
+    off at; return those columns, one per deleted row.  Row i splits off
+    when its entry at column c is +-1 and is alone either in its column
+    or in its row:
 
     - alone in its column: column operations with column c clear the
       rest of row i and change no other row;
@@ -173,15 +174,29 @@ def _peel_unit_singletons(mat, colindex):
     its invariant factors are 1 followed by those of M.  Deleting them
     can make new singletons, so a worklist repeats the step; each step
     deletes a row, so the loop ends.
+
+    The same steps hold for every matrix mat + X with X zero outside
+    the rows `moving_rows` and the columns `moving_cols`, when no column
+    of `moving_cols` serves as "alone in its column" and no row of
+    `moving_rows` as "alone in its row".  A column c outside
+    `moving_cols` is the same in every mat + X, so it has one entry in
+    each; column operations with it change row i only, whatever X puts
+    in row i.  A row outside `moving_rows` is the same in every mat + X,
+    so it is +-e_c in each, and row operations with it clear column c in
+    every row, X's entries there included.  Each step deletes column c
+    from every row and leaves X zero outside the same rows and columns,
+    so by induction the invariant factors of every mat + X are one 1 per
+    deleted row followed by those of the rows left, each with its own
+    entries of X, restricted to the columns not returned.
     """
-    peeled = 0
+    cut = []
     work = list(mat)
     while work:
         i = work.pop()
         ri = mat.get(i)
         if not ri:
             continue
-        if len(ri) == 1:
+        if len(ri) == 1 and i not in moving_rows:
             (c, v), = ri.items()
             if v != 1 and v != -1:
                 continue
@@ -193,18 +208,49 @@ def _peel_unit_singletons(mat, colindex):
                         work.append(k)
         else:
             for c, v in ri.items():
-                if (v == 1 or v == -1) and len(colindex[c]) == 1:
+                if ((v == 1 or v == -1) and len(colindex[c]) == 1
+                        and c not in moving_cols):
                     break
             else:
                 continue
-            for c in ri:
-                s = colindex[c]
+            for j in ri:
+                s = colindex[j]
                 s.discard(i)
                 if len(s) == 1:
                     work.extend(s)
         del mat[i]
-        peeled += 1
-    return peeled
+        cut.append(c)
+    return cut
+
+
+def _sparse_matrix(rows):
+    """`rows` as (mat, colindex): mat maps the index of each row to a
+    copy of it, colindex a column to the indices of the rows with an
+    entry there."""
+    mat = {}
+    colindex = {}
+    for i, r in enumerate(rows):
+        mat[i] = dict(r)
+        for c in r:
+            colindex.setdefault(c, set()).add(i)
+    return mat, colindex
+
+
+def peel_unit_singletons(rows, moving_rows, moving_cols):
+    """The unit singletons of a family of matrices, split off once.
+
+    The family is every matrix rows + X, where X is zero outside the
+    rows `moving_rows` (indices into `rows`) and the columns
+    `moving_cols`.  Returns (rest, cut): `cut` lists one column per row
+    split off, and `rest` maps the index of every other row to that row
+    with the columns of `cut` deleted (possibly empty).  By the proof of
+    `_peel_unit_singletons`, the invariant factors of every rows + X are
+    len(cut) 1s followed by those of the rows of `rest`, each plus its
+    row of X with the columns of `cut` deleted.  `rows` is not mutated.
+    """
+    mat, colindex = _sparse_matrix(rows)
+    cut = _peel_unit_singletons(mat, colindex, moving_rows, moving_cols)
+    return mat, cut
 
 
 def snf_factors(rows):
@@ -219,15 +265,7 @@ def snf_factors(rows):
     of `compute_h1`'s near-bidiagonal unit bands; a pivot loop and gcd/lcm
     exchanges give the core's chain, and the 1s go in front of it.
     """
-    mat = {}
-    colindex = {}
-    nrows = 0
-    for r in rows:
-        if r:
-            mat[nrows] = dict(r)
-            for c in r:
-                colindex.setdefault(c, set()).add(nrows)
-            nrows += 1
+    mat, colindex = _sparse_matrix(rows)
 
     def row_axpy(i, isrc, q):
         dst = mat[i]
@@ -242,7 +280,7 @@ def snf_factors(rows):
                 del dst[c]
                 colindex[c].discard(i)
 
-    ones = _peel_unit_singletons(mat, colindex)
+    ones = len(_peel_unit_singletons(mat, colindex))
     factors = []
     while mat:
         # Rows can empty out while other pivots are cleared.

@@ -35,6 +35,12 @@ def boundary_reference(space, chain):
     return out
 
 
+def exact_echelon(system):
+    """The lattice spanned by the exact chains of a `RelationSystem`, in
+    all dim chain coordinates, its rows entered shortest first."""
+    return Echelon(sorted((vec for _, vec in system.exact), key=len))
+
+
 def kept_instances_reference(system):
     """Reference for `RelationSystem.partials`: the filter in all dim
     chain coordinates.  Per ambiguity key, a copy of the exact echelon
@@ -42,11 +48,11 @@ def kept_instances_reference(system):
     and inserted, when its pinned chain escapes that lattice."""
     filters = {}
     kept = []
+    exact = exact_echelon(system)
     for p in system.instances:
         if p.ambiguity not in filters:
             filt = Echelon()
-            filt.pivots = {j: dict(row)
-                           for j, row in system.exact_echelon.pivots.items()}
+            filt.pivots = {j: dict(row) for j, row in exact.pivots.items()}
             for c in system.ambiguity_chains[p.ambiguity]:
                 filt.insert(dict(c))
             filters[p.ambiguity] = filt

@@ -475,11 +475,11 @@ class TestVerify:
                        "explicit family\n")
 
     def test_verify_builds_no_exact_echelon_or_filter(self, monkeypatch):
-        # verify checks the relation chains; the exact echelon, its
-        # elimination and the filtered partial instances are built on
-        # first read, which only the quotient does.
+        # verify checks the relation chains; the elimination of the exact
+        # relations (its forest and echelon) and the filtered partial
+        # instances are built on first read, which only the quotient does.
         systems = []
-        cached = ("exact_echelon", "elimination", "partials")
+        cached = ("elimination", "partials")
 
         def recording(spec):
             systems.append(build_relation_system(spec))

@@ -18,6 +18,7 @@ from mcgtwist.catalog import (
 from mcgtwist.certify import oracle
 from mcgtwist.chains import ChainSpace, cycle_lattice
 from mcgtwist.engine import (
+    SampleMatrix,
     UnitElimination,
     build_relation_system,
     compute_h1,
@@ -35,7 +36,12 @@ from mcgtwist.intlin import (
     vec_axpy,
 )
 from mcgtwist.surface import Gen, SurfaceSpec
-from helpers import kept_instances_reference, lattice_coords, same_lattice
+from helpers import (
+    exact_echelon,
+    kept_instances_reference,
+    lattice_coords,
+    same_lattice,
+)
 from make_relation_manifest import manifest_lines
 from test_acceptance import (
     PAST_GRID_SPECS,
@@ -239,7 +245,7 @@ def test_partial_filter_is_unchanged_and_maximal(args):
         pm = system.ambiguity_chains["pm+"]
         k1 = [p.base for p in system.partials if p.ambiguity == "k1"]
         ranks = {Echelon(exact + extra).rank for extra in (pm, k1, pm + k1)}
-        assert ranks == {system.exact_echelon.rank + 2}
+        assert ranks == {exact_echelon(system).rank + 2}
     # Every dropped instance lies in the integer span of the exact
     # chains, its key's ambiguity chains and the kept rows of its key.
     kept = {id(p) for p in system.partials}
@@ -398,10 +404,9 @@ def test_largest_pmk_spec_within_budget_at_every_seed(spec):
 # Unit pivots whose rows meet each other's pivot columns.
 @example(diag=[1, 1, 1], seed=0, ops=0, drop=False, extra=True)
 def test_unit_elimination_agrees_with_smith_form(diag, seed, ops, drop, extra):
-    """Split sparse generators into an "exact" echelon, whose unit
-    pivots are eliminated, and rows projected afterwards, as a sample
-    does; the Smith form of the projected rows must give the invariants
-    of the full rows."""
+    """Split sparse generators into "exact" rows, which are eliminated,
+    and rows projected afterwards, as a sample does; the Smith form of
+    the projected rows must give the invariants of the full rows."""
     rnd = random.Random(seed)
     rank = len(diag)
     perm = rnd.sample(range(rank), rank)
@@ -409,11 +414,113 @@ def test_unit_elimination_agrees_with_smith_form(diag, seed, ops, drop, extra):
             for row in mixed_lattice(diag, rnd, drop, extra, ops)]
     rnd.shuffle(rows)
     split = rnd.randint(0, len(rows))
-    elim = UnitElimination(Echelon(rows[:split]), rank, {})
+    elim = UnitElimination(rows[:split], rank, {})
     projected = elim.base + [elim(row) for row in rows[split:]]
     expected = AbelianInvariants.from_factors(snf_factors(rows), rank)
     assert AbelianInvariants.from_factors(
         snf_factors(projected), elim.rank) == expected
+
+
+@st.composite
+def forest_lattices(draw):
+    """(exact, rest, n): sparse rows in Z^n, the exact ones mostly the
+    rows the forest takes, +-e_a and +-e_a +- e_b, whose links close
+    balanced and unbalanced cycles on few coordinates, with some 2 e_a
+    and some general rows; `rest` holds general rows."""
+    n = draw(st.integers(1, 6))
+    coord = st.integers(0, n - 1)
+    sign = st.sampled_from((1, -1))
+    general = st.lists(st.sampled_from([0] * 6 + [1, -1, 1, -1, 2, -3]),
+                       min_size=n, max_size=n).map(
+        lambda row: {c: v for c, v in enumerate(row) if v})
+    exact = []
+    for kind in draw(st.lists(st.sampled_from("llllluug"), max_size=10)):
+        a, b = draw(coord), draw(coord)
+        if kind == "l" and a != b:
+            exact.append({a: draw(sign), b: draw(sign)})
+        elif kind == "u":
+            exact.append({a: draw(sign) * draw(st.sampled_from((1, 1, 2)))})
+        elif kind == "g":
+            exact.append(draw(general))
+    return exact, draw(st.lists(general, max_size=4)), n
+
+
+def gf2_rank(rows, width):
+    echelon = {}
+    for row in rows:
+        gf2_insert(echelon, parity_mask(row), (1 << width) - 1)
+    return len(echelon)
+
+
+@settings(max_examples=400, deadline=None)
+@given(forest_lattices())
+# An unbalanced triangle: e_0 = -e_1 = e_2 and e_0 = -e_2, so 2 e_0 = 0.
+@example(([{0: 1, 1: 1}, {1: 1, 2: 1}, {0: 1, 2: 1}], [], 3))
+# A balanced triangle leaves one free coordinate.
+@example(([{0: 1, 1: -1}, {1: 1, 2: -1}, {0: -1, 2: 1}], [{0: 2}], 3))
+# A unit row kills the component it joins later; a second one is spare.
+@example(([{1: -1}, {0: 1, 1: 1}, {2: 1, 0: -1}, {2: 1}], [{0: 1, 3: 2}], 4))
+# An unbalanced cycle whose root is later linked under a smaller one.
+@example(([{2: 1, 3: 1}, {3: 1, 2: 1}, {2: 1, 3: -1}, {1: 1, 3: 1},
+           {0: 2, 1: 1, 2: 1}], [{0: 1}], 4))
+def test_forest_elimination_agrees_with_smith_form(lattice):
+    """The exact rows eliminated by the signed forest and the unit pivots
+    of the rest, and the other rows projected, as a sample does: the
+    projected rows must give the invariants of the full rows, and the
+    same GF(2) rank of the quotient.  Taken as one ambiguity key, the
+    other rows' images are grouped by value, each group's mask holding
+    exactly the rows with that image."""
+    exact, rest, n = lattice
+    elim = UnitElimination(exact, n, {"key": rest})
+    projected = elim.base + [elim(row) for row in rest]
+    assert (AbelianInvariants.from_factors(snf_factors(projected), elim.rank)
+            == AbelianInvariants.from_factors(snf_factors(exact + rest), n))
+    assert (elim.rank - gf2_rank(projected, elim.rank)
+            == n - gf2_rank(exact + rest, n))
+    nbits, groups = elim.ambiguity["key"]
+    assert nbits == len(rest)
+    assert len({frozenset(image.items()) for _, image in groups}) == len(groups)
+    masks = 0
+    for mask, image in groups:
+        assert image and not mask & masks
+        masks |= mask
+        assert all(elim(rest[t]) == image
+                   for t in range(nbits) if mask >> t & 1)
+    assert all(bool(elim(row)) == bool(masks >> t & 1)
+               for t, row in enumerate(rest))
+
+
+def test_grouped_draws_build_the_bit_by_bit_rows():
+    # A sample adds each distinct projected ambiguity vector times the
+    # number of drawn bits that have it, to the rows the fixed peel
+    # leaves.  Those must be the rows the bit-by-bit draw (one image per
+    # drawn bit, as before the grouping) builds from the same random
+    # bits, with the peeled rows and columns deleted.  Every grid spec
+    # with partial rows, 17 samples at seed 3.
+    checked = 0
+    for spec in list(twist_grid()) + list(permutation_grid()):
+        system = build_relation_system(spec)
+        elim, partials = system.elimination, system.partials
+        if not partials:
+            continue
+        matrix = SampleMatrix(elim, partials, True)
+        images = {key: [elim(chain) for chain in chains]
+                  for key, chains in system.ambiguity_chains.items()}
+        rng, reference = random.Random(3), random.Random(3)
+        for m in range(17):
+            rows = elim.base + [dict(p.projected) for p in partials]
+            for i, p in enumerate(partials, len(elim.base)):
+                basis = images[p.ambiguity]
+                bits = reference.getrandbits(len(basis)) if m and basis else 0
+                for t, image in enumerate(basis):
+                    if bits >> t & 1:
+                        vec_axpy(rows[i], image, 1)
+            expected = [{c: v for c, v in rows[i].items()
+                         if c not in matrix.cut} for i in matrix.rest]
+            assert (matrix.rows(rng if m else None)
+                    == [row for row in expected if row]), (spec, m)
+        checked += 1
+    assert checked > 150
 
 
 def test_system_rank_is_the_cycle_lattice_rank():
@@ -505,8 +612,12 @@ def full_coordinate_sampler(system, samples, seed):
     SurfaceSpec.make(7, 2, 2, 2, "pm+"),
 ], ids=spec_id)
 def test_pipeline_matches_full_coordinate_sampler(spec, monkeypatch):
+    # Each sample's Smith form sees only the rows the fixed peel leaves,
+    # so its invariants are taken in the coordinates left after it.
     system = build_relation_system(spec)
-    rank = system.rank - len(system.elimination.units)
+    elim = system.elimination
+    matrix = SampleMatrix(elim, system.partials, bool(system.partials))
+    rank = elim.rank - spec.d - len(matrix.cut)
     seen = []
 
     def recording(rows):
@@ -556,7 +667,7 @@ def test_exact_echelon_order_keeps_pivots_and_lattice():
     assert len(specs) == 55
     for spec in specs:
         system = build_relation_system(spec)
-        built = system.exact_echelon
+        built = exact_echelon(system)
         catalog_order = Echelon(vec for _, vec in system.exact)
         assert sorted(built.pivots) == sorted(catalog_order.pivots), spec
         assert ({j: row[j] for j, row in built.pivots.items()}
@@ -591,7 +702,7 @@ def test_dropped_partial_instances_would_change_the_quotient():
     assert dropped and kept
 
     elim = system.elimination
-    rank = system.rank - len(elim.units)
+    rank = elim.rank - spec.d
     rows = elim.base + [elim(p.base) for p in system.partials]
     sample0 = AbelianInvariants.from_factors(snf_factors(rows), rank)
     assert sample0 == compute_h1(spec).invariants == oracle(spec)

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mcgtwist.errors import NoIntegerSolution
@@ -14,7 +14,9 @@ from mcgtwist.intlin import (
     echelon_insert,
     gf2_insert,
     parity_mask,
+    peel_unit_singletons,
     snf_factors,
+    vec_axpy,
     xgcd,
 )
 from helpers import matvec, snf_reference
@@ -331,3 +333,96 @@ class TestUnitPeel:
         # a factor 1.
         self.check([{0: 2}, {0: 1, 1: 1}], [1, 2])
         self.check([{0: 3, 1: 2}, {0: 1, 2: 1}, {0: 1, 2: -1}], [1, 1, 4])
+
+
+def test_vec_axpy_leaves_dst_alone_at_a_stored_zero():
+    # A stored 0 in src adds nothing, whether or not dst has that key.
+    dst = {}
+    vec_axpy(dst, {3: 0}, 1)
+    assert dst == {}
+    dst = {3: 5, 4: 1}
+    vec_axpy(dst, {3: 0, 4: -1}, 1)
+    assert dst == {3: 5}
+
+
+def added(row, extra):
+    """row + extra, as a fresh sparse vector."""
+    out = dict(row)
+    vec_axpy(out, extra, 1)
+    return out
+
+
+def peel_check(rows, moving_rows, moving_cols, perturbations):
+    """For each perturbation X (row index -> sparse row, confined to the
+    moving rows and columns), the Smith form of rows + X must be one 1
+    per cut column followed by that of the rows left plus their rows of
+    X, off the cut columns."""
+    before = [dict(r) for r in rows]
+    rest, cut = peel_unit_singletons(rows, moving_rows, moving_cols)
+    assert rows == before
+    assert len(set(cut)) == len(cut)
+    for x in perturbations:
+        assert set(x) <= set(moving_rows)
+        assert all(set(row) <= set(moving_cols) for row in x.values())
+        full = [added(row, x.get(i, {})) for i, row in enumerate(rows)]
+        left = [added(row, {c: v for c, v in x.get(i, {}).items()
+                            if c not in cut})
+                for i, row in rest.items()]
+        assert [1] * len(cut) + snf_factors(left) == snf_factors(full)
+    return rest, cut
+
+
+@st.composite
+def perturbed_families(draw):
+    """A unit-rich matrix, a random set of moving rows and columns, and
+    three perturbations confined to them."""
+    ncols = draw(st.integers(1, 6))
+    rows = [sparse(row) for row in draw(st.lists(
+        st.lists(unit_rich_entries, min_size=ncols, max_size=ncols),
+        max_size=6))]
+    moving_rows = draw(st.sets(st.integers(0, max(len(rows) - 1, 0))))
+    moving_rows &= set(range(len(rows)))
+    moving_cols = draw(st.sets(st.integers(0, ncols - 1)))
+    perturbations = [
+        {i: sparse([draw(unit_rich_entries) if c in moving_cols else 0
+                    for c in range(ncols)]) for i in moving_rows}
+        for _ in range(3)
+    ]
+    return rows, moving_rows, moving_cols, perturbations
+
+
+@settings(max_examples=300, deadline=None)
+@given(perturbed_families())
+def test_restricted_peel_agrees_with_smith_form(family):
+    peel_check(*family)
+
+
+class TestRestrictedPeel:
+    # The peel once for a family of matrices that differ only in some
+    # rows and columns, against the Smith form of each member.
+    def test_fixed_unit_row_clears_a_moving_column(self):
+        # Row 0 = e_0 is fixed: row operations clear column 0 in row 1,
+        # whatever a sample puts there.
+        rest, cut = peel_check([{0: 1}, {0: 1, 1: 2}], {1}, {0},
+                               [{1: {0: v}} for v in (1, 2, -3)])
+        assert cut == [0] and rest == {1: {1: 2}}
+
+    def test_moving_unit_row_does_not_peel(self):
+        # e_0 in a moving row and column can become 2 e_0.
+        rest, cut = peel_check([{0: 1}], {0}, {0}, [{0: {0: 1}}, {}])
+        assert cut == [] and rest == {0: {0: 1}}
+
+    def test_unit_alone_in_a_moving_column_does_not_peel(self):
+        # The 1 at (0, 1) is alone in column 1, but row 1 can gain an
+        # entry there: with -1 the lattice has index 4, not 2.
+        rows = [{0: 2, 1: 1}, {0: 2}]
+        rest, cut = peel_check(rows, {1}, {1},
+                               [{1: {1: -1}}, {1: {1: 1}}, {}])
+        assert cut == [] and rest == dict(enumerate(rows))
+
+    def test_moving_row_peels_at_a_fixed_column(self):
+        # Row 0 moves in column 1 only; its 1 at column 0 is alone, so
+        # column operations clear the row whatever the draw.
+        rest, cut = peel_check([{0: 1, 1: 3}, {1: 2}], {0}, {1},
+                               [{0: {1: 1}}, {0: {1: -3}}])
+        assert cut == [0] and rest == {1: {1: 2}}
