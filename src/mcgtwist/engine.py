@@ -450,9 +450,9 @@ class SampleMatrix:
     """The rows of every sample of one spec, with the unit singletons no
     draw can disturb split off once.
 
-    A sample's rows are `base` and, for each kept partial row p, its
-    projection plus, in sample m > 0, the images of a random set of its
-    key's basis chains.  Equal images are grouped: with bits the draw,
+    A sample's rows are the elimination's `base` and, for each kept
+    partial row p, its projection plus, in sample m > 0, the images of a
+    random set of its key's basis chains.  Equal images are grouped: with bits the draw,
     the row adds popcount(bits & mask) times each distinct image, which
     is the sum of the drawn images, from the same random bits.
 
@@ -463,8 +463,9 @@ class SampleMatrix:
     fixed row +-e_c (proof in `_peel_unit_singletons`).  Every sample's
     invariant factors are then one 1 per column of `cut` followed by
     those of the rows `rows` returns.  `rest` maps the index of each row
-    left (in `base` followed by the kept partial rows) to its entries
-    off `cut`.
+    left (in the elimination's `base` followed by the kept partial rows)
+    to its entries off `cut`, and `base` holds the nonzero ones of the
+    first kind.
     """
 
     def __init__(self, elim, partials, drawing):

@@ -660,9 +660,12 @@ def test_unstable_sampling_is_raised(monkeypatch):
 
 
 def test_exact_echelon_order_keeps_pivots_and_lattice():
-    # The exact rows enter their echelon shortest first; catalog order
-    # must give the same pivot columns, the same pivot values and the
-    # same lattice, on the 55 benchmark specs (every sixth grid spec).
+    # UnitElimination enters its residual rows shortest first, relying
+    # on the pivot columns and values of an echelon being invariants of
+    # its lattice.  Checked on the full exact echelon: shortest first and
+    # catalog order must give the same pivot columns, the same pivot
+    # values and the same lattice, on the 55 benchmark specs (every
+    # sixth grid spec).
     specs = (list(twist_grid()) + list(permutation_grid()))[::6]
     assert len(specs) == 55
     for spec in specs:
