@@ -10,7 +10,7 @@ by `vec_axpy`.  The class [x] (x) xi_i is written x_{j,i} (so a_{1,3} is
 """
 
 from .intlin import ColumnSolver, Echelon, vec_axpy
-from .surface import Word, build_representation, expand_word
+from .surface import build_representation, derivation
 
 
 class ChainSpace:
@@ -160,19 +160,26 @@ def expected_boundary(spec, gen, i):
 
 def _walk(space, word, side, out):
     """Add side times the contribution of `word` to the chains `out`,
-    one per coefficient (see `rewrite_relation_all`)."""
+    one per coefficient (see `rewrite_relation_all`); a derived letter
+    adds its chains C(x) e_r (`_fox_columns`)."""
     rep = space.rep
 
     def contribute(gen, sign, q):
-        base = space.flat(gen, 1)
-        for r, row in enumerate(q):
-            flat = base + r
-            for t, v in row.items():
-                col = out[t]
-                col[flat] = col.get(flat, 0) + sign * v
+        if gen in space._bcol:
+            base = space.flat(gen, 1)
+            for r, row in enumerate(q):
+                flat = base + r
+                for t, v in row.items():
+                    col = out[t]
+                    col[flat] = col.get(flat, 0) + sign * v
+        else:
+            cols = _fox_columns(space, gen)[0]
+            for r, row in enumerate(q):
+                for t, v in row.items():
+                    vec_axpy(out[t], cols[r], sign * v)
 
     q = [{r: 1} for r in range(space.d)]
-    for gen, e in expand_word(word, space.spec):
+    for gen, e in word:
         if e > 0:
             # The step first: it raises UnknownLetter off the alphabet.
             step = rep.apply_letter(q, gen, -1)
@@ -185,31 +192,31 @@ def _walk(space, word, side, out):
 
 def _fox_columns(space, gen):
     """(C, B) of a letter, built once per space: C[k] = C(gen) e_k and
-    B[k] = B_gen e_k.  A derived u_i is walked once along its expansion;
-    the boundary of C(w) e_k is B_w e_k, by the Fox rule."""
+    B[k] = B_gen e_k.  A derived letter walks its one-level word once,
+    in the order of `derivation`; the boundary of C(w) e_k is B_w e_k,
+    by the Fox rule."""
     if gen in space._bcol and gen not in space._fox:
         base = space.flat(gen, 1)
         space._fox[gen] = ([{base + k: 1} for k in range(space.d)],
                            space._bcol[gen])
     elif gen not in space._fox:
-        chains = [{} for _ in range(space.d)]
-        _walk(space, Word.of(gen), 1, chains)
-        chains = [{f: v for f, v in c.items() if v} for c in chains]
-        space._fox[gen] = chains, [boundary1(space, c) for c in chains]
+        for x, word in derivation(gen, space.spec):
+            if x not in space._fox:
+                chains = [{} for _ in range(space.d)]
+                _walk(space, word, 1, chains)
+                chains = [{f: v for f, v in c.items() if v} for c in chains]
+                space._fox[x] = chains, [boundary1(space, c) for c in chains]
     return space._fox[gen]
 
 
-def _closed_form_pair(space, lhs, rhs):
-    """(x, y) when lhs = rhs reads x y = y x or x y x = y x y, x and y
-    alphabet letters or derived u_i; else None."""
+def _closed_form_pair(lhs, rhs):
+    """(x, y) when lhs = rhs reads x y = y x or x y x = y x y, else None."""
     m = len(lhs)
     if m not in (2, 3):
         return None
     x, y = lhs[0][0], lhs[1][0]
-    shaped = (lhs, rhs) == (((x, 1), (y, 1), (x, 1))[:m],
-                            ((y, 1), (x, 1), (y, 1))[:m])
-    if shaped and all(gen in space._bcol or gen.kind == "u"
-                      and 1 < gen.index < space.spec.g for gen in (x, y)):
+    if (lhs, rhs) == (((x, 1), (y, 1), (x, 1))[:m],
+                      ((y, 1), (x, 1), (y, 1))[:m]):
         return x, y
     return None
 
@@ -222,14 +229,17 @@ def rewrite_relation_all(space, lhs, rhs):
     w = l_1..l_m contributes, for the letter l_t at prefix
     p = l_1..l_{t-1}: +[x] (x) psi(p)^-1 xi if l_t = x, and
     -[x] (x) psi(p l_t)^-1 xi if l_t = x^-1; the result is
-    contribution(lhs) - contribution(rhs), with derived letters expanded
-    first.
+    contribution(lhs) - contribution(rhs).
 
     With C(w) the map xi -> contribution(w) at xi (C(x) xi_r is
     [x] (x) xi_r) and B_x = psi(x)^-1 - I (the boundary columns of x),
-    this is the Fox rule C(w1 w2) = C(w1) + C(w2) psi(w1)^-1.  It alone
-    gives chain k in closed form for the shapes of most of the catalog,
-    with x, y alphabet letters or derived u_i (`_fox_columns`):
+    this is the Fox rule C(w1 w2) = C(w1) + C(w2) psi(w1)^-1.  For a
+    derived letter x, [x] (x) v reads C(x) v, C(x) being that of its
+    one-level word (`_fox_columns`): by the rule this is the word's
+    contribution at p, and a free cancellation x x^-1 contributes 0, so
+    every chain is that of the relation expanded to the alphabet, entry
+    for entry.  The rule alone gives chain k in closed form for the
+    shapes of most of the catalog, for any letters x, y:
 
     - x y = y x: C(xy) - C(yx) = C(y) B_x - C(x) B_y, at e_k;
     - x y x = y x y: psi(xy)^-1 = I + B_x + B_y + B_y B_x, so
@@ -242,14 +252,14 @@ def rewrite_relation_all(space, lhs, rhs):
     B_x e_k = B_y e_k = 0, the commutation's chain k is 0, and since
     e_k + B_x e_k + B_y B_x e_k = e_k (and likewise with x, y swapped)
     the braid's chain k is C(x) e_k - C(y) e_k.  Those chains are
-    built as such.  Any other relation is walked, one pass over the letters
-    shared by all coefficients: the running matrix Q = psi(prefix)^-1 is
-    held as sparse rows and updated by one letter step
-    (`Representation.apply_letter`) per letter, and a contribution adds
-    the nonzeros of Q's rows, row r of Q feeding the class
+    built as such.  Any other relation is walked as written, one pass
+    over the letters shared by all coefficients: the running matrix
+    Q = psi(prefix)^-1 is held as sparse rows and updated by one letter
+    step (`Representation.apply_letter`) per letter, and a contribution
+    adds the nonzeros of Q's rows, row r of Q feeding the class
     [x] (x) xi_{r+1} of every coefficient its columns name.
     """
-    pair = _closed_form_pair(space, lhs, rhs)
+    pair = _closed_form_pair(lhs, rhs)
     if pair is None:
         out = [{} for _ in range(space.d)]
         _walk(space, lhs, 1, out)

@@ -16,9 +16,10 @@ eliminated by a signed forest and the unit pivots of the rest
 (`UnitElimination`), built on first use by `compute_h1`, as is the
 filter; `verify` builds neither.  Equal projected ambiguity vectors are
 drawn as one, and the unit singletons no draw can disturb are split off
-the sample matrix before the first sample (`SampleMatrix`).  No instance
-known to lie in its ambiguity sublattice is built, and no boundary
-echelon (see `build_relation_system`).
+the sample matrix before the first sample (`SampleMatrix`); when that
+leaves nothing a draw can change, one Smith form serves every sample.
+No instance known to lie in its ambiguity sublattice is built, and no
+boundary echelon (see `build_relation_system`).
 """
 
 import random
@@ -435,7 +436,7 @@ class UnitElimination:
                 w = out.get(t, 0) + s * v
                 if w:
                     out[t] = w
-                else:
+                elif t in out:
                     del out[t]
         return out
 
@@ -465,7 +466,9 @@ class SampleMatrix:
     those of the rows `rows` returns.  `rest` maps the index of each row
     left (in the elimination's `base` followed by the kept partial rows)
     to its entries off `cut`, and `base` holds the nonzero ones of the
-    first kind.
+    first kind.  A draw changes a row only by the images it keeps off
+    `cut`, so when no row left keeps one (`vacuous`) every draw gives
+    sample 0's rows.
     """
 
     def __init__(self, elim, partials, drawing):
@@ -489,6 +492,8 @@ class SampleMatrix:
             self.slots.append((self.rest[i], [
                 (mask, {c: v for c, v in image.items() if c not in cut})
                 for mask, image in groups]))
+        self.vacuous = not any(image for slot in self.slots if slot
+                               for _, image in slot[1])
 
     def rows(self, rng=None):
         """One sample's rows left after the peel: sample 0 with no `rng`,
@@ -538,7 +543,8 @@ def compute_h1(spec, samples=17, seed=0, extra_relations=None):
     the system (see `UnitElimination`).  The unit singletons no draw can
     disturb are split off once (`SampleMatrix`), each as a factor 1, and
     each sample takes the Smith form (`snf_factors`) of the rows left,
-    against the coordinates left for Z / L.
+    against the coordinates left for Z / L; when no draw can change
+    those rows (`SampleMatrix.vacuous`), sample 0's stands for all.
     """
     t0 = time.perf_counter()
     if samples < 1:
@@ -551,7 +557,7 @@ def compute_h1(spec, samples=17, seed=0, extra_relations=None):
     rank = elim.rank - spec.d - len(matrix.cut)
     rng = random.Random(seed)
     invariants = None
-    for m in range(nsamples):
+    for m in range(1 if matrix.vacuous else nsamples):
         rows = matrix.rows(rng if m else None)
         inv = AbelianInvariants.from_factors(snf_factors(rows), rank)
         if invariants is None:

@@ -9,7 +9,9 @@ d = g+s+n-1 with basis xi_1..xi_d consisting of the one-sided classes
 gamma_1..gamma_g followed by the boundary/puncture classes
 delta_1..delta_{s+n-1}.  Each generator's action psi(x), and its
 inverse, is held only as its rows that differ from the identity
-(`Representation.moved`); no dense matrix is formed.
+(`Representation.moved`); no dense matrix is formed.  A derived letter
+(u_i for i >= 2, e_0, e_{s+n}) joins them on first use, from its
+one-level word (`derived_word`), as a letter like any other.
 """
 
 import re
@@ -168,65 +170,39 @@ class Word(tuple):
             return self.inverse() ** (-m)
         return Word(tuple(self) * m)
 
-    def reduced(self):
-        """Free reduction: cancel adjacent x x^-1 pairs."""
-        out = []
-        for g, e in self:
-            if out and out[-1][0] == g and out[-1][1] == -e:
-                out.pop()
-            else:
-                out.append((g, e))
-        return Word(out)
 
-
-def derived_word(name, spec):
-    """Words for the composite mapping classes used in relations.
-
-    Available names: "u2".."u{g-1}" (higher crosscap transpositions,
-    expanded recursively down to the generator u1), "W" (the conjugator
-    a_2..a_{g-1} u_{g-1}..u_2), "e0" (which is a_1), and "e{s+n}" (the
-    twist about the curve enclosing all crosscaps, W a_1^-1 W^-1).
-    """
-    g = spec.g
-    if name == "e0":
+def derived_word(gen, spec):
+    """The one-level word of a derived letter, a composite mapping class
+    used in relations: u_i for 2 <= i <= g-1 (a higher crosscap
+    transposition, a_{i-1} a_i u_{i-1}^-1 a_i^-1 a_{i-1}^-1), e_0 (which
+    is a_1) or e_{s+n} (the twist about the curve enclosing all
+    crosscaps, W a_1^-1 W^-1 with the conjugator W = a_2..a_{g-1}
+    u_{g-1}..u_2).  Another u_i with i >= 2 raises UnknownDerived, and
+    any other letter UnknownLetter."""
+    g, (kind, i) = spec.g, gen
+    if kind == "e" and i == 0:
         return Word.of(Gen("a", 1))
-    if name == "W":
-        w = Word.of(*(Gen("a", j) for j in range(2, g)))
-        for j in range(g - 1, 1, -1):
-            w = w * derived_word("u%d" % j, spec)
-        return w
-    if name == "e%d" % (spec.s + spec.n):
-        w = derived_word("W", spec)
-        return (w * Word.of((Gen("a", 1), -1)) * w.inverse()).reduced()
-    m = re.match(r"^u(\d+)$", name)
-    if m:
-        i = int(m.group(1))
-        if 2 <= i <= g - 1:
-            ai, aj = Gen("a", i - 1), Gen("a", i)
-            inner = derived_word("u%d" % (i - 1), spec) if i > 2 else Word.of(Gen("u", 1))
-            return (
-                Word.of(ai, aj) * inner.inverse() * Word.of((aj, -1), (ai, -1))
-            ).reduced()
-    raise UnknownDerived("no derived word %r for this surface" % (name,))
+    if kind == "e" and i == spec.s + spec.n:
+        w = Word.of(*[Gen("a", j) for j in range(2, g)],
+                    *[Gen("u", j) for j in range(g - 1, 1, -1)])
+        return w * Word.of((Gen("a", 1), -1)) * w.inverse()
+    if kind == "u" and 2 <= i <= g - 1:
+        ai, aj = Gen("a", i - 1), Gen("a", i)
+        return Word.of(ai, aj, (Gen("u", i - 1), -1), (aj, -1), (ai, -1))
+    if kind == "u" and i >= 2:
+        raise UnknownDerived("no derived word %r for this surface" % gen.name)
+    raise UnknownLetter("no matrix for generator %s" % gen.name)
 
 
-def expand_word(word, spec):
-    """Replace derived letters (u_i with i >= 2, e_0, e_{s+n}) by their
-    defining words so that only alphabet letters remain."""
-    out = []
-    for gen, e in word:
-        repl = None
-        if gen.kind == "u" and gen.index >= 2:
-            repl = derived_word("u%d" % gen.index, spec)
-        elif gen.kind == "e" and gen.index == 0:
-            repl = derived_word("e0", spec)
-        elif gen.kind == "e" and gen.index == spec.s + spec.n:
-            repl = derived_word("e%d" % gen.index, spec)
-        if repl is None:
-            out.append((gen, e))
-        else:
-            out.extend(repl if e > 0 else repl.inverse())
-    return Word(out).reduced()
+def derivation(gen, spec):
+    """(letter, `derived_word`) for a derived letter, after the u_j its
+    word uses and those below them, from u_2 up: each word uses only
+    alphabet letters and letters listed before it, so resolving in this
+    order never recurses."""
+    word = derived_word(gen, spec)
+    top = max((x.index for x, _ in word if x.kind == "u"), default=1)
+    below = [Gen("u", j) for j in range(2, top + 1)]
+    return [(u, derived_word(u, spec)) for u in below] + [(gen, word)]
 
 
 @dataclass
@@ -252,13 +228,18 @@ class Representation:
         the nonzeros of row r of psi(gen)^exponent select, so only the
         rows where psi(gen)^exponent differs from the identity are
         computed.  The returned list shares the other rows with q, which
-        is left unchanged."""
-        try:
-            moved = self.moved[gen, 1 if exponent > 0 else -1]
-        except KeyError:
-            raise UnknownLetter("no matrix for generator %s" % gen.name) from None
+        is left unchanged.  A derived letter's rows, those of its word
+        and of the word's inverse, are built on first use, in the order
+        of `derivation`, and kept in `moved`."""
+        key = gen, 1 if exponent > 0 else -1
+        if key not in self.moved:
+            for x, word in derivation(gen, self.spec):
+                for sign, w in ((1, word), (-1, word.inverse())):
+                    if (x, sign) not in self.moved:
+                        rows = dict(enumerate(evaluate_word(self, w)))
+                        self.moved[x, sign] = _moved_rows(rows)
         out = list(q)
-        for r, entries in moved:
+        for r, entries in self.moved[key]:
             row = {}
             for c, v in entries:
                 vec_axpy(row, q[c], v)
@@ -366,10 +347,10 @@ def build_representation(spec, sign_variant=None):
 
 
 def evaluate_word(rep, word):
-    """The matrix of a word, psi(l_1) ... psi(l_m) after expanding derived
-    letters, as a list of sparse rows (dicts column -> nonzero value),
-    built right to left one letter step at a time."""
+    """The matrix of a word, psi(l_1) ... psi(l_m), as a list of sparse
+    rows (dicts column -> nonzero value), built right to left one letter
+    step at a time, a derived letter being one step."""
     out = [{r: 1} for r in range(rep.d)]
-    for gen, e in reversed(expand_word(word, rep.spec)):
+    for gen, e in reversed(word):
         out = rep.apply_letter(out, gen, e)
     return out

@@ -8,6 +8,7 @@ from math import gcd
 
 from mcgtwist.certify import odd_support, parity_on
 from mcgtwist.intlin import Echelon, vec_axpy
+from mcgtwist.surface import Word, derived_word
 
 
 def display(word):
@@ -15,6 +16,32 @@ def display(word):
     return " ".join(
         g.name + ("^-1" if e < 0 else "") for g, e in word
     ) or "(empty)"
+
+
+def reduced(word):
+    """Free reduction: cancel adjacent x x^-1 pairs."""
+    out = []
+    for g, e in word:
+        if out and out[-1][0] == g and out[-1][1] == -e:
+            out.pop()
+        else:
+            out.append((g, e))
+    return Word(out)
+
+
+def expand_word(word, spec):
+    """Reference for the derived letters (u_i with i >= 2, e_0, e_{s+n}):
+    each replaced by its defining word (`surface.derived_word`), again
+    and again until only alphabet letters remain, then freely reduced."""
+    alphabet = spec.generators()
+    out = []
+    for gen, e in word:
+        if gen in alphabet:
+            out.append((gen, e))
+        else:
+            repl = expand_word(derived_word(gen, spec), spec)
+            out.extend(repl if e > 0 else repl.inverse())
+    return reduced(out)
 
 
 def functional_value(space, functional, chain):

@@ -223,7 +223,8 @@ def test_criterion_8_named_bases(grids, capfd):
 
 
 # Past the grid: genus 10-16 with up to six boundary components and
-# punctures, every flavor.
+# punctures, every flavor, and genus 48, where the relations through
+# the derived letters are long.
 PAST_GRID_SPECS = [
     SurfaceSpec.make(10, 4, 4, 0, "pmk"),
     SurfaceSpec.make(12, 2, 5, 2, "pmk"),
@@ -235,6 +236,7 @@ PAST_GRID_SPECS = [
     SurfaceSpec.make(12, 6, 3, flavor="m"),
     SurfaceSpec.make(14, 2, 6, flavor="m"),
     SurfaceSpec.make(16, 5, 5, flavor="m"),
+    SurfaceSpec.make(48, 3, 3, flavor="m"),
 ]
 
 

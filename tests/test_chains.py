@@ -1,5 +1,7 @@
 """Chain level: boundaries, rewriting, and the cycle lattice."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,8 +18,21 @@ from mcgtwist.chains import (
 )
 from mcgtwist.errors import UnknownDerived, UnknownLetter
 from mcgtwist.intlin import Echelon, vec_axpy
-from mcgtwist.surface import Gen, SurfaceSpec, Word, build_representation, expand_word
-from helpers import boundary_reference, column, dense, matvec, same_lattice
+from mcgtwist.surface import (
+    Gen,
+    Representation,
+    SurfaceSpec,
+    Word,
+    build_representation,
+)
+from helpers import (
+    boundary_reference,
+    column,
+    dense,
+    expand_word,
+    matvec,
+    same_lattice,
+)
 from test_acceptance import permutation_grid, twist_grid
 from test_surface import all_specs
 
@@ -261,7 +276,7 @@ class TestClosedForms:
         lhs, rhs = shaped(x, y, data.draw(st.booleans()))
         # A fresh space builds its derived letters in the drawn order.
         space = ChainSpace(spec)
-        assert _closed_form_pair(space, lhs, rhs) == (x, y)
+        assert _closed_form_pair(lhs, rhs) == (x, y)
         assert_matches_reference(space, lhs, rhs)
 
     @pytest.mark.parametrize("spec", CLOSED_FORM_SPECS[1:], ids=str)
@@ -279,19 +294,20 @@ class TestClosedForms:
                        for vec in rewrite_relation_all(space, lhs, rhs))
 
     def test_every_word_relation_of_the_bench_and_large_specs(self):
-        # The 55 benchmark specs (every sixth grid spec) and four specs
-        # past the grid: every catalog word relation, closed form or
-        # walked, equals the reference at every coefficient.
+        # The 55 benchmark specs (every sixth grid spec) and five specs
+        # past the grid, up to (24,3,3,m): every catalog word relation,
+        # closed form or walked, equals the reference at every
+        # coefficient, which walks the words expanded to the alphabet.
         specs = (list(twist_grid()) + list(permutation_grid()))[::6]
         specs += [SurfaceSpec.make(g, 3, 3, 0, "pmk") for g in (10, 11, 12)]
-        specs.append(SurfaceSpec.make(10, 3, 3, flavor="m"))
+        specs += [SurfaceSpec.make(g, 3, 3, flavor="m") for g in (10, 24)]
         closed = 0
         for spec in specs:
             space = ChainSpace(spec)
             for entry in build_catalog(spec, space):
                 if entry.kind == "word":
                     closed += _closed_form_pair(
-                        space, entry.lhs, entry.rhs) is not None
+                        entry.lhs, entry.rhs) is not None
                     assert_matches_reference(space, entry.lhs, entry.rhs)
         assert closed > 1000
 
@@ -306,6 +322,51 @@ class TestClosedForms:
         with pytest.raises(UnknownDerived):
             rewrite_relation_all(space, Word.parse("u1 u9 u1"),
                                  Word.parse("u9 u1 u9"))
+
+
+def outer_braid(spec):
+    """The space and the catalog entry R20:{n-1} of a flavor-m spec,
+    whose right side holds e_{s+n}, built in a space with no derived
+    letter resolved yet."""
+    entry = next(e for e in build_catalog(spec)
+                 if e.rid == "R20:%d" % (spec.n - 1))
+    return ChainSpace(spec), entry
+
+
+class TestDerivedLetterGrowth:
+    """A derived letter is resolved once per representation and once per
+    chain space, bottom-up from u_2, so the relation through e_{s+n}
+    costs O(g) letter steps at a stack depth that does not grow with g."""
+
+    def test_outer_twist_takes_linearly_many_letter_steps(self, monkeypatch):
+        steps = []
+        apply_letter = Representation.apply_letter
+
+        def counted(rep, *args):
+            steps.append(1)
+            return apply_letter(rep, *args)
+
+        monkeypatch.setattr(Representation, "apply_letter", counted)
+        spec = SurfaceSpec.make(48, 3, 3, flavor="m")
+        space, entry = outer_braid(spec)
+        rewrite_relation_all(space, entry.lhs, entry.rhs)
+        assert 0 < len(steps) < 40 * spec.g
+
+    def test_outer_twist_needs_no_deeper_stack_with_genus(self):
+        # 60 frames above the caller's: a recursion one level deeper per
+        # genus would need far more at g = 48.
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        space, entry = outer_braid(SurfaceSpec.make(48, 3, 3, flavor="m"))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 60)
+        try:
+            vecs = rewrite_relation_all(space, entry.lhs, entry.rhs)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert len(vecs) == space.d
+        assert not any(boundary1(space, vec) for vec in vecs)
 
 
 @pytest.mark.parametrize("spec", LATTICE_SPECS, ids=str)

@@ -523,6 +523,37 @@ def test_grouped_draws_build_the_bit_by_bit_rows():
     assert checked > 150
 
 
+def test_vacuous_draws_give_sample_zeros_rows():
+    # Where `SampleMatrix.vacuous` holds, compute_h1 takes one Smith form
+    # for all samples: every grid spec it marks must give sample 0's
+    # rows in 17 draws, at seeds 0 and 7.
+    marked = 0
+    for spec in list(twist_grid()) + list(permutation_grid()):
+        system = build_relation_system(spec)
+        if not system.partials:
+            continue
+        matrix = SampleMatrix(system.elimination, system.partials, True)
+        if not matrix.vacuous:
+            continue
+        marked += 1
+        first = matrix.rows()
+        for seed in (0, 7):
+            rng = random.Random(seed)
+            for m in range(1, 17):
+                assert matrix.rows(rng) == first, (spec, seed, m)
+    assert marked == 235
+
+
+def test_express_class_of_a_stored_zero_is_the_zero_class():
+    # A chain may store a 0 at a coordinate; it is the zero class, at
+    # every coordinate of the chain space.
+    for spec in (SurfaceSpec.make(5, 1, 1), SurfaceSpec.make(3, 1, 0),
+                 SurfaceSpec.make(4, 0, 2, flavor="m")):
+        result = compute_h1(spec)
+        for flat in range(result.system.space.dim):
+            assert express_class(result, {flat: 0}) == {}, (spec, flat)
+
+
 def test_system_rank_is_the_cycle_lattice_rank():
     # RelationSystem.rank is dim - d, taken from the spec; it must be
     # the rank of the cycle lattice (every 12th grid spec and the specs
@@ -604,19 +635,30 @@ def full_coordinate_sampler(system, samples, seed):
     return per_sample, named
 
 
+# Specs with partial rows whose draws change the sample matrix.
+DRAWN_SPECS = [
+    SurfaceSpec.make(5, 2, 3, 1, "pmk"),
+    SurfaceSpec.make(6, 1, 2, flavor="m"),
+]
+
+
 @pytest.mark.parametrize("spec", [
     SurfaceSpec.make(9, 3, 3, 1, "pmk"),
     SurfaceSpec.make(9, 1, 3, flavor="m"),
     SurfaceSpec.make(4, 2, 3, 2, "pmk"),
     SurfaceSpec.make(3, 3, 3, 1, "pmk"),
     SurfaceSpec.make(7, 2, 2, 2, "pm+"),
-], ids=spec_id)
+] + DRAWN_SPECS, ids=spec_id)
 def test_pipeline_matches_full_coordinate_sampler(spec, monkeypatch):
     # Each sample's Smith form sees only the rows the fixed peel leaves,
-    # so its invariants are taken in the coordinates left after it.
+    # so its invariants are taken in the coordinates left after it.  On
+    # a spec where no draw can change those rows, one Smith form is
+    # taken, and every sample of the reference must have its invariants;
+    # on `DRAWN_SPECS` each sample takes its own.
     system = build_relation_system(spec)
     elim = system.elimination
     matrix = SampleMatrix(elim, system.partials, bool(system.partials))
+    assert matrix.vacuous == (spec not in DRAWN_SPECS)
     rank = elim.rank - spec.d - len(matrix.cut)
     seen = []
 
@@ -632,7 +674,12 @@ def test_pipeline_matches_full_coordinate_sampler(spec, monkeypatch):
         seen.clear()
         result = compute_h1(spec, seed=seed)
         per_sample, named = full_coordinate_sampler(system, 17, seed)
-        assert seen == per_sample, seed
+        assert result.sampling_report.samples == len(per_sample) == 17
+        if matrix.vacuous:
+            assert len(seen) == 1, seed
+            assert all(inv == seen[0] for inv in per_sample), seed
+        else:
+            assert seen == per_sample, seed
         assert names(result) == named, seed
 
 

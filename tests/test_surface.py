@@ -13,9 +13,17 @@ from mcgtwist.surface import (
     build_representation,
     derived_word,
     evaluate_word,
-    expand_word,
 )
-from helpers import column, dense, display, identity, matmul, to_dense
+from helpers import (
+    column,
+    dense,
+    display,
+    expand_word,
+    identity,
+    matmul,
+    reduced,
+    to_dense,
+)
 
 SPECS = [
     SurfaceSpec.make(3, 1, 0),
@@ -77,7 +85,7 @@ class TestWord:
 
     def test_inverse_and_reduction(self):
         w = Word.parse("a1 a2")
-        assert (w * w.inverse()).reduced() == Word(())
+        assert reduced(w * w.inverse()) == Word(())
         assert (w ** -2) == (w ** 2).inverse()
 
     def test_power(self):
@@ -202,23 +210,26 @@ def test_derived_words():
     rep = build_representation(spec)
     ident = identity(spec.d)
     for i in (2, 3, 4):
-        u = derived_word("u%d" % i, spec)
+        u = derived_word(Gen("u", i), spec)
         m = to_dense(evaluate_word(rep, u), spec.d)
         assert matmul(m, m) == ident
     with pytest.raises(UnknownDerived):
-        derived_word("u9", spec)
-    assert derived_word("e0", spec) == Word.of(Gen("a", 1))
+        derived_word(Gen("u", 9), spec)
+    with pytest.raises(UnknownLetter):
+        derived_word(Gen("v", 1), spec)
+    assert derived_word(Gen("e", 0), spec) == Word.of(Gen("a", 1))
 
 
 def test_outer_twist_is_conjugate_of_a1():
+    # The rows the representation keeps for e_{s+n} against the dense
+    # product of W a_1^-1 W^-1, W expanded down to the alphabet.
     spec = SurfaceSpec.make(4, 2, 1)
     rep = build_representation(spec)
-    w = derived_word("W", spec)
-    e_out = derived_word("e%d" % (spec.s + spec.n), spec)
+    w = Word.parse("a2 a3 u3 u2")
+    e_out = Word.of(Gen("e", spec.s + spec.n))
     lhs = to_dense(evaluate_word(rep, e_out), spec.d)
-    rhs = matmul(matmul(to_dense(evaluate_word(rep, w), spec.d),
-                        dense(rep, Gen("a", 1), -1)),
-                 to_dense(evaluate_word(rep, w.inverse()), spec.d))
+    rhs = matmul(matmul(dense_product(rep, w), dense(rep, Gen("a", 1), -1)),
+                 dense_product(rep, w.inverse()))
     assert lhs == rhs
 
 
