@@ -11,7 +11,7 @@ contribution is pinned down up to an ambiguity sublattice.
 
 from dataclasses import dataclass, field
 
-from .chains import ChainSpace, boundary1
+from .chains import ChainSpace, boundary1, kernel_generator_list
 from .errors import NoIntegerSolution
 from .intlin import ColumnSolver, vec_axpy
 from .surface import PMPLUS_KINDS, Gen, Word, evaluate_word
@@ -140,21 +140,48 @@ def build_catalog(spec, space=None):
 
 
 def k1_ambiguity_basis(space):
-    """Basis of the sublattice in which the composite-twist classes
-    b_{1,i} (i>4) are known to lie: the single-class cycles a_{j,i}
-    with coefficient index at most g."""
-    g = space.spec.g
-    out = []
-    for j in range(1, g):
-        for i in list(range(1, j)) + list(range(j + 2, g + 1)):
-            out.append(space.chain([("a", j, i, 1)]))
-    return out
+    """Chains A' with A' + E = A + E, for E the exact lattice and A the
+    lattice in which the composite-twist classes b_{1,i} (i>4) are known
+    to lie: the single-class cycles a_{j,i}, i not in {j, j+1}, i <= g.
+
+    Every such a_{j,i} other than a_{1,3} is a_{1,3} plus the class
+    relation I1:j:i = a_{j,i} - a_{1,3}, so A + E = E + Z a_{1,3}.  From
+    genus 7 the catalog also has I1:triv = a_{1,3}, so A lies in E and
+    A' is empty; below it A' is [a_{1,3}].  Extra relations only enlarge
+    E, so the equality holds with them too.
+    """
+    return [] if space.spec.g >= 7 else [space.chain([("a", 1, 3, 1)])]
+
+
+def pmplus_ambiguity_basis(space):
+    """A basis of the ambiguity lattice A of the slide-conjugation
+    partial relations, the kernel of `pmplus_boundary_solver`: the
+    members of `kernel_generator_list` supported on `PMPLUS_KINDS`.
+
+    A is Z meets Z^P, for Z the cycle lattice and P the coordinates of
+    the pm+ kinds.  The family spans Z, and each of its other members
+    (K12-K16) has a v or s coordinate, where their restrictions are
+    independent: K12 is one distinct v_{j,i} each, K13 one s_{j,i} each,
+    i off {g+s+j, g+s+j+1}, and K14, K15 and K16 are s_{j,a} + s_{j,a+1},
+    s_{j,a} (a = g+s+j, j < n-1) and s_{n-1,g+s+n-1}.  So a cycle on P,
+    written as an integer combination of the family, gives each of them
+    coefficient 0, and A is the span of the members on P (K1-K11).
+    """
+    kinds = [gen.kind in PMPLUS_KINDS for gen in space.gens]
+    return [chain for _, chain in kernel_generator_list(space)
+            if all(kinds[c // space.d] for c in chain)]
+
+
+# Each ambiguity key of the partial relations, with the closed form of
+# its lattice.
+AMBIGUITY_BASES = {"pm+": pmplus_ambiguity_basis, "k1": k1_ambiguity_basis}
 
 
 def pmplus_boundary_solver(space):
     """Solver for boundaries of chains supported on the orientation- and
     puncture-preserving generator kinds.  Its kernel is the ambiguity
-    sublattice of the slide-conjugation partial relations."""
+    sublattice of the slide-conjugation partial relations, listed by
+    `pmplus_ambiguity_basis`."""
     solver = ColumnSolver(space.d)
     for gen in space.gens:
         if gen.kind in PMPLUS_KINDS:

@@ -90,8 +90,11 @@ def descent_check(system, functional):
 
     Needs beta to be invariant under every generator matrix, and the
     functional to vanish on every exact relation vector, every pinned
-    partial instance (`system.instances`) and every ambiguity basis
-    vector.
+    partial instance (`system.instances`) and every ambiguity chain.
+    Those chains cover the whole ambiguity lattice A: they span a
+    lattice A' with A' + E = A + E, E the exact lattice (A' = A for
+    "pm+"; see `build_relation_system`), and a functional that is
+    linear mod 2 and vanishes on E and on A' vanishes on A.
 
     Walking every instance, not only the kept ones
     (`RelationSystem.partials`), checks more and fails no more on

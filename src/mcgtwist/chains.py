@@ -194,7 +194,8 @@ def _fox_columns(space, gen):
     """(C, B) of a letter, built once per space: C[k] = C(gen) e_k and
     B[k] = B_gen e_k.  A derived letter walks its one-level word once,
     in the order of `derivation`; the boundary of C(w) e_k is B_w e_k,
-    by the Fox rule."""
+    by the Fox rule.  `build_relation_system` empties the memo once the
+    catalog is rewritten, and a later call builds what it needs again."""
     if gen in space._bcol and gen not in space._fox:
         base = space.flat(gen, 1)
         space._fox[gen] = ([{base + k: 1} for k in range(space.d)],

@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .catalog import (
+    AMBIGUITY_BASES,
     build_catalog,
-    k1_ambiguity_basis,
     partial_exact_part,
     partial_target_boundary,
     pmplus_boundary_solver,
@@ -113,6 +113,13 @@ class RelationSystem:
         kept rows' unknown parts.  The instances are visited in catalog
         order, which decides which of them are kept.
 
+        For the k1 key from genus 7 on, the filter and the sampling need
+        no assumption: there A lies in E (`k1_ambiguity_basis`), so a
+        true row p + a is p modulo E.  A dropped p lies in E + K, K the
+        span of the key's kept pinned rows; E + K is E plus the span of
+        their true rows, so p's true row adds nothing.  And the key has
+        no basis chain to draw, so sample 0's rows are the true ones.
+
         The test is asked in the coordinates of `elimination`, with the
         same outcome as in all dim coordinates.  For E the exact lattice,
         A the key's ambiguity lattice and K its kept rows, p is in
@@ -146,7 +153,11 @@ def build_relation_system(spec, extra_relations=None):
 
     Partial relations are resolved into a pinned chain (their unknown
     part replaced by one particular solution) plus a reference to the
-    ambiguity sublattice, whose basis is computed once per kind.  Every
+    ambiguity sublattice A, whose chains are taken once per key in
+    closed form: a basis of A for "pm+" (`pmplus_ambiguity_basis`), and
+    for "k1" chains A' with A' + E = A + E, E the exact lattice
+    (`k1_ambiguity_basis`), which is all the filter, the samples and
+    `descent_check` read of A.  Every
     chain is checked here, in catalog order, and nothing else is
     computed: the elimination of the exact chains and the kept
     instances are built on first read (see `RelationSystem`).
@@ -155,11 +166,11 @@ def build_relation_system(spec, extra_relations=None):
     coefficient xi that x fixes (B_x xi = 0, B_x = psi(x)^-1 - I).  The
     general path pins [x] (x) xi there: the exact part is [x] (x) xi +
     [v_j] (x) B_x xi = [x] (x) xi, and the target boundary
-    psi(v_j)^-1 B_x xi is 0, solved by 0.  That chain is a cycle on a
-    kind of `PMPLUS_KINDS`, so an integer combination of the pm+
-    ambiguity chains, which span the kernel of `pmplus_boundary_solver`:
-    the filter never kept it, its cycle check was vacuous, and
-    `descent_check` (linear mod 2) covers it through those chains.
+    psi(v_j)^-1 B_x xi is 0, solved by 0.  x is some a_i or e_i, so that
+    chain is itself a pm+ ambiguity chain, the member a_{i,xi} (K1) or
+    e_{i,xi} (K5) of `pmplus_ambiguity_basis`: the filter never kept it,
+    its cycle check was vacuous, and `descent_check` walks it as that
+    chain.
 
     The cycle lattice has rank dim - d: the boundary columns of
     [a_j] (x) xi_j, [u_1] (x) xi_1 and [e_j] (x) xi_1 are gamma_j +
@@ -195,16 +206,14 @@ def build_relation_system(spec, extra_relations=None):
         else:
             check(entry.rid, entry.vector)
             system.exact.append((entry.rid, entry.vector))
+    space._fox.clear()  # read by the rewrites only; see `_fox_columns`
 
     pm_solver = None
 
     def add_partial(rid, base, key):
         check(rid, base)
         if key not in system.ambiguity_chains:
-            if key == "pm+":
-                chains = pm_solver.kernel_basis()
-            else:
-                chains = k1_ambiguity_basis(space)
+            chains = AMBIGUITY_BASES[key](space)
             for c in chains:
                 require_cycle(space, c, error=RelationOutsideKernel)
             system.ambiguity_chains[key] = chains
@@ -603,14 +612,18 @@ def express_class(result, chain):
     """The image of a cycle in the quotient, written in the named basis.
 
     Returns a dict mapping basis class name -> 1 (empty dict for the
-    zero class); raises NotACycle if the chain has nonzero boundary.
+    zero class); raises NotACycle if the chain is not one of the chain
+    space (a coordinate outside range(dim), or a stored 0) or has
+    nonzero boundary.
     """
     rows, tagmap = result._gf2
-    elim = result.system.elimination
-    width = elim.rank
-    require_cycle(result.system.space, chain)
+    space, elim = result.system.space, result.system.elimination
+    for c, v in chain.items():
+        if not (v and 0 <= c < space.dim):
+            raise NotACycle("not a chain of the space: {%r: %r}" % (c, v))
+    require_cycle(space, chain)
     vec = gf2_reduce(rows, parity_mask(elim(chain)), elim.full)
     if vec & elim.full:
         raise ValueError("class is outside the span of the named basis")
-    return {tagmap[t]: 1 for t in range((vec >> width).bit_length())
-            if (vec >> width) >> t & 1}
+    tags = vec >> elim.rank
+    return {tagmap[t]: 1 for t in range(tags.bit_length()) if tags >> t & 1}

@@ -6,6 +6,7 @@ A dense matrix here is a list of rows, each a list of ints.
 from itertools import combinations
 from math import gcd
 
+from mcgtwist.catalog import pmplus_boundary_solver
 from mcgtwist.certify import odd_support, parity_on
 from mcgtwist.intlin import Echelon, vec_axpy
 from mcgtwist.surface import Word, derived_word
@@ -68,21 +69,45 @@ def exact_echelon(system):
     return Echelon(sorted((vec for _, vec in system.exact), key=len))
 
 
-def kept_instances_reference(system):
+def extended(echelon, chains):
+    """A copy of the `Echelon` with the chains inserted."""
+    out = Echelon()
+    out.pivots = {j: dict(row) for j, row in echelon.pivots.items()}
+    for c in chains:
+        out.insert(dict(c))
+    return out
+
+
+def pmplus_kernel_reference(space):
+    """Reference for `catalog.pmplus_ambiguity_basis`: the pm+ ambiguity
+    lattice computed as the kernel of `pmplus_boundary_solver`."""
+    return pmplus_boundary_solver(space).kernel_basis()
+
+
+def k1_single_classes_reference(space):
+    """The k1 ambiguity lattice itself, of which `catalog.k1_ambiguity_basis`
+    gives the classes modulo the exact lattice: the single-class cycles
+    a_{j,i} with i not in {j, j+1} and i <= g."""
+    g = space.spec.g
+    return [space.chain([("a", j, i, 1)]) for j in range(1, g)
+            for i in list(range(1, j)) + list(range(j + 2, g + 1))]
+
+
+def kept_instances_reference(system, ambiguity_chains=None):
     """Reference for `RelationSystem.partials`: the filter in all dim
     chain coordinates.  Per ambiguity key, a copy of the exact echelon
-    is extended by the key's ambiguity chains, and an instance is kept,
-    and inserted, when its pinned chain escapes that lattice."""
+    is extended by the key's ambiguity chains (the system's, unless
+    `ambiguity_chains` gives others), and an instance is kept, and
+    inserted, when its pinned chain escapes that lattice."""
+    if ambiguity_chains is None:
+        ambiguity_chains = system.ambiguity_chains
     filters = {}
     kept = []
     exact = exact_echelon(system)
     for p in system.instances:
         if p.ambiguity not in filters:
-            filt = Echelon()
-            filt.pivots = {j: dict(row) for j, row in exact.pivots.items()}
-            for c in system.ambiguity_chains[p.ambiguity]:
-                filt.insert(dict(c))
-            filters[p.ambiguity] = filt
+            filters[p.ambiguity] = extended(exact,
+                                            ambiguity_chains[p.ambiguity])
         filt = filters[p.ambiguity]
         if not filt.contains(p.base):
             filt.insert(dict(p.base))
@@ -95,7 +120,8 @@ def same_lattice(a, b):
     rank, the same pivot columns and each basis inside the other."""
     if a.rank != b.rank or set(a.pivots) != set(b.pivots):
         return False
-    return all(b.contains(row) for row in a.pivots.values())
+    return (all(b.contains(row) for row in a.pivots.values())
+            and all(a.contains(row) for row in b.pivots.values()))
 
 
 def dense(rep, gen, sign=1):

@@ -10,13 +10,20 @@ from hypothesis import strategies as st
 
 import mcgtwist.engine
 from mcgtwist.catalog import (
+    k1_ambiguity_basis,
     parse_relations,
     partial_exact_part,
     partial_target_boundary,
+    pmplus_ambiguity_basis,
     pmplus_boundary_solver,
 )
 from mcgtwist.certify import oracle
-from mcgtwist.chains import ChainSpace, cycle_lattice
+from mcgtwist.chains import (
+    ChainSpace,
+    boundary1,
+    cycle_lattice,
+    rewrite_relation_all,
+)
 from mcgtwist.engine import (
     SampleMatrix,
     UnitElimination,
@@ -35,11 +42,14 @@ from mcgtwist.intlin import (
     snf_factors,
     vec_axpy,
 )
-from mcgtwist.surface import Gen, SurfaceSpec
+from mcgtwist.surface import PMPLUS_KINDS, Gen, SurfaceSpec
 from helpers import (
     exact_echelon,
+    extended,
+    k1_single_classes_reference,
     kept_instances_reference,
     lattice_coords,
+    pmplus_kernel_reference,
     same_lattice,
 )
 from make_relation_manifest import manifest_lines
@@ -317,6 +327,42 @@ def test_partial_filter_matches_the_full_coordinate_filter():
                 == [id(p) for p in expected]), spec
 
 
+def test_pmplus_ambiguity_basis_is_the_boundary_solver_kernel():
+    # The closed-form pm+ basis, the members of the explicit cycle family
+    # on the pm+ kinds, spans the kernel of the pm+ boundary solver, and
+    # each member is a cycle on those kinds.  The grid and the specs
+    # past it.
+    for spec in list(twist_grid()) + list(permutation_grid()) + PAST_GRID_SPECS:
+        space = ChainSpace(spec)
+        basis = pmplus_ambiguity_basis(space)
+        assert same_lattice(Echelon(basis),
+                            Echelon(pmplus_kernel_reference(space))), spec
+        for chain in basis:
+            assert not boundary1(space, chain), spec
+            assert all(space.unflat(c)[0].kind in PMPLUS_KINDS
+                       for c in chain), spec
+
+
+def test_closed_form_ambiguity_bases_change_no_span_and_no_kept_instance():
+    # The k1 basis gives the single classes a_{j,i} modulo the exact
+    # lattice: with the exact chains both span one lattice.  The filter
+    # in all dim coordinates, run with the computed pm+ kernel and every
+    # single class, keeps the instances the system keeps.  The grid and
+    # the specs past it.
+    for spec in list(twist_grid()) + list(permutation_grid()) + PAST_GRID_SPECS:
+        system = build_relation_system(spec)
+        space = system.space
+        exact = exact_echelon(system)
+        singles = k1_single_classes_reference(space)
+        assert same_lattice(extended(exact, k1_ambiguity_basis(space)),
+                            extended(exact, singles)), spec
+        computed = {"k1": singles}
+        if "pm+" in system.ambiguity_chains:
+            computed["pm+"] = pmplus_kernel_reference(space)
+        assert ([p.rid for p in kept_instances_reference(system, computed)]
+                == [p.rid for p in system.partials]), spec
+
+
 def test_each_chain_is_projected_once_per_system(monkeypatch):
     # The elimination is built once per system; its first read projects
     # every ambiguity chain, and the filter every instance, once.
@@ -544,14 +590,19 @@ def test_vacuous_draws_give_sample_zeros_rows():
     assert marked == 235
 
 
-def test_express_class_of_a_stored_zero_is_the_zero_class():
-    # A chain may store a 0 at a coordinate; it is the zero class, at
-    # every coordinate of the chain space.
+def test_express_class_rejects_a_chain_outside_the_space():
+    # A coordinate outside range(dim) and a stored 0 are refused by name:
+    # -1 would wrap to the last class, dim would raise a bare IndexError,
+    # and a stored 0 is no chain of the space, at every coordinate.
     for spec in (SurfaceSpec.make(5, 1, 1), SurfaceSpec.make(3, 1, 0),
                  SurfaceSpec.make(4, 0, 2, flavor="m")):
         result = compute_h1(spec)
-        for flat in range(result.system.space.dim):
-            assert express_class(result, {flat: 0}) == {}, (spec, flat)
+        dim = result.system.space.dim
+        for chain in [{-1: 2}, {dim: 1}] + [{flat: 0} for flat in range(dim)]:
+            (flat, value), = chain.items()
+            message = r"\{%r: %r\}$" % (flat, value)
+            with pytest.raises(NotACycle, match=message):
+                express_class(result, chain)
 
 
 def test_system_rank_is_the_cycle_lattice_rank():
@@ -571,6 +622,18 @@ def test_system_rank_is_the_cycle_lattice_rank():
         witnesses += [cols[Gen("e", j)][0] for j in range(1, spec.s + spec.n)]
         assert len(witnesses) == spec.d
         assert Echelon(witnesses).rank == spec.d, spec
+
+
+def test_build_drops_the_fox_columns_it_rewrote_with():
+    # Nothing reads the memoized Fox columns once the catalog is
+    # rewritten, so the system does not hold them; a later rewrite in
+    # the same space builds them again and gives the same chains.
+    system = build_relation_system(SurfaceSpec.make(9, 1, 3, flavor="m"))
+    assert system.space._fox == {}
+    entry = next(e for e in system.catalog if e.rid == "R20:1")
+    chains = rewrite_relation_all(system.space, entry.lhs, entry.rhs)
+    assert [(entry.rid, c) for c in chains if c] == [
+        (rid, vec) for rid, vec in system.exact if rid == entry.rid]
 
 
 def test_relation_chains_match_the_manifest():
