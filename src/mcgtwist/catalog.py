@@ -11,7 +11,7 @@ contribution is pinned down up to an ambiguity sublattice.
 
 from dataclasses import dataclass, field
 
-from .chains import ChainSpace, boundary1, kernel_generator_list
+from .chains import ChainSpace, boundary1
 from .errors import NoIntegerSolution
 from .intlin import ColumnSolver, vec_axpy
 from .surface import PMPLUS_KINDS, Gen, Word, evaluate_word
@@ -153,10 +153,11 @@ def k1_ambiguity_basis(space):
     return [] if space.spec.g >= 7 else [space.chain([("a", 1, 3, 1)])]
 
 
-def pmplus_ambiguity_basis(space):
+def pmplus_ambiguity_basis(space, family):
     """A basis of the ambiguity lattice A of the slide-conjugation
     partial relations, the kernel of `pmplus_boundary_solver`: the
-    members of `kernel_generator_list` supported on `PMPLUS_KINDS`.
+    members of `family`, the (label, chain) pairs of
+    `kernel_generator_list`, supported on `PMPLUS_KINDS`.
 
     A is Z meets Z^P, for Z the cycle lattice and P the coordinates of
     the pm+ kinds.  The family spans Z, and each of its other members
@@ -168,20 +169,17 @@ def pmplus_ambiguity_basis(space):
     coefficient 0, and A is the span of the members on P (K1-K11).
     """
     kinds = [gen.kind in PMPLUS_KINDS for gen in space.gens]
-    return [chain for _, chain in kernel_generator_list(space)
+    return [chain for _, chain in family
             if all(kinds[c // space.d] for c in chain)]
-
-
-# Each ambiguity key of the partial relations, with the closed form of
-# its lattice.
-AMBIGUITY_BASES = {"pm+": pmplus_ambiguity_basis, "k1": k1_ambiguity_basis}
 
 
 def pmplus_boundary_solver(space):
     """Solver for boundaries of chains supported on the orientation- and
     puncture-preserving generator kinds.  Its kernel is the ambiguity
     sublattice of the slide-conjugation partial relations, listed by
-    `pmplus_ambiguity_basis`."""
+    `pmplus_ambiguity_basis`.  Read by the test reference and by
+    `verify_catalog`; the relation system pins its slide conjugations
+    in closed form (`engine.build_relation_system`)."""
     solver = ColumnSolver(space.d)
     for gen in space.gens:
         if gen.kind in PMPLUS_KINDS:
@@ -193,7 +191,8 @@ def pmplus_boundary_solver(space):
 def partial_exact_part(space, x, vj, xi):
     """The explicitly known chain part of the relation x v_j = v_j y
     at coefficient xi: [x] (x) xi + [v_j] (x) (psi(x)^-1 - I) xi, whose
-    module part is the boundary column of [x] (x) xi."""
+    module part is the boundary column of [x] (x) xi.  Read by the test
+    reference and by `verify_catalog`."""
     return space.chain([(x.kind, x.index, xi, 1)] + [
         (vj.kind, vj.index, r + 1, c)
         for r, c in space._bcol[x][xi - 1].items()])
@@ -207,7 +206,7 @@ def partial_target_boundary(space, x, vj, xi):
     Since psi(y)^-1 = psi(v_j)^-1 psi(x)^-1 psi(v_j), this equals
     psi(v_j)^-1 b for the boundary column b = (psi(x)^-1 - I) xi of
     [x] (x) xi, computed as b + (psi(v_j)^-1 - I) b from the boundary
-    columns of v_j.
+    columns of v_j.  Read by the test reference and by `verify_catalog`.
     """
     col = space._bcol[x][xi - 1]
     vcols = space._bcol[vj]

@@ -18,8 +18,10 @@ filter; `verify` builds neither.  Equal projected ambiguity vectors are
 drawn as one, and the unit singletons no draw can disturb are split off
 the sample matrix before the first sample (`SampleMatrix`); when that
 leaves nothing a draw can change, one Smith form serves every sample.
-No instance known to lie in its ambiguity sublattice is built, and no
-boundary echelon (see `build_relation_system`).
+The build solves no linear system: a slide conjugation's one instance
+is a sum of cycles of the explicit generating family, which each system
+builds once (`RelationSystem.family`), and no instance known to lie in
+its ambiguity sublattice is built (see `build_relation_system`).
 """
 
 import random
@@ -27,20 +29,14 @@ import time
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .catalog import (
-    AMBIGUITY_BASES,
-    build_catalog,
-    partial_exact_part,
-    partial_target_boundary,
-    pmplus_boundary_solver,
+from .catalog import build_catalog, k1_ambiguity_basis, pmplus_ambiguity_basis
+from .chains import (
+    ChainSpace,
+    boundary1,
+    kernel_generator_list,
+    rewrite_relation_all,
 )
-from .chains import ChainSpace, boundary1, rewrite_relation_all
-from .errors import (
-    NoIntegerSolution,
-    NotACycle,
-    RelationOutsideKernel,
-    UnstableSampling,
-)
+from .errors import NotACycle, RelationOutsideKernel, UnstableSampling
 from .intlin import (
     AbelianInvariants,
     Echelon,
@@ -56,10 +52,10 @@ from .intlin import (
 
 @dataclass
 class PartialRow:
-    """One coefficient instance of a partial relation: the pinned chain
-    (exact part minus a particular solution of the unknown part), the
-    key of its ambiguity sublattice and, once the filter keeps it, its
-    projection by `RelationSystem.elimination`."""
+    """One coefficient instance of a partial relation: the pinned chain,
+    a cycle that differs from the true relation row by an unknown element
+    of its ambiguity sublattice, the key of that sublattice and, once the
+    filter keeps it, its projection by `RelationSystem.elimination`."""
 
     rid: str
     base: dict
@@ -87,6 +83,16 @@ class RelationSystem:
     exact: list  # (rid, chain)
     instances: list  # every built PartialRow, in catalog order
     ambiguity_chains: dict  # key -> list of chains
+
+    @cached_property
+    def family(self):
+        """The explicit generating family of the cycle lattice
+        (`kernel_generator_list`), as (label, chain) pairs, built once
+        per system and read three ways: the pm+ ambiguity basis is its
+        members on the pm+ kinds, each slide-conjugation instance sums
+        its K12 members, and `verify_spec` certifies that it spans the
+        cycle lattice."""
+        return kernel_generator_list(self.space)
 
     @property
     def exact_coords(self):  # the exact chains, as perfbench counts them
@@ -151,26 +157,44 @@ def require_cycle(space, chain, error=NotACycle):
 def build_relation_system(spec, extra_relations=None):
     """Rewrite the whole catalog into relation chains, each a cycle.
 
-    Partial relations are resolved into a pinned chain (their unknown
-    part replaced by one particular solution) plus a reference to the
-    ambiguity sublattice A, whose chains are taken once per key in
-    closed form: a basis of A for "pm+" (`pmplus_ambiguity_basis`), and
-    for "k1" chains A' with A' + E = A + E, E the exact lattice
+    Partial relations are resolved into a pinned chain plus a reference
+    to the ambiguity sublattice A, whose chains are taken once per key
+    in closed form: a basis of A for "pm+" (`pmplus_ambiguity_basis`),
+    and for "k1" chains A' with A' + E = A + E, E the exact lattice
     (`k1_ambiguity_basis`), which is all the filter, the samples and
-    `descent_check` read of A.  Every
-    chain is checked here, in catalog order, and nothing else is
-    computed: the elimination of the exact chains and the kept
-    instances are built on first read (see `RelationSystem`).
+    `descent_check` read of A.  Every chain is checked here, in catalog
+    order, and nothing else is computed: the elimination of the exact
+    chains and the kept instances are built on first read (see
+    `RelationSystem`).
 
-    A slide conjugation x v_j = v_j y builds no instance at a
-    coefficient xi that x fixes (B_x xi = 0, B_x = psi(x)^-1 - I).  The
-    general path pins [x] (x) xi there: the exact part is [x] (x) xi +
-    [v_j] (x) B_x xi = [x] (x) xi, and the target boundary
-    psi(v_j)^-1 B_x xi is 0, solved by 0.  x is some a_i or e_i, so that
-    chain is itself a pm+ ambiguity chain, the member a_{i,xi} (K1) or
-    e_{i,xi} (K5) of `pmplus_ambiguity_basis`: the filter never kept it,
-    its cycle check was vacuous, and `descent_check` walks it as that
-    chain.
+    A slide conjugation x v_j = v_j y, x some a_i or e_i, builds one
+    instance, at the first coefficient xi that x moves.  With B_x =
+    psi(x)^-1 - I and w = B_x xi, its pinned chain is sum_r w_r
+    v~(j, r), a sum of K12 members v~(j, r) = [v_j] (x) xi_r +
+    corr(j, r) of `RelationSystem.family`:
+
+    - The relation at xi is the exact part [x] (x) xi + [v_j] (x) w
+      less an unknown chain u on the pm+ kinds with boundary
+      psi(v_j)^-1 w = w + B_{v_j} w; two such u differ by a pm+ cycle,
+      an element of A.  Each corr(j, r) lies on the pm+ kinds and, as
+      v~(j, r) is a cycle, has boundary -B_{v_j} e_r, so u = [x] (x) xi
+      - sum_r w_r corr(j, r) is one, and the exact part less it is the
+      sum above.
+    - The other coefficient x moves gives -w: the moved columns of
+      B_{a_i} (xi_i and xi_{i+1}) are +-(gamma_i + gamma_{i+1}), and
+      those of B_{e_i} (xi_1 and xi_2) are +-(gamma_1 + gamma_2 +
+      delta_1 + ... + delta_i) (`expected_boundary`, which `verify`
+      checks).  So its pinned chain is minus this one modulo A: right
+      after this instance it lies in E + A + K, K the span of the kept
+      pinned rows of the key, and the filter never kept it.
+    - At a coefficient x fixes, w = 0 and the row is [x] (x) xi - u, a
+      pm+ cycle, in A: the filter never kept it either.
+    - Any other choice of u, such as the pm+ boundary solver's, moves
+      each pinned chain by an element of A.  That changes no E + A + K,
+      so, in catalog order, the filter keeps the same instances.
+    - `descent_check` loses nothing: it is linear mod 2, and each
+      instance not built is minus a built one, or 0, plus an element of
+      A, whose basis chains it walks.
 
     The cycle lattice has rank dim - d: the boundary columns of
     [a_j] (x) xi_j, [u_1] (x) xi_1 and [e_j] (x) xi_1 are gamma_j +
@@ -208,40 +232,35 @@ def build_relation_system(spec, extra_relations=None):
             system.exact.append((entry.rid, entry.vector))
     space._fox.clear()  # read by the rewrites only; see `_fox_columns`
 
-    pm_solver = None
-
     def add_partial(rid, base, key):
         check(rid, base)
         if key not in system.ambiguity_chains:
-            chains = AMBIGUITY_BASES[key](space)
+            chains = (k1_ambiguity_basis(space) if key == "k1"
+                      else pmplus_ambiguity_basis(space, system.family))
             for c in chains:
                 require_cycle(space, c, error=RelationOutsideKernel)
             system.ambiguity_chains[key] = chains
         system.instances.append(PartialRow(rid, base, key))
 
+    vtilde = None  # flat coordinate of v_{j,r} -> v~(j, r)
     for entry in catalog:
         if entry.kind != "partial":
             continue
         if entry.ambiguity == "k1":
             add_partial(entry.rid, entry.vector, "k1")
-        else:
-            if pm_solver is None:
-                pm_solver = pmplus_boundary_solver(space)
-            x, vj = entry.conjugation
-            for xi in range(1, space.d + 1):
-                if not space._bcol[x][xi - 1]:  # x fixes xi: see above
-                    continue
-                rid = "%s:xi%d" % (entry.rid, xi)
-                base = partial_exact_part(space, x, vj, xi)
-                try:
-                    particular = pm_solver.solve(
-                        partial_target_boundary(space, x, vj, xi)
-                    )
-                except NoIntegerSolution as exc:
-                    raise NoIntegerSolution("%s: %s" % (rid, exc)) from None
-                vec_axpy(base, particular, -1)
-                if base:
-                    add_partial(rid, base, "pm+")
+            continue
+        if vtilde is None:
+            vtilde = {c: chain for label, chain in system.family
+                      if label == "K12" for c in chain
+                      if space.unflat(c)[0].kind == "v"}
+        x, vj = entry.conjugation
+        for xi, w in enumerate(space._bcol[x], 1):
+            if w:  # the first coefficient x moves: see above
+                base = {}
+                for r, c in w.items():
+                    vec_axpy(base, vtilde[space.flat(vj, r + 1)], c)
+                add_partial("%s:xi%d" % (entry.rid, xi), base, "pm+")
+                break
     return system
 
 

@@ -10,7 +10,9 @@ class SpecInvalid(McgTwistError):
 
 
 class NoIntegerSolution(McgTwistError):
-    """A linear system has no solution over the integers."""
+    """A linear system has no solution over the integers.  Raised only
+    by `intlin.ColumnSolver.solve`, which neither `compute_h1` nor
+    `verify_spec` calls."""
 
 
 class RelationOutsideKernel(McgTwistError):

@@ -6,8 +6,14 @@ A dense matrix here is a list of rows, each a list of ints.
 from itertools import combinations
 from math import gcd
 
-from mcgtwist.catalog import pmplus_boundary_solver
+from mcgtwist.catalog import (
+    partial_exact_part,
+    partial_target_boundary,
+    pmplus_boundary_solver,
+)
 from mcgtwist.certify import odd_support, parity_on
+from mcgtwist.chains import _vtilde
+from mcgtwist.engine import PartialRow
 from mcgtwist.intlin import Echelon, vec_axpy
 from mcgtwist.surface import Word, derived_word
 
@@ -91,6 +97,44 @@ def k1_single_classes_reference(space):
     g = space.spec.g
     return [space.chain([("a", j, i, 1)]) for j in range(1, g)
             for i in list(range(1, j)) + list(range(j + 2, g + 1))]
+
+
+def closed_form_slide_chain(space, x, vj, xi):
+    """The closed form of the pinned chain of x v_j = v_j y at
+    coefficient xi: sum_r w_r v~(j, r) for w = B_x xi, each v~(j, r)
+    taken from `chains._vtilde`."""
+    out = {}
+    for r, c in space._bcol[x][xi - 1].items():
+        vec_axpy(out, _vtilde(space, vj.index, r + 1), c)
+    return out
+
+
+def solver_instances(system):
+    """Reference for `RelationSystem.instances`, the general way: each
+    slide conjugation x v_j = v_j y pinned at every coefficient xi that x
+    moves, as its exact part (`partial_exact_part`) less the particular
+    solution `pmplus_boundary_solver` gives for the boundary of its
+    unknown part (`partial_target_boundary`); the system's k1 instances
+    as they are; all in catalog order."""
+    space = system.space
+    solver = pmplus_boundary_solver(space)
+    k1 = {p.rid: p for p in system.instances if p.ambiguity == "k1"}
+    out = []
+    for entry in system.catalog:
+        if entry.kind != "partial":
+            continue
+        if entry.ambiguity == "k1":
+            out.append(k1[entry.rid])
+            continue
+        x, vj = entry.conjugation
+        for xi in range(1, space.d + 1):
+            if space._bcol[x][xi - 1]:
+                pinned = partial_exact_part(space, x, vj, xi)
+                vec_axpy(pinned, solver.solve(
+                    partial_target_boundary(space, x, vj, xi)), -1)
+                out.append(PartialRow("%s:xi%d" % (entry.rid, xi), pinned,
+                                      "pm+"))
+    return out
 
 
 def kept_instances_reference(system, ambiguity_chains=None):

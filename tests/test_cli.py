@@ -3,7 +3,6 @@
 import csv
 import json
 import os
-import re
 import subprocess
 import sys
 from collections import Counter
@@ -238,11 +237,20 @@ class TestVerify:
         assert out.startswith("FAIL") and "X1" in out
 
     def test_unsolvable_partial_names_its_relation(self, capsys, monkeypatch):
-        monkeypatch.setattr(mcgtwist.engine, "partial_target_boundary",
-                            lambda space, x, vj, xi: {0: 1})
+        # A family whose K12 members are the bare classes v_{j,i}, with
+        # no pm+ chain solving for the boundary of the unknown part: the
+        # first slide instance that needs a correction is no cycle.
+        def uncorrected(space):
+            return [(label, {c: v for c, v in chain.items()
+                             if space.unflat(c)[0].kind == "v"})
+                    if label == "K12" else (label, chain)
+                    for label, chain in kernel_generator_list(space)]
+
+        monkeypatch.setattr(mcgtwist.engine, "kernel_generator_list",
+                            uncorrected)
         failures = verify_spec(SurfaceSpec.make(4, 1, 2, 1, "pmk"))
         assert len(failures) == 1
-        assert re.search(r"relation system: R\d+\S*:xi\d+: ", failures[0])
+        assert failures[0].startswith("relation system: R14:2:3:xi3: ")
         code, out, _ = run(
             capsys, "verify", "--genus", "4", "--boundary", "1",
             "--punctures", "2", "--k", "1", "--flavor", "pmk",
@@ -254,25 +262,27 @@ class TestVerify:
     def test_non_cycle_is_one_relation_system_line(
             self, capsys, monkeypatch, rid):
         # Add the non-cycle a_{1,1} to a class relation, to the vector of
-        # a k1 partial, or to every exact part of a slide conjugation.
+        # a k1 partial, or to every K12 member of the explicit family,
+        # which the slide-conjugation instances sum.
         spec = SurfaceSpec.make(5, 1, 2, 1, "pmk")
-        catalog, exact_part = build_catalog, mcgtwist.engine.partial_exact_part
 
         def broken_catalog(spec, space):
-            out = catalog(spec, space)
+            out = build_catalog(spec, space)
             for entry in out:
                 if entry.rid == rid:
                     vec_axpy(entry.vector, {space.flat(Gen("a", 1), 1): 1}, 1)
             return out
 
-        def broken_exact_part(space, *args):
-            out = exact_part(space, *args)
-            vec_axpy(out, {space.flat(Gen("a", 1), 1): 1}, 1)
+        def broken_family(space):
+            out = kernel_generator_list(space)
+            for label, chain in out:
+                if label == "K12":
+                    vec_axpy(chain, {space.flat(Gen("a", 1), 1): 1}, 1)
             return out
 
         if rid.startswith("R14"):
-            monkeypatch.setattr(mcgtwist.engine, "partial_exact_part",
-                                broken_exact_part)
+            monkeypatch.setattr(mcgtwist.engine, "kernel_generator_list",
+                                broken_family)
         else:
             monkeypatch.setattr(mcgtwist.engine, "build_catalog",
                                 broken_catalog)
@@ -417,6 +427,33 @@ class TestVerify:
         assert calls == {"build_catalog": 1, "rewrite_relation_all": words}
         assert calls["evaluate_word"] == 0
 
+    @pytest.mark.parametrize("spec", [SurfaceSpec.make(5, 1, 2, 1, "pmk"),
+                                      SurfaceSpec.make(4, 1, 2, flavor="m")],
+                             ids=str)
+    def test_one_family_and_no_solver_per_spec(self, monkeypatch, spec):
+        # The build, the pm+ basis and the lattice certificate read one
+        # explicit family per relation system, and neither compute nor
+        # verify reaches the pm+ boundary solver or its two inputs.
+        names = ("kernel_generator_list", "pmplus_boundary_solver",
+                 "partial_exact_part", "partial_target_boundary")
+        calls = Counter()
+        for name, module in list(sys.modules.items()):
+            if not name.startswith("mcgtwist"):
+                continue
+            for fname in names:
+                if hasattr(module, fname):
+                    def counted(*args, _name=fname,
+                                _f=getattr(module, fname)):
+                        calls[_name] += 1
+                        return _f(*args)
+
+                    monkeypatch.setattr(module, fname, counted)
+        assert verify_spec(spec) == []
+        assert calls == {"kernel_generator_list": 1}
+        calls.clear()
+        assert run_record(spec, 17, 0)["match"]
+        assert calls == {"kernel_generator_list": 1}
+
     def test_compute_builds_no_cycle_lattice(self, monkeypatch):
         # compute works on the relation chains, and verify_spec certifies
         # the explicit family without a basis of the cycle lattice
@@ -460,12 +497,16 @@ class TestVerify:
 
     @pytest.mark.parametrize("fault", range(3))
     def test_broken_family_is_a_fail_line(self, capsys, monkeypatch, fault):
-        def broken(space):
-            family = kernel_generator_list(space)
-            chains = broken_families(space, [c for _, c in family])[fault]
-            return [("K", c) for c in chains]
+        # The family the system holds is broken after the build, which
+        # read it, so only the lattice certificate sees the fault.
+        def broken(spec):
+            system = build_relation_system(spec)
+            chains = [c for _, c in system.family]
+            system.family = [("K", c) for c in broken_families(
+                system.space, chains)[fault]]
+            return system
 
-        monkeypatch.setattr(mcgtwist.verify, "kernel_generator_list", broken)
+        monkeypatch.setattr(mcgtwist.verify, "build_relation_system", broken)
         code, out, _ = run(
             capsys, "verify", "--genus", "4", "--boundary", "1",
             "--punctures", "2", "--flavor", "m",

@@ -1,5 +1,6 @@
 """The quotient pipeline: invariants, named bases, sampling."""
 
+import dataclasses
 import os
 import random
 import time
@@ -12,16 +13,14 @@ import mcgtwist.engine
 from mcgtwist.catalog import (
     k1_ambiguity_basis,
     parse_relations,
-    partial_exact_part,
-    partial_target_boundary,
     pmplus_ambiguity_basis,
-    pmplus_boundary_solver,
 )
 from mcgtwist.certify import oracle
 from mcgtwist.chains import (
     ChainSpace,
     boundary1,
     cycle_lattice,
+    kernel_generator_list,
     rewrite_relation_all,
 )
 from mcgtwist.engine import (
@@ -44,6 +43,7 @@ from mcgtwist.intlin import (
 )
 from mcgtwist.surface import PMPLUS_KINDS, Gen, SurfaceSpec
 from helpers import (
+    closed_form_slide_chain,
     exact_echelon,
     extended,
     k1_single_classes_reference,
@@ -51,6 +51,7 @@ from helpers import (
     lattice_coords,
     pmplus_kernel_reference,
     same_lattice,
+    solver_instances,
 )
 from make_relation_manifest import manifest_lines
 from test_acceptance import (
@@ -271,12 +272,11 @@ def test_partial_filter_is_unchanged_and_maximal(args):
 
 
 def test_no_instance_is_built_at_a_coefficient_the_letter_fixes():
-    # At a coefficient xi that x fixes, no instance is built: the general
-    # path (the exact part less the solution of the target boundary)
-    # pins [x] (x) xi there, which lies in the pm+ ambiguity lattice.  At
-    # a coefficient x moves, an instance is built exactly when its
-    # pinned chain is nonzero, and it is that chain.  The grid and four
-    # specs past it.
+    # A slide conjugation x v_j = v_j y builds one instance, at the first
+    # coefficient xi that x moves (xi_i for a_i, xi_1 for e_i), and none
+    # at the coefficients x fixes or at the other one it moves; its chain
+    # is the closed form sum_r w_r v~(j, r), w = B_x xi.  The grid and
+    # four specs past it.
     specs = list(twist_grid()) + list(permutation_grid())
     specs += [SurfaceSpec.make(g, 3, 3, 0, "pmk") for g in (10, 11, 12)]
     specs.append(SurfaceSpec.make(10, 3, 3, flavor="m"))
@@ -284,29 +284,64 @@ def test_no_instance_is_built_at_a_coefficient_the_letter_fixes():
     for spec in specs:
         system = build_relation_system(spec)
         space = system.space
-        instances = {p.rid: p for p in system.instances}
-        solver = ambiguity = None
+        expected = []
         for entry in system.catalog:
             if entry.conjugation is None:
                 continue
-            if solver is None:
-                solver = pmplus_boundary_solver(space)
-                ambiguity = Echelon(system.ambiguity_chains["pm+"])
             x, vj = entry.conjugation
-            for xi in range(1, space.d + 1):
-                rid = "%s:xi%d" % (entry.rid, xi)
-                pinned = partial_exact_part(space, x, vj, xi)
-                vec_axpy(pinned, solver.solve(
-                    partial_target_boundary(space, x, vj, xi)), -1)
-                if space._bcol[x][xi - 1]:
-                    p = instances.get(rid)
-                    assert (p.base if p else None) == (pinned or None), rid
-                    continue
-                assert rid not in instances
-                assert pinned == space.chain([(x.kind, x.index, xi, 1)]), rid
-                assert ambiguity.contains(pinned), rid
-                skipped += 1
-    assert skipped > 20000
+            moved = [xi for xi in range(1, space.d + 1)
+                     if space._bcol[x][xi - 1]]
+            first = x.index if x.kind == "a" else 1
+            assert moved == [first, first + 1], entry.rid
+            expected.append(("%s:xi%d" % (entry.rid, first),
+                             closed_form_slide_chain(space, x, vj, first)))
+            skipped += space.d - 1
+        assert [(p.rid, p.base) for p in system.instances
+                if p.ambiguity == "pm+"] == expected, spec
+    assert skipped > 25000
+
+
+def test_closed_form_slide_chains_agree_with_the_solver_path():
+    # The pm+ boundary solver pins each slide conjugation at every
+    # coefficient x moves (`helpers.solver_instances`).  Against it, at
+    # each such coefficient the closed-form chain less the solver's lies
+    # in the pm+ ambiguity lattice A (it is a cycle on the pm+ kinds),
+    # the solver's chains at the two moved coefficients sum into A, and
+    # the filter in all dim coordinates over the solver's instances keeps
+    # the rids the system keeps.  The grid and the specs past it.
+    def in_pmplus_lattice(space, chain):
+        return not boundary1(space, chain) and all(
+            space.unflat(c)[0].kind in PMPLUS_KINDS for c in chain)
+
+    checked = 0
+    for spec in list(twist_grid()) + list(permutation_grid()) + PAST_GRID_SPECS:
+        system = build_relation_system(spec)
+        space = system.space
+        reference = solver_instances(system)
+        slides = {}
+        for p in reference:
+            if p.ambiguity == "pm+":
+                slides.setdefault(p.rid.rsplit(":", 1)[0], []).append(p)
+        for entry in system.catalog:
+            if entry.conjugation is None:
+                continue
+            x, vj = entry.conjugation
+            pinned = slides[entry.rid]
+            assert len(pinned) == 2, entry.rid
+            for p in pinned:
+                xi = int(p.rid.rsplit(":xi", 1)[1])
+                diff = closed_form_slide_chain(space, x, vj, xi)
+                vec_axpy(diff, p.base, -1)
+                assert in_pmplus_lattice(space, diff), p.rid
+            total = dict(pinned[0].base)
+            vec_axpy(total, pinned[1].base, 1)
+            assert in_pmplus_lattice(space, total), entry.rid
+            checked += 1
+        kept = kept_instances_reference(
+            dataclasses.replace(system, instances=reference))
+        assert ([p.rid for p in kept]
+                == [p.rid for p in system.partials]), spec
+    assert checked > 2000
 
 
 def test_partial_filter_matches_the_full_coordinate_filter():
@@ -334,7 +369,7 @@ def test_pmplus_ambiguity_basis_is_the_boundary_solver_kernel():
     # past it.
     for spec in list(twist_grid()) + list(permutation_grid()) + PAST_GRID_SPECS:
         space = ChainSpace(spec)
-        basis = pmplus_ambiguity_basis(space)
+        basis = pmplus_ambiguity_basis(space, kernel_generator_list(space))
         assert same_lattice(Echelon(basis),
                             Echelon(pmplus_kernel_reference(space))), spec
         for chain in basis:
@@ -799,19 +834,10 @@ def test_dropped_partial_instances_would_change_the_quotient():
     system = build_relation_system(spec)
     space = system.space
     kept = {p.rid for p in system.partials}
-    solver = pmplus_boundary_solver(space)
-    dropped = []
-    for entry in system.catalog:
-        if entry.kind != "partial" or entry.ambiguity != "pm+":
-            continue
-        x, vj = entry.conjugation
-        for xi in range(1, space.d + 1):
-            base = partial_exact_part(space, x, vj, xi)
-            particular = solver.solve(partial_target_boundary(space, x, vj, xi))
-            vec_axpy(base, particular, -1)
-            if base and "%s:xi%d" % (entry.rid, xi) not in kept:
-                require_cycle(space, base)
-                dropped.append(base)
+    dropped = [p.base for p in solver_instances(system)
+               if p.ambiguity == "pm+" and p.rid not in kept]
+    for chain in dropped:
+        require_cycle(space, chain)
     assert dropped and kept
 
     elim = system.elimination
