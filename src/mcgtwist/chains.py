@@ -10,7 +10,7 @@ by `vec_axpy`.  The class [x] (x) xi_i is written x_{j,i} (so a_{1,3} is
 """
 
 from .intlin import ColumnSolver, Echelon, vec_axpy
-from .surface import build_representation, derivation
+from .surface import Gen, build_representation, derivation
 
 
 class ChainSpace:
@@ -156,6 +156,38 @@ def expected_boundary(spec, gen, i):
             return out
         return {}
     raise ValueError("unknown generator kind %r" % kind)
+
+
+def boundary_witnesses(space):
+    """The flat coordinates J of [a_j] (x) xi_j (j < g), [u_1] (x) xi_1
+    and [e_j] (x) xi_1 (j < s + n), d of them, which every spec has.
+    Their boundary columns are a Z-basis of the boundary image, so
+    Z^dim = Z (+) Z^J, Z the cycle lattice.
+
+    Write bd for the boundary column and gamma_1..gamma_g,
+    delta_1..delta_{s+n-1} for the module basis (`expected_boundary`,
+    which `verify` checks against the representation).
+
+    - Every boundary column has an even gamma-sum, so the image lies in
+      D_g (+) Z^(s+n-1), D_g the vectors of Z^g with even sum.
+    - The columns of J are gamma_j + gamma_{j+1}, gamma_2 - gamma_1 and
+      gamma_1 + gamma_2 + delta_1 + ... + delta_j, so their span holds
+      delta_1 = bd([e_1] (x) xi_1) - bd([a_1] (x) xi_1) and delta_j =
+      bd([e_j] (x) xi_1) - bd([e_{j-1}] (x) xi_1).
+    - gamma_j + gamma_{j+1} and gamma_2 - gamma_1 generate D_g: they
+      give 2 gamma_1, and clearing gamma_{j+1} in x in D_g by gamma_j +
+      gamma_{j+1}, for j = g - 1 down to 1, leaves c gamma_1 with c
+      even, since each step keeps the parity of the sum.
+
+    So the d columns span D_g (+) Z^(s+n-1), which holds the image they
+    lie in: they are a basis of it.  Then every chain x is (x - y) + y
+    with y in Z^J of the same boundary, and a cycle in Z^J is 0.
+    """
+    spec = space.spec
+    out = [space.flat(Gen("a", j), j) for j in range(1, spec.g)]
+    out.append(space.flat(Gen("u", 1), 1))
+    out += [space.flat(Gen("e", j), 1) for j in range(1, spec.s + spec.n)]
+    return out
 
 
 def _walk(space, word, side, out):

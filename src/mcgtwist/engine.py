@@ -11,7 +11,9 @@ of ambiguity basis vectors, and the quotient invariants must agree
 across all samples.  Only the instances that escape the exact relations
 and their ambiguity sublattice are sampled (`RelationSystem.partials`).
 
-What no sample changes is done once per spec.  The exact relations are
+What no sample changes is done once per spec.  The exact relations,
+and the unit rows of the d coordinates that split the chain space into
+the cycle lattice and a free complement (`boundary_witnesses`), are
 eliminated by a signed forest and the unit pivots of the rest
 (`UnitElimination`), built on first use by `compute_h1`, as is the
 filter; `verify` builds neither.  Equal projected ambiguity vectors are
@@ -33,6 +35,7 @@ from .catalog import build_catalog, k1_ambiguity_basis, pmplus_ambiguity_basis
 from .chains import (
     ChainSpace,
     boundary1,
+    boundary_witnesses,
     kernel_generator_list,
     rewrite_relation_all,
 )
@@ -100,9 +103,13 @@ class RelationSystem:
 
     @cached_property
     def elimination(self):
-        """The `UnitElimination` of the exact chains."""
-        return UnitElimination([vec for _, vec in self.exact],
-                               self.space.dim, self.ambiguity_chains)
+        """The `UnitElimination` of the exact chains followed by the unit
+        rows e_c, c in J (`boundary_witnesses`).  Its kernel lies in
+        E + Z^J, E the exact lattice, and Z^dim = Z (+) Z^J, so for a
+        lattice L inside Z it reads Z / L as Z^dim / (L + Z^J)."""
+        rows = [vec for _, vec in self.exact]
+        rows += [{c: 1} for c in boundary_witnesses(self.space)]
+        return UnitElimination(rows, self.space.dim, self.ambiguity_chains)
 
     @cached_property
     def partials(self):
@@ -128,11 +135,13 @@ class RelationSystem:
 
         The test is asked in the coordinates of `elimination`, with the
         same outcome as in all dim coordinates.  For E the exact lattice,
-        A the key's ambiguity lattice and K its kept rows, p is in
-        E + A + K iff pi(p) = pi(q) for some q in E + A + K, since then
-        p - q is in ker pi, inside E; pi(E) = span(`base`), and pi(A) is
-        spanned by the key's distinct nonzero images.  Every instance is
-        projected once, here.
+        A the key's ambiguity lattice, K its kept rows and M = E + A + K,
+        pi(p) lies in pi(M) iff p lies in M + Z^J, since ker pi lies in
+        E + Z^J (J the coordinates of `boundary_witnesses`); and
+        Z meets M + Z^J in M for every M inside Z, as Z^dim = Z (+) Z^J,
+        so for the cycle p this is p in M.  pi(E) = span(`base`), and
+        pi(A) is spanned by the key's distinct nonzero images.  Every
+        instance is projected once, here.
         """
         elim = self.elimination
         filters = {key: Echelon(elim.base + [image for _, image in groups])
@@ -196,12 +205,8 @@ def build_relation_system(spec, extra_relations=None):
       instance not built is minus a built one, or 0, plus an element of
       A, whose basis chains it walks.
 
-    The cycle lattice has rank dim - d: the boundary columns of
-    [a_j] (x) xi_j, [u_1] (x) xi_1 and [e_j] (x) xi_1 are gamma_j +
-    gamma_{j+1} (j < g), gamma_2 - gamma_1 and gamma_1 + gamma_2 +
-    delta_1 + ... + delta_j (j < s + n), d vectors of Z^d, independent
-    (delta_j enters first with e_j, and the rest span the gamma_i over
-    Q); every spec has these letters.
+    The cycle lattice has rank dim - d: the boundary image has the d
+    columns of `boundary_witnesses` as a basis.
     """
     spec.require_free_module()
     space = ChainSpace(spec)
@@ -219,19 +224,6 @@ def build_relation_system(spec, extra_relations=None):
         require_cycle(space, chain, error=lambda msg: RelationOutsideKernel(
             "%s: %s" % (rid, msg)))
 
-    for entry in catalog:
-        if entry.kind == "partial":
-            continue
-        if entry.kind == "word":
-            for vec in rewrite_relation_all(space, entry.lhs, entry.rhs):
-                if vec:
-                    check(entry.rid, vec)
-                    system.exact.append((entry.rid, vec))
-        else:
-            check(entry.rid, entry.vector)
-            system.exact.append((entry.rid, entry.vector))
-    space._fox.clear()  # read by the rewrites only; see `_fox_columns`
-
     def add_partial(rid, base, key):
         check(rid, base)
         if key not in system.ambiguity_chains:
@@ -244,23 +236,30 @@ def build_relation_system(spec, extra_relations=None):
 
     vtilde = None  # flat coordinate of v_{j,r} -> v~(j, r)
     for entry in catalog:
-        if entry.kind != "partial":
-            continue
-        if entry.ambiguity == "k1":
+        if entry.kind == "word":
+            for vec in rewrite_relation_all(space, entry.lhs, entry.rhs):
+                if vec:
+                    check(entry.rid, vec)
+                    system.exact.append((entry.rid, vec))
+        elif entry.kind != "partial":
+            check(entry.rid, entry.vector)
+            system.exact.append((entry.rid, entry.vector))
+        elif entry.ambiguity == "k1":
             add_partial(entry.rid, entry.vector, "k1")
-            continue
-        if vtilde is None:
-            vtilde = {c: chain for label, chain in system.family
-                      if label == "K12" for c in chain
-                      if space.unflat(c)[0].kind == "v"}
-        x, vj = entry.conjugation
-        for xi, w in enumerate(space._bcol[x], 1):
-            if w:  # the first coefficient x moves: see above
-                base = {}
-                for r, c in w.items():
-                    vec_axpy(base, vtilde[space.flat(vj, r + 1)], c)
-                add_partial("%s:xi%d" % (entry.rid, xi), base, "pm+")
-                break
+        else:
+            if vtilde is None:
+                vtilde = {c: chain for label, chain in system.family
+                          if label == "K12" for c in chain
+                          if space.unflat(c)[0].kind == "v"}
+            x, vj = entry.conjugation
+            for xi, w in enumerate(space._bcol[x], 1):
+                if w:  # the first coefficient x moves: see above
+                    base = {}
+                    for r, c in w.items():
+                        vec_axpy(base, vtilde[space.flat(vj, r + 1)], c)
+                    add_partial("%s:xi%d" % (entry.rid, xi), base, "pm+")
+                    break
+    space._fox.clear()  # read by the rewrites only; see `_fox_columns`
     return system
 
 
@@ -325,14 +324,18 @@ class UnitElimination:
     """The quotient map pi = pi_U o phi that removes what the exact
     relations make redundant: a signed forest, then unit pivots.
 
+    The rows it takes, called exact below, are the exact chains and then
+    the unit rows e_c, c in J (`RelationSystem.elimination`; J may be
+    empty), and E + Z^J is their span, E the exact lattice.
+
     **The forest.**  The exact rows +-e_a and +-e_a +- e_b are joined in
     a signed union-find over the dim chain coordinates: every coordinate
     c is tied to the root of its component, its smallest coordinate, by
-    a sign s_c with e_c = s_c e_root modulo E, the exact lattice (by
-    induction along the links, each a forest row).  A row +-e_a kills
-    the component of a.  A row v_a e_a + v_b e_b whose ends already
-    share a root closes a cycle; it is balanced when v_a s_a + v_b s_b
-    = 0 and adds nothing, and otherwise it is +-2 e_root modulo E and
+    a sign s_c with e_c = s_c e_root modulo E + Z^J (by induction along
+    the links, each a forest row).  A row +-e_a kills the component of
+    a.  A row v_a e_a + v_b e_b whose ends already share a root closes
+    a cycle; it is balanced when v_a s_a + v_b s_b = 0 and adds
+    nothing, and otherwise it is +-2 e_root modulo E + Z^J and
     joins the residual rows.  phi maps e_c to s_c e_t, t the index of
     c's root among the roots of live components in ascending order, and
     to 0 on a killed component; it is the identity on a coordinate no
@@ -341,14 +344,16 @@ class UnitElimination:
     - phi maps Z^dim onto Z^r, r the number of live components: it
       maps each root onto its own coordinate.
     - Its kernel is spanned by e_c - s_c e_root on live components and
-      by e_c on killed ones, all in E.  A forest row that links two
-      components, or kills a live one, maps to 0; every other exact row
-      is residual, so phi(E) is spanned by the images of the residual
-      rows (the rows that are not forest rows and the unbalanced
-      cycles), taken through the final phi.
-    - So Z^dim / L = Z^r / phi(L) for every lattice L that contains E,
-      and likewise Z^dim / (L + 2 Z^dim) = Z^r / (phi(L) + 2 Z^r): a
-      map onto with its kernel inside L identifies both quotients.
+      by e_c on killed ones, all in E + Z^J.  A forest row that links
+      two components, or kills a live one, maps to 0; every other exact
+      row is residual, so phi(E + Z^J) is spanned by the images of the
+      residual rows (the rows that are not forest rows and the
+      unbalanced cycles), taken through the final phi.  Each e_c, c in
+      J, kills its component, so phi(Z^J) = 0.
+    - So Z^dim / L = Z^r / phi(L) for every lattice L that contains
+      E + Z^J, and likewise Z^dim / (L + 2 Z^dim) = Z^r / (phi(L) +
+      2 Z^r): a map onto with its kernel inside L identifies both
+      quotients.
 
     **The unit pivots.**  The residual images enter an echelon shortest
     first, which keeps the fill-in small.  U is the set of its rows
@@ -362,19 +367,19 @@ class UnitElimination:
       column and never refills one it has passed; the quotient a // 1
       = a is exact, so pi_U(x) is the unique element of x + span(U)
       that vanishes on the U-pivot columns.
-    - The kernel of pi_U is span(U), inside phi(E), and pi_U maps Z^r
-      onto Z^rank: a vector supported off the U-pivot columns is its
-      own image.  So ker pi lies in E, pi is onto, and for every sample's
-      lattice L, which contains E, Z^dim / L = Z^rank / pi(L), with
-      pi(L) spanned by the images of L's generators.  Reduced mod 2 the
-      same holds, so the GF(2) ranks and the greedy named basis are
-      unchanged too.
+    - The kernel of pi_U is span(U), inside phi(E + Z^J), and pi_U maps
+      Z^r onto Z^rank: a vector supported off the U-pivot columns is
+      its own image.  So ker pi lies in E + Z^J, pi is onto, and for
+      every sample's lattice L, which contains E, Z^dim / (L + Z^J) =
+      Z^rank / pi(L), with pi(L) spanned by the images of L's
+      generators.  Reduced mod 2 the same holds, so the GF(2) ranks and
+      the greedy named basis are unchanged too.
     - The order of the residual rows changes nothing.  In an echelon
       basis of a lattice the pivot columns and values are invariants
       (the pivot at column j generates {x_j : x in the lattice, x_i = 0
       for i < j}), so U sits on the same columns in any order, and a
       row of U another order would give differs from this one by a
-      vector of phi(E), so every pi(L) is the same.
+      vector of phi(E + Z^J), so every pi(L) is the same.
 
     `base` holds the images of the non-unit pivot rows, which span pi(E)
     and so start every sample.  `ambiguity` maps each key to its number
@@ -499,11 +504,11 @@ class SampleMatrix:
     sample 0's rows.
     """
 
-    def __init__(self, elim, partials, drawing):
+    def __init__(self, elim, partials):
         self.draws = [elim.ambiguity[p.ambiguity] for p in partials]
         nbase = len(elim.base)
         moving = {i for i, (_, groups) in enumerate(self.draws, nbase)
-                  if groups} if drawing else set()
+                  if groups}
         support = {c for i in moving
                    for _, image in self.draws[i - nbase][1] for c in image}
         self.rest, cut = peel_unit_singletons(
@@ -515,8 +520,6 @@ class SampleMatrix:
             if i not in self.rest:
                 self.slots.append(None)
                 continue
-            if i not in moving:
-                groups = ()
             self.slots.append((self.rest[i], [
                 (mask, {c: v for c, v in image.items() if c not in cut})
                 for mask, image in groups]))
@@ -550,19 +553,14 @@ def compute_h1(spec, samples=17, seed=0, extra_relations=None):
 
     The group is Z / L, where Z = ker(boundary) is the cycle lattice in
     the chain space Z^dim and L is spanned by the relation chains.  It
-    is computed in Z^dim, with no basis of Z:
-
-    - Z^dim / Z is the image of the boundary map, which is free, so
-      Z^dim = Z (+) C with C free of rank rank(boundary).
-    - L lies in Z, so Z^dim / L = Z / L (+) C.  The torsion is the same
-      and the free rank is larger by rank(boundary) = d, so the free
-      rank is taken against dim - d, or against rank - d in the
-      coordinates of the elimination, which removes dim - rank.
-    - Z meets L + 2 Z^dim in L + 2 Z: if a cycle is l + 2x with l in L,
-      then 2x is a cycle, so x is one.  So Z / (L + 2 Z) embeds in
-      Z^dim / (L + 2 Z^dim), cycles are independent mod 2 in one exactly
-      when they are in the other, and the named basis and
-      `express_class` reduce chains mod 2 in Z^dim.
+    is computed in Z^dim, with no basis of Z: Z^dim = Z (+) Z^J, J the
+    d coordinates of `boundary_witnesses`, and L lies in Z, so
+    Z / L = Z^dim / (L + Z^J), and as 2 Z^dim = 2 Z (+) 2 Z^J, mod 2
+    Z / (L + 2 Z) = Z^dim / (L + Z^J + 2 Z^dim).  The elimination takes
+    the unit rows of Z^J with the exact chains
+    (`RelationSystem.elimination`), so its coordinates carry Z / L, free
+    rank included, and the named basis and `express_class` reduce
+    chains mod 2 in them.
 
     With `samples` > 1 and partial relations present, the ambiguity of
     every kept partial row (`RelationSystem.partials`) is re-sampled per
@@ -578,11 +576,12 @@ def compute_h1(spec, samples=17, seed=0, extra_relations=None):
     if samples < 1:
         raise ValueError("need at least one sample")
     system = build_relation_system(spec, extra_relations)
+    vars(system).pop("family", None)  # read by the build and `verify_spec`
     elim = system.elimination
     partials = system.partials
     nsamples = samples if partials else 1
-    matrix = SampleMatrix(elim, partials, nsamples > 1)
-    rank = elim.rank - spec.d - len(matrix.cut)
+    matrix = SampleMatrix(elim, partials)
+    rank = elim.rank - len(matrix.cut)
     rng = random.Random(seed)
     invariants = None
     for m in range(1 if matrix.vacuous else nsamples):
@@ -609,7 +608,8 @@ def _named_basis(system, invariants):
     kept rows; their GF(2) echelon, extended by the candidates, is
     returned for `express_class`.  Valid once the quotient is an
     elementary abelian 2-group: class equality then reduces to equality
-    modulo the relations and twice the chain space (see `compute_h1`).
+    modulo the relations, Z^J and twice the chain space, that is, to
+    equality mod 2 in the elimination's coordinates (see `compute_h1`).
     """
     elim = system.elimination
     rows = {}

@@ -1,0 +1,84 @@
+#!/usr/bin/env python3
+"""Print the sizes of the quotient over the acceptance grid.
+
+    PYTHONPATH=src python3 tests/quotient_sizes.py
+
+Runs `compute_h1` at seed 0 on every spec of `surface.spec_grid()` and
+reads the elimination and the `SampleMatrix` that the run built:
+
+- the largest chain-space dim and the largest and summed r', the
+  coordinates left after `UnitElimination`;
+- the most rows and columns left after the fixed peel in one spec, and
+  the sample rows left of all of them, over the grid;
+- the specs where no draw can change the rows left (`vacuous`);
+- the ambiguity chains of each key, those that project to zero, and the
+  distinct nonzero projections;
+- the nonzeros handed to `snf_factors`.
+
+These are the figures the README quotes; the script runs outside the
+test suite, like `make_relation_manifest.py`.
+"""
+
+from collections import Counter
+
+import mcgtwist.engine as engine
+from mcgtwist.surface import spec_grid
+
+
+def main():
+    matrices, nnz = [], 0
+
+    class Recorded(engine.SampleMatrix):
+        def __init__(self, *args):
+            super().__init__(*args)
+            matrices.append(self)
+
+    snf_factors = engine.snf_factors
+
+    def counted(rows):
+        nonlocal nnz
+        rows = list(rows)
+        nnz += sum(map(len, rows))
+        return snf_factors(rows)
+
+    engine.SampleMatrix, engine.snf_factors = Recorded, counted
+    dims, ranks, left_rows, left_cols = [], [], [], []
+    rows_total = rows_left = vacuous = distinct = 0
+    chains, zeros = Counter(), Counter()
+    for spec in spec_grid():
+        system = engine.compute_h1(spec, seed=0).system
+        matrix = matrices.pop()
+        elim = system.elimination
+        dims.append(system.space.dim)
+        ranks.append(elim.rank)
+        rows = matrix.rows()
+        left_rows.append(len(rows))
+        left_cols.append(elim.rank - len(matrix.cut))
+        rows_total += len(elim.base) + len(system.partials)
+        rows_left += len(rows)
+        if system.partials and matrix.vacuous:
+            vacuous += 1
+        for key, (nbits, groups) in elim.ambiguity.items():
+            chains[key] += nbits
+            zeros[key] += nbits - sum(m.bit_count() for m, _ in groups)
+            distinct += len(groups)
+
+    print("specs %d" % len(dims))
+    print("largest dim %d, largest r' %d, sum of r' %d"
+          % (max(dims), max(ranks), sum(ranks)))
+    print("after the fixed peel: at most %d rows and %d columns, "
+          "%d of %d sample rows" % (max(left_rows), max(left_cols),
+                                    rows_left, rows_total))
+    print("vacuous specs %d" % vacuous)
+    print("ambiguity chains %d (%s), %d project to zero (%s), "
+          "%d distinct projections" % (
+              sum(chains.values()),
+              ", ".join("%s %d" % kv for kv in sorted(chains.items())),
+              sum(zeros.values()),
+              ", ".join("%s %d" % kv for kv in sorted(zeros.items())),
+              distinct))
+    print("Smith-form input nonzeros %d" % nnz)
+
+
+if __name__ == "__main__":
+    main()

@@ -19,6 +19,7 @@ from mcgtwist.certify import oracle
 from mcgtwist.chains import (
     ChainSpace,
     boundary1,
+    boundary_witnesses,
     cycle_lattice,
     kernel_generator_list,
     rewrite_relation_all,
@@ -41,7 +42,7 @@ from mcgtwist.intlin import (
     snf_factors,
     vec_axpy,
 )
-from mcgtwist.surface import PMPLUS_KINDS, Gen, SurfaceSpec
+from mcgtwist.surface import PMPLUS_KINDS, SurfaceSpec
 from helpers import (
     closed_form_slide_chain,
     exact_echelon,
@@ -584,7 +585,7 @@ def test_grouped_draws_build_the_bit_by_bit_rows():
         elim, partials = system.elimination, system.partials
         if not partials:
             continue
-        matrix = SampleMatrix(elim, partials, True)
+        matrix = SampleMatrix(elim, partials)
         images = {key: [elim(chain) for chain in chains]
                   for key, chains in system.ambiguity_chains.items()}
         rng, reference = random.Random(3), random.Random(3)
@@ -613,7 +614,7 @@ def test_vacuous_draws_give_sample_zeros_rows():
         system = build_relation_system(spec)
         if not system.partials:
             continue
-        matrix = SampleMatrix(system.elimination, system.partials, True)
+        matrix = SampleMatrix(system.elimination, system.partials)
         if not matrix.vacuous:
             continue
         marked += 1
@@ -643,20 +644,29 @@ def test_express_class_rejects_a_chain_outside_the_space():
 def test_system_rank_is_the_cycle_lattice_rank():
     # RelationSystem.rank is dim - d, taken from the spec; it must be
     # the rank of the cycle lattice (every 12th grid spec and the specs
-    # past the grid).  On every grid spec, the boundary columns of
-    # [a_j] (x) xi_j, [u_1] (x) xi_1 and [e_j] (x) xi_1, the witnesses
-    # that rank(boundary) = d, have rank d.
+    # past the grid).  On every grid spec and past it, the boundary
+    # columns of `boundary_witnesses` ([a_j] (x) xi_j, [u_1] (x) xi_1
+    # and [e_j] (x) xi_1) are a Z-basis of the boundary image: d of
+    # them, of rank d, with every boundary column of the space in their
+    # span.
     grid = list(twist_grid()) + list(permutation_grid())
     for spec in grid[::12] + PAST_GRID_SPECS:
         system = build_relation_system(spec)
         assert system.rank == cycle_lattice(system.space).rank, spec
-    for spec in grid:
-        cols = ChainSpace(spec)._bcol
-        witnesses = [cols[Gen("a", j)][j - 1] for j in range(1, spec.g)]
-        witnesses.append(cols[Gen("u", 1)][0])
-        witnesses += [cols[Gen("e", j)][0] for j in range(1, spec.s + spec.n)]
-        assert len(witnesses) == spec.d
-        assert Echelon(witnesses).rank == spec.d, spec
+    for spec in grid + PAST_GRID_SPECS:
+        space = ChainSpace(spec)
+        witnesses = Echelon(space._bflat[c] for c in boundary_witnesses(space))
+        assert witnesses.rank == spec.d, spec
+        assert all(witnesses.contains(col) for col in space._bflat), spec
+
+
+@pytest.mark.parametrize("spec", [SurfaceSpec.make(5, 1, 2, 1, "pmk"),
+                                  SurfaceSpec.make(4, 1, 2, flavor="m")],
+                         ids=spec_id)
+def test_result_does_not_hold_the_family(spec):
+    # compute_h1 reads the explicit family only while it builds the
+    # system, so the system its result holds keeps no copy of it.
+    assert "family" not in vars(compute_h1(spec).system)
 
 
 def test_build_drops_the_fox_columns_it_rewrote_with():
@@ -755,9 +765,9 @@ def test_pipeline_matches_full_coordinate_sampler(spec, monkeypatch):
     # on `DRAWN_SPECS` each sample takes its own.
     system = build_relation_system(spec)
     elim = system.elimination
-    matrix = SampleMatrix(elim, system.partials, bool(system.partials))
+    matrix = SampleMatrix(elim, system.partials)
     assert matrix.vacuous == (spec not in DRAWN_SPECS)
-    rank = elim.rank - spec.d - len(matrix.cut)
+    rank = elim.rank - len(matrix.cut)
     seen = []
 
     def recording(rows):
@@ -841,7 +851,7 @@ def test_dropped_partial_instances_would_change_the_quotient():
     assert dropped and kept
 
     elim = system.elimination
-    rank = elim.rank - spec.d
+    rank = elim.rank
     rows = elim.base + [elim(p.base) for p in system.partials]
     sample0 = AbelianInvariants.from_factors(snf_factors(rows), rank)
     assert sample0 == compute_h1(spec).invariants == oracle(spec)
