@@ -9,7 +9,7 @@ valid spec; full validation is computed-versus-oracle equality.
 """
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import DescentFailed, SpecInvalid
 from .intlin import AbelianInvariants, gf2_insert
@@ -24,12 +24,6 @@ class Functional:
     name: str
     alpha_map: dict
     gamma_count: int  # beta(i) = 1 exactly for i <= gamma_count
-
-    def alpha(self, gen):
-        return self.alpha_map.get(gen, 0)
-
-    def beta(self, i):
-        return 1 if i <= self.gamma_count else 0
 
 
 def functionals_for(spec):
@@ -76,17 +70,9 @@ def parity_on(support, chain):
     return sum(chain.get(flat, 0) for flat in support) & 1
 
 
-@dataclass
-class DescentReport:
-    failures: list = field(default_factory=list)
-
-    @property
-    def ok(self):
-        return not self.failures
-
-
 def descent_check(system, functional):
-    """Verify that the functional is well defined on the quotient.
+    """The failures of the conditions that make the functional well
+    defined on the quotient; an empty list when they all hold.
 
     Needs beta to be invariant under every generator matrix, and the
     functional to vanish on every exact relation vector, every pinned
@@ -98,15 +84,15 @@ def descent_check(system, functional):
 
     Walking every instance, not only the kept ones
     (`RelationSystem.partials`), checks more and fails no more on
-    correct data.  A dropped instance lies in the integer span of the
-    exact chains, its key's ambiguity chains and the kept rows of its
-    key, and the functional is linear mod 2, so it vanishes on the
-    dropped instance when it vanishes on those.  So a dropped instance
-    fails only when an exact chain, an ambiguity chain or a kept row of
-    its key fails too, and the filter is never built here.
+    correct data.  A dropped instance lies in E + A, the integer span
+    of the exact chains and its key's ambiguity chains, and the
+    functional is linear mod 2, so it vanishes on the dropped instance
+    when it vanishes on those.  So a dropped instance fails only when an
+    exact chain or an ambiguity chain fails too, and the filter is never
+    built here.
     """
     space = system.space
-    report = DescentReport()
+    failures = []
     for gen in space.gens:
         # Column c of beta psi(x) - beta is the sum of (row_r - e_r)[c]
         # over r < gamma_count, and an unmoved row is e_r, so beta is
@@ -120,7 +106,7 @@ def descent_check(system, functional):
                 parity[r] = parity.get(r, 0) - 1
         odd = [c for c, v in parity.items() if v & 1]
         if odd:
-            report.failures.append(
+            failures.append(
                 "%s: beta not invariant under psi(%s) at xi_%d"
                 % (functional.name, gen.name, min(odd) + 1)
             )
@@ -131,9 +117,9 @@ def descent_check(system, functional):
         (("ambiguity:%s" % key, c)
          for key, chains in system.ambiguity_chains.items() for c in chains),
     )
-    report.failures += ["%s: nonzero on relation %s" % (functional.name, rid)
-                        for rid, vec in relations if parity_on(support, vec)]
-    return report
+    failures += ["%s: nonzero on relation %s" % (functional.name, rid)
+                 for rid, vec in relations if parity_on(support, vec)]
+    return failures
 
 
 def lower_bound(spec, result):
@@ -143,9 +129,9 @@ def lower_bound(spec, result):
     full = (1 << len(result.named_basis)) - 1
     pivots = {}
     for functional in functionals_for(spec):
-        report = descent_check(system, functional)
-        if not report.ok:
-            raise DescentFailed("; ".join(report.failures[:3]))
+        failures = descent_check(system, functional)
+        if failures:
+            raise DescentFailed("; ".join(failures[:3]))
         support = odd_support(system.space, functional)
         mask = 0
         for t, (_, chain) in enumerate(result.named_basis):

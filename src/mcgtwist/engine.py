@@ -79,7 +79,6 @@ class RelationSystem:
     held on the system; `verify` builds neither.
     """
 
-    spec: object
     space: ChainSpace
     catalog: list
     rank: int  # of the cycle lattice: space.dim - d
@@ -116,32 +115,31 @@ class RelationSystem:
         """The kept partial instances, a subsequence of `instances`.
 
         A partial relation pins its row down only modulo its ambiguity
-        sublattice, so an instance is informative exactly when its
-        pinned part escapes the span of the exact relations, the
-        ambiguity sublattice and the instances of its key already kept.
-        Only those are kept: the true rows of the dropped instances are
-        assumed to add nothing to the quotient.  Their pinned rows do
-        change it, so this is not proved here; the evidence is agreement
-        with `certify.oracle`.  The sampling in compute_h1 checks the
-        kept rows' unknown parts.  The instances are visited in catalog
-        order, which decides which of them are kept.
+        lattice A, so an instance is informative exactly when its pinned
+        row p escapes E + A, E the exact lattice.  Only those are kept,
+        each on its own: whether p is kept reads no other instance, so
+        neither the catalog order nor the other instances of its key
+        change it.  An instance whose pinned row lies in E + A is assumed
+        to add nothing to the quotient; its true row p + a, a in A, lies
+        in E + A too, but A is not inside the relation lattice, so this
+        is not proved here, and the evidence is agreement with
+        `certify.oracle`.  The sampling in compute_h1 checks the kept
+        rows' unknown parts.
 
         For the k1 key from genus 7 on, the filter and the sampling need
         no assumption: there A lies in E (`k1_ambiguity_basis`), so a
-        true row p + a is p modulo E.  A dropped p lies in E + K, K the
-        span of the key's kept pinned rows; E + K is E plus the span of
-        their true rows, so p's true row adds nothing.  And the key has
-        no basis chain to draw, so sample 0's rows are the true ones.
+        dropped p lies in E, and so does its true row p + a.  And the
+        key has no basis chain to draw, so sample 0's rows are the true
+        ones.
 
         The test is asked in the coordinates of `elimination`, with the
-        same outcome as in all dim coordinates.  For E the exact lattice,
-        A the key's ambiguity lattice, K its kept rows and M = E + A + K,
-        pi(p) lies in pi(M) iff p lies in M + Z^J, since ker pi lies in
-        E + Z^J (J the coordinates of `boundary_witnesses`); and
-        Z meets M + Z^J in M for every M inside Z, as Z^dim = Z (+) Z^J,
-        so for the cycle p this is p in M.  pi(E) = span(`base`), and
-        pi(A) is spanned by the key's distinct nonzero images.  Every
-        instance is projected once, here.
+        same outcome as in all dim coordinates.  For M = E + A, pi(p)
+        lies in pi(M) iff p lies in M + Z^J, since ker pi lies in E + Z^J
+        (J the coordinates of `boundary_witnesses`); and Z meets M + Z^J
+        in M, as M lies in Z and Z^dim = Z (+) Z^J, so for the cycle p
+        this is p in M.  pi(E) = span(`base`), and pi(A) is spanned by
+        the key's distinct nonzero images, so each key's pi(M) is one
+        fixed `Echelon`.  Every instance is projected once, here.
         """
         elim = self.elimination
         filters = {key: Echelon(elim.base + [image for _, image in groups])
@@ -150,7 +148,6 @@ class RelationSystem:
         for p in self.instances:
             row = elim(p.base)
             if not filters[p.ambiguity].contains(row):
-                filters[p.ambiguity].insert(dict(row))
                 p.projected = row
                 kept.append(p)
         return kept
@@ -189,18 +186,22 @@ def build_relation_system(spec, extra_relations=None):
       v~(j, r) is a cycle, has boundary -B_{v_j} e_r, so u = [x] (x) xi
       - sum_r w_r corr(j, r) is one, and the exact part less it is the
       sum above.
-    - The other coefficient x moves gives -w: the moved columns of
-      B_{a_i} (xi_i and xi_{i+1}) are +-(gamma_i + gamma_{i+1}), and
-      those of B_{e_i} (xi_1 and xi_2) are +-(gamma_1 + gamma_2 +
-      delta_1 + ... + delta_i) (`expected_boundary`, which `verify`
-      checks).  So its pinned chain is minus this one modulo A: right
-      after this instance it lies in E + A + K, K the span of the kept
-      pinned rows of the key, and the filter never kept it.
-    - At a coefficient x fixes, w = 0 and the row is [x] (x) xi - u, a
-      pm+ cycle, in A: the filter never kept it either.
+    - At a vector zeta that x fixes, w = 0 and the true row is
+      [x] (x) zeta - u, a pm+ cycle: it lies in A, so its instance
+      would be dropped (`RelationSystem.partials`).
+    - The other coefficient xi' that x moves gives -w: the moved
+      columns of B_{a_i} (xi_i and xi_{i+1}) are +-(gamma_i +
+      gamma_{i+1}), and those of B_{e_i} (xi_1 and xi_2) are
+      +-(gamma_1 + gamma_2 + delta_1 + ... + delta_i)
+      (`expected_boundary`, which `verify` checks).  So x fixes
+      xi + xi', and, as the relation's rows are linear in the
+      coefficient, the true row at xi' is minus the one at xi plus the
+      one at xi + xi', which lies in A as above.  So an instance at
+      xi' adds nothing beyond the built one and an instance the filter
+      drops.
     - Any other choice of u, such as the pm+ boundary solver's, moves
-      each pinned chain by an element of A.  That changes no E + A + K,
-      so, in catalog order, the filter keeps the same instances.
+      each pinned chain by an element of A.  That changes no membership
+      in E + A, so the filter keeps the same instances.
     - `descent_check` loses nothing: it is linear mod 2, and each
       instance not built is minus a built one, or 0, plus an element of
       A, whose basis chains it walks.
@@ -215,7 +216,7 @@ def build_relation_system(spec, extra_relations=None):
         catalog = catalog + list(extra_relations)
 
     system = RelationSystem(
-        spec=spec, space=space, catalog=catalog,
+        space=space, catalog=catalog,
         rank=space.dim - spec.d, exact=[], instances=[],
         ambiguity_chains={},
     )

@@ -86,7 +86,7 @@ def verify_spec(spec):
         failures.append("cycle lattice differs from the explicit family")
 
     for functional in functionals_for(spec):
-        failures.extend(descent_check(system, functional).failures)
+        failures.extend(descent_check(system, functional))
     return failures
 
 

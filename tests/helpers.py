@@ -206,6 +206,17 @@ def to_dense(rows, d):
     return [[row.get(c, 0) for c in range(d)] for row in rows]
 
 
+def alpha(functional, gen):
+    """The functional's value alpha(gen) on a generator, 0 off its map."""
+    return functional.alpha_map.get(gen, 0)
+
+
+def beta(functional, i):
+    """The functional's value beta(i) on the basis vector xi_i: 1 exactly
+    for i <= gamma_count."""
+    return 1 if i <= functional.gamma_count else 0
+
+
 def dense_beta_failures(space, functional):
     """Reference for the beta check of `certify.descent_check`: beta is
     invariant under psi(x) when every column of psi(x) has, over its
@@ -218,7 +229,7 @@ def dense_beta_failures(space, functional):
             col_parity = sum(
                 mat[r][c] for r in range(functional.gamma_count)
             ) & 1
-            if col_parity != functional.beta(c + 1):
+            if col_parity != beta(functional, c + 1):
                 failures.append(
                     "%s: beta not invariant under psi(%s) at xi_%d"
                     % (functional.name, gen.name, c + 1)
@@ -233,7 +244,7 @@ def functional_value_reference(space, functional, chain):
     total = 0
     for flat, coef in chain.items():
         gen, i = space.unflat(flat)
-        total += coef * functional.alpha(gen) * functional.beta(i)
+        total += coef * alpha(functional, gen) * beta(functional, i)
     return total & 1
 
 

@@ -13,7 +13,11 @@ reads the elimination and the `SampleMatrix` that the run built:
 - the specs where no draw can change the rows left (`vacuous`);
 - the ambiguity chains of each key, those that project to zero, and the
   distinct nonzero projections;
-- the nonzeros handed to `snf_factors`.
+- the nonzeros handed to `snf_factors`;
+- per ambiguity key, the partial instances built, those kept, and the
+  rank the kept rows add to E + A, the exact lattice plus the key's
+  ambiguity lattice (equal to the kept count when they are independent
+  modulo E + A).
 
 These are the figures the README quotes; the script runs outside the
 test suite, like `make_relation_manifest.py`.
@@ -22,6 +26,7 @@ test suite, like `make_relation_manifest.py`.
 from collections import Counter
 
 import mcgtwist.engine as engine
+from mcgtwist.intlin import Echelon
 from mcgtwist.surface import spec_grid
 
 
@@ -45,6 +50,7 @@ def main():
     dims, ranks, left_rows, left_cols = [], [], [], []
     rows_total = rows_left = vacuous = distinct = 0
     chains, zeros = Counter(), Counter()
+    built, kept, added = Counter(), Counter(), Counter()
     for spec in spec_grid():
         system = engine.compute_h1(spec, seed=0).system
         matrix = matrices.pop()
@@ -62,6 +68,14 @@ def main():
             chains[key] += nbits
             zeros[key] += nbits - sum(m.bit_count() for m, _ in groups)
             distinct += len(groups)
+            span = Echelon(elim.base + [image for _, image in groups])
+            rank = span.rank
+            for p in system.partials:
+                if p.ambiguity == key:
+                    span.insert(dict(p.projected))
+                    kept[key] += 1
+            added[key] += span.rank - rank
+        built.update(p.ambiguity for p in system.instances)
 
     print("specs %d" % len(dims))
     print("largest dim %d, largest r' %d, sum of r' %d"
@@ -78,6 +92,9 @@ def main():
               ", ".join("%s %d" % kv for kv in sorted(zeros.items())),
               distinct))
     print("Smith-form input nonzeros %d" % nnz)
+    for key in sorted(built):
+        print("%s instances: %d built, %d kept, rank %d over E + A"
+              % (key, built[key], kept[key], added[key]))
 
 
 if __name__ == "__main__":

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 import mcgtwist.engine
 from mcgtwist.catalog import (
+    RelationEntry,
+    build_catalog,
     k1_ambiguity_basis,
     parse_relations,
     pmplus_ambiguity_basis,
@@ -42,7 +44,7 @@ from mcgtwist.intlin import (
     snf_factors,
     vec_axpy,
 )
-from mcgtwist.surface import PMPLUS_KINDS, SurfaceSpec
+from mcgtwist.surface import PMPLUS_KINDS, SurfaceSpec, Word
 from helpers import (
     closed_form_slide_chain,
     exact_echelon,
@@ -187,13 +189,37 @@ def test_dropping_any_import_never_shrinks_the_group(monkeypatch):
         assert gf2_dimension(partial.invariants) >= base_dim, family
 
 
+def redundant_relations(spec, rng, conjugates=3, products=2):
+    """Consequences of the catalog's word relations: conjugates
+    x l x^-1 = x r x^-1 of a relation l = r by a letter x of the
+    alphabet, and products l l' = r r' of two relations."""
+    words = [(e.lhs, e.rhs) for e in build_catalog(spec) if e.kind == "word"]
+    letters = spec.generators()
+    out = []
+    for _ in range(conjugates):
+        lhs, rhs = rng.choice(words)
+        x = Word.of((rng.choice(letters), rng.choice((1, -1))))
+        out.append((x * lhs * x.inverse(), x * rhs * x.inverse()))
+    for _ in range(products):
+        (lhs, rhs), (lhs2, rhs2) = rng.choice(words), rng.choice(words)
+        out.append((lhs * lhs2, rhs * rhs2))
+    return [RelationEntry("X%d" % t, "word", lhs=lhs, rhs=rhs)
+            for t, (lhs, rhs) in enumerate(out, 1)]
+
+
 def test_extra_redundant_relation_changes_nothing():
-    spec = SurfaceSpec.make(3, 1, 0)
-    plain = compute_h1(spec)
-    extra = parse_relations("a1 a2 a1 = a2 a1 a2")
-    again = compute_h1(spec, extra_relations=extra)
-    assert again.invariants == plain.invariants
-    assert names(again) == names(plain)
+    # A relation the catalog already implies changes no invariant and
+    # no named basis: a braid relation, and on 60 seeded grid specs
+    # seeded conjugates and products of catalog word relations.
+    rng = random.Random(0)
+    cases = [(SurfaceSpec.make(3, 1, 0), parse_relations("a1 a2 a1 = a2 a1 a2"))]
+    for spec in rng.sample(list(twist_grid()) + list(permutation_grid()), 60):
+        cases.append((spec, redundant_relations(spec, rng)))
+    for spec, extra in cases:
+        plain = compute_h1(spec)
+        again = compute_h1(spec, extra_relations=extra)
+        assert again.invariants == plain.invariants, spec
+        assert names(again) == names(plain), spec
 
 
 def test_false_relation_is_rejected():
@@ -258,18 +284,66 @@ def test_partial_filter_is_unchanged_and_maximal(args):
         k1 = [p.base for p in system.partials if p.ambiguity == "k1"]
         ranks = {Echelon(exact + extra).rank for extra in (pm, k1, pm + k1)}
         assert ranks == {exact_echelon(system).rank + 2}
-    # Every dropped instance lies in the integer span of the exact
-    # chains, its key's ambiguity chains and the kept rows of its key.
+    # Every dropped instance lies in E + A, the integer span of the
+    # exact chains and its key's ambiguity chains.
     kept = {id(p) for p in system.partials}
     dropped = [p for p in system.instances if id(p) not in kept]
     assert dropped
     for key, chains in system.ambiguity_chains.items():
-        span = Echelon([vec for _, vec in system.exact] + chains
-                       + [p.base for p in system.partials
-                          if p.ambiguity == key])
+        span = Echelon([vec for _, vec in system.exact] + chains)
         for p in dropped:
             if p.ambiguity == key:
                 assert span.contains(p.base), p.rid
+
+
+def answers(result):
+    """The invariants, the named basis and the set of kept rids."""
+    return (result.invariants, names(result),
+            sorted(p.rid for p in result.system.partials))
+
+
+def rebuilt(monkeypatch, change):
+    """Make compute_h1 apply `change` to each system it builds, before
+    anything is read from it."""
+    def changed(spec, extra_relations=None):
+        system = build_relation_system(spec, extra_relations)
+        change(system)
+        return system
+
+    monkeypatch.setattr(mcgtwist.engine, "build_relation_system", changed)
+
+
+BENCH_SPECS = (list(twist_grid()) + list(permutation_grid()))[::6]
+
+
+def test_pinned_rows_count_only_modulo_their_ambiguity_lattice(monkeypatch):
+    # A pinned row is known only modulo its key's ambiguity lattice A, so
+    # moving each by a seeded random +-combination of its key's basis
+    # chains changes no kept rid, no invariant and no named basis.  A
+    # filter that tests against the exact lattice alone keeps shifted
+    # rows that lie in E + A.  The 55 benchmark specs.
+    rng = random.Random(0)
+
+    def shift(system):
+        for p in system.instances:
+            p.base = dict(p.base)
+            for chain in system.ambiguity_chains[p.ambiguity]:
+                vec_axpy(p.base, chain, rng.choice((-1, 0, 1)))
+
+    plain = [answers(compute_h1(spec)) for spec in BENCH_SPECS]
+    rebuilt(monkeypatch, shift)
+    assert [answers(compute_h1(spec)) for spec in BENCH_SPECS] == plain
+
+
+def test_instance_order_changes_nothing(monkeypatch):
+    # The filter keeps each instance on its own, so seeded shuffles of
+    # `instances` give the same kept rids, invariants and named basis.
+    # The 55 benchmark specs, three orders each.
+    rng = random.Random(0)
+    plain = [answers(compute_h1(spec)) for spec in BENCH_SPECS]
+    rebuilt(monkeypatch, lambda system: rng.shuffle(system.instances))
+    for _ in range(3):
+        assert [answers(compute_h1(spec)) for spec in BENCH_SPECS] == plain
 
 
 def test_no_instance_is_built_at_a_coefficient_the_letter_fixes():
@@ -347,8 +421,12 @@ def test_closed_form_slide_chains_agree_with_the_solver_path():
 
 def test_partial_filter_matches_the_full_coordinate_filter():
     # The filter asks its span question in the coordinates left after
-    # the unit elimination; it must keep the same PartialRow objects, in
-    # the same order, as the same question asked in all dim coordinates.
+    # the unit elimination, each instance against E + A alone; it must
+    # keep the same PartialRow objects, in the same order, as the
+    # sequential filter in all dim coordinates, which asks against
+    # E + A + the rows of the key kept before.  The two agree because
+    # the kept rows of each key are independent modulo E + A: entered
+    # into the key's fixed echelon, they raise its rank by their number.
     # The 55 benchmark specs (every sixth grid spec) and three past the
     # grid.
     specs = (list(twist_grid()) + list(permutation_grid()))[::6]
@@ -361,6 +439,11 @@ def test_partial_filter_matches_the_full_coordinate_filter():
         expected = kept_instances_reference(system)
         assert ([id(p) for p in system.partials]
                 == [id(p) for p in expected]), spec
+        elim = system.elimination
+        for key, (_, groups) in elim.ambiguity.items():
+            span = Echelon(elim.base + [image for _, image in groups])
+            rows = [p.projected for p in system.partials if p.ambiguity == key]
+            assert extended(span, rows).rank == span.rank + len(rows), spec
 
 
 def test_pmplus_ambiguity_basis_is_the_boundary_solver_kernel():
