@@ -9,23 +9,22 @@ to avoid puncture slides and braids, but has no explicit word; its
 contribution is pinned down up to an ambiguity sublattice.
 """
 
-from dataclasses import dataclass, field
-
 from .chains import ChainSpace, boundary1
 from .errors import NoIntegerSolution
 from .intlin import ColumnSolver, vec_axpy
 from .surface import PMPLUS_KINDS, Gen, Word, evaluate_word
 
 
-@dataclass
 class RelationEntry:
-    rid: str
-    kind: str  # "word", "class" or "partial"
-    lhs: Word = None
-    rhs: Word = None
-    vector: dict = None  # class relations; exact part of "k1" partials
-    conjugation: tuple = None  # (x, v_j) for slide-conjugation partials
-    ambiguity: str = None  # "pm+" or "k1"
+    def __init__(self, rid, kind, lhs=None, rhs=None, vector=None,
+                 conjugation=None, ambiguity=None):
+        self.rid = rid
+        self.kind = kind  # "word", "class" or "partial"
+        self.lhs = lhs  # Words, for word relations
+        self.rhs = rhs
+        self.vector = vector  # class relations; exact part of "k1" partials
+        self.conjugation = conjugation  # (x, v_j) for slide conjugations
+        self.ambiguity = ambiguity  # "pm+" or "k1"
 
 
 def _w(*letters):
@@ -216,10 +215,10 @@ def partial_target_boundary(space, x, vj, xi):
     return out
 
 
-@dataclass
 class CatalogReport:
-    checked: int = 0
-    failures: list = field(default_factory=list)
+    def __init__(self):
+        self.checked = 0
+        self.failures = []
 
     @property
     def ok(self):

@@ -9,21 +9,21 @@ valid spec; full validation is computed-versus-oracle equality.
 """
 
 import itertools
-from dataclasses import dataclass
 
 from .errors import DescentFailed, SpecInvalid
 from .intlin import AbelianInvariants, gf2_insert
 from .surface import Gen
 
 
-@dataclass
 class Functional:
     """A Z_2-valued functional on chains: [x] (x) xi_i maps to
     alpha(x) * beta(i)."""
 
-    name: str
-    alpha_map: dict
-    gamma_count: int  # beta(i) = 1 exactly for i <= gamma_count
+    def __init__(self, name, alpha_map, gamma_count):
+        self.name = name
+        self.alpha_map = alpha_map
+        # beta(i) = 1 exactly for i <= gamma_count
+        self.gamma_count = gamma_count
 
 
 def functionals_for(spec):

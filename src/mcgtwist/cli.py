@@ -8,10 +8,11 @@ closed form, 5 failed verification, 141 (128 + SIGPIPE) standard output
 closed by its reader before everything was written, or already closed
 when the program started (then nothing is run); both leave stderr
 empty.
+
+`argparse` is imported by `build_parser` and `csv` by `table --format
+csv`, so importing this module loads neither.
 """
 
-import argparse
-import csv
 import json
 import os
 import sys
@@ -142,6 +143,7 @@ def _value_range(text):
     except ValueError:
         values = range(0)
     if not values:
+        import argparse
         raise argparse.ArgumentTypeError(
             "need a value or a range like 3-9, got %r" % text)
     return values
@@ -168,6 +170,8 @@ def cmd_table(args):
         ))
     else:
         if args.format == "csv":
+            import csv
+
             # Generator names contain commas; csv quotes those cells.
             print(",".join(RECORD_FIELDS))
             write_row = csv.writer(sys.stdout, lineterminator="\n").writerow
@@ -221,13 +225,6 @@ def cmd_verify(args):
     return EXIT_OK
 
 
-class _Parser(argparse.ArgumentParser):
-    """Usage errors end in one stderr line and exit 2 (EXIT_INVALID)."""
-
-    def error(self, message):
-        self.exit(EXIT_INVALID, "%s: error: %s\n" % (self.prog, message))
-
-
 def _sample_count(text):
     """argparse type for --samples: an integer of at least 1."""
     try:
@@ -235,6 +232,7 @@ def _sample_count(text):
     except ValueError:
         value = 0
     if value < 1:
+        import argparse
         raise argparse.ArgumentTypeError("need an integer >= 1, got %r" % text)
     return value
 
@@ -250,6 +248,14 @@ def _add_spec_flags(parser, required=True):
 
 
 def build_parser():
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """Usage errors end in one stderr line and exit 2 (EXIT_INVALID)."""
+
+        def error(self, message):
+            self.exit(EXIT_INVALID, "%s: error: %s\n" % (self.prog, message))
+
     parser = _Parser(
         prog="mcgtwist",
         description="Twisted first homology of mapping class groups of "

@@ -28,7 +28,6 @@ its ambiguity sublattice is built (see `build_relation_system`).
 
 import random
 import time
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from .catalog import build_catalog, k1_ambiguity_basis, pmplus_ambiguity_basis
@@ -53,20 +52,19 @@ from .intlin import (
 )
 
 
-@dataclass
 class PartialRow:
     """One coefficient instance of a partial relation: the pinned chain,
     a cycle that differs from the true relation row by an unknown element
     of its ambiguity sublattice, the key of that sublattice and, once the
     filter keeps it, its projection by `RelationSystem.elimination`."""
 
-    rid: str
-    base: dict
-    ambiguity: str
-    projected: dict = field(default=None, repr=False, compare=False)
+    def __init__(self, rid, base, ambiguity):
+        self.rid = rid
+        self.base = base
+        self.ambiguity = ambiguity
+        self.projected = None
 
 
-@dataclass
 class RelationSystem:
     """The checked relation chains of one spec.
 
@@ -79,12 +77,14 @@ class RelationSystem:
     held on the system; `verify` builds neither.
     """
 
-    space: ChainSpace
-    catalog: list
-    rank: int  # of the cycle lattice: space.dim - d
-    exact: list  # (rid, chain)
-    instances: list  # every built PartialRow, in catalog order
-    ambiguity_chains: dict  # key -> list of chains
+    def __init__(self, space, catalog, rank, exact, instances,
+                 ambiguity_chains):
+        self.space = space  # a ChainSpace
+        self.catalog = catalog
+        self.rank = rank  # of the cycle lattice: space.dim - d
+        self.exact = exact  # (rid, chain)
+        self.instances = instances  # every built PartialRow, in catalog order
+        self.ambiguity_chains = ambiguity_chains  # key -> list of chains
 
     @cached_property
     def family(self):
@@ -303,22 +303,23 @@ def named_candidates(space):
     return out
 
 
-@dataclass
 class SamplingReport:
-    samples: int
-    stable: bool
+    def __init__(self, samples, stable):
+        self.samples = samples
+        self.stable = stable
 
 
-@dataclass
 class H1Result:
-    spec: object
-    invariants: AbelianInvariants
-    named_basis: list
-    sampling_report: SamplingReport
-    ms: int
-    system: RelationSystem = field(repr=False)
-    # (GF(2) echelon with named-class tags, tag -> name)
-    _gf2: tuple = field(repr=False, default=None)
+    def __init__(self, spec, invariants, named_basis, sampling_report, ms,
+                 system, gf2=None):
+        self.spec = spec
+        self.invariants = invariants  # AbelianInvariants
+        self.named_basis = named_basis
+        self.sampling_report = sampling_report
+        self.ms = ms
+        self.system = system
+        # (GF(2) echelon with named-class tags, tag -> name)
+        self._gf2 = gf2
 
 
 class UnitElimination:

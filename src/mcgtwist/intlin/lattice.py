@@ -6,27 +6,43 @@ as sparse echelon bases.  Vectors at this level are dicts mapping
 coordinate -> nonzero int.
 """
 
-from dataclasses import dataclass
-
 from ..errors import NoIntegerSolution
 from ._kernels import echelon_insert, echelon_reduce
 
 
-@dataclass(frozen=True)
 class AbelianInvariants:
-    """Invariant factors and free rank of a finitely generated abelian group."""
+    """Invariant factors and free rank of a finitely generated abelian
+    group: an immutable value, equal, and hashed alike, exactly when both
+    fields are."""
 
-    torsion: tuple
-    free_rank: int
-
-    def __post_init__(self):
-        for a, b in zip(self.torsion, self.torsion[1:]):
+    def __init__(self, torsion, free_rank):
+        for a, b in zip(torsion, torsion[1:]):
             if b % a:
                 raise ValueError("torsion entries must form a divisibility chain")
-        if any(t < 2 for t in self.torsion):
+        if any(t < 2 for t in torsion):
             raise ValueError("torsion entries must be at least 2")
-        if self.free_rank < 0:
+        if free_rank < 0:
             raise ValueError("free rank must be non-negative")
+        self.__dict__.update(torsion=torsion, free_rank=free_rank)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.torsion == other.torsion
+                and self.free_rank == other.free_rank)
+
+    def __hash__(self):
+        return hash((self.torsion, self.free_rank))
+
+    def __repr__(self):
+        return "AbelianInvariants(torsion=%r, free_rank=%r)" % (
+            self.torsion, self.free_rank)
 
     @classmethod
     def from_factors(cls, factors, ambient_rank):

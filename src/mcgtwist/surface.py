@@ -15,8 +15,7 @@ one-level word (`derived_word`), as a letter like any other.
 """
 
 import re
-from dataclasses import dataclass
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import SpecInvalid, UnknownDerived, UnknownLetter
 from .intlin import vec_axpy
@@ -34,43 +33,58 @@ PMPLUS_KINDS = frozenset("auedb")
 INVOLUTION_KINDS = frozenset("udsv")
 
 
-class Gen(NamedTuple):
+class Gen(namedtuple("Gen", "kind index")):
     """A generator symbol: a crosscap-chain twist a_j, the crosscap
     transposition u_1, a boundary-chain twist e_j, a boundary-parallel
     twist d_j, the extra twist b_1, a puncture slide v_j, or an
     elementary braid s_j."""
 
-    kind: str
-    index: int
+    __slots__ = ()
 
     @property
     def name(self):
         return "%s%d" % (self.kind, self.index)
 
 
-@dataclass(frozen=True)
 class SurfaceSpec:
-    """The tuple (g, s, n, k, flavor) selecting a surface and a group."""
+    """The tuple (g, s, n, k, flavor) selecting a surface and a group.
+    A spec is an immutable value: equal, and hashed alike, exactly when
+    its five fields are."""
 
-    g: int
-    s: int
-    n: int
-    k: int = 0
-    flavor: str = "pm+"
-
-    def __post_init__(self):
-        if self.flavor not in FLAVORS:
-            raise SpecInvalid("unknown flavor %r" % (self.flavor,))
-        if self.g < 3:
+    def __init__(self, g, s, n, k=0, flavor="pm+"):
+        if flavor not in FLAVORS:
+            raise SpecInvalid("unknown flavor %r" % (flavor,))
+        if g < 3:
             raise SpecInvalid("genus must be at least 3")
-        if self.s < 0 or self.n < 0:
+        if s < 0 or n < 0:
             raise SpecInvalid("boundary and puncture counts must be non-negative")
-        if not 0 <= self.k <= self.n:
+        if not 0 <= k <= n:
             raise SpecInvalid("k must satisfy 0 <= k <= n")
-        if self.flavor == "pm+" and self.k != self.n:
+        if flavor == "pm+" and k != n:
             raise SpecInvalid("flavor pm+ preserves orientation at all punctures (k = n)")
-        if self.flavor == "m" and self.n < 2:
+        if flavor == "m" and n < 2:
             raise SpecInvalid("flavor m needs at least 2 punctures")
+        self.__dict__.update(g=g, s=s, n=n, k=k, flavor=flavor)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+    def _key(self):
+        return self.g, self.s, self.n, self.k, self.flavor
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "SurfaceSpec(g=%r, s=%r, n=%r, k=%r, flavor=%r)" % self._key()
 
     @classmethod
     def make(cls, g, s, n, k=None, flavor="pm+"):
@@ -205,7 +219,6 @@ def derivation(gen, spec):
     return [(u, derived_word(u, spec)) for u in below] + [(gen, word)]
 
 
-@dataclass
 class Representation:
     """The action of the group generators on H_1 of the surface.
 
@@ -213,8 +226,9 @@ class Representation:
     the identity, as (row, ((col, value), ...)) with the rows and the
     nonzero columns ascending; every other row is an identity row."""
 
-    spec: SurfaceSpec
-    moved: dict
+    def __init__(self, spec, moved):
+        self.spec = spec
+        self.moved = moved
 
     @property
     def d(self):

@@ -3,6 +3,7 @@
 import pytest
 
 from mcgtwist.catalog import (
+    RelationEntry,
     build_catalog,
     k1_ambiguity_basis,
     parse_relations,
@@ -13,7 +14,7 @@ from mcgtwist.catalog import (
 )
 from mcgtwist.chains import ChainSpace, boundary1, cycle_lattice
 from mcgtwist.intlin import vec_axpy
-from mcgtwist.surface import SurfaceSpec, evaluate_word
+from mcgtwist.surface import Gen, SurfaceSpec, Word, evaluate_word
 from helpers import column, dense, display, matmul, matvec
 
 SOUND_SPECS = [
@@ -184,6 +185,22 @@ def test_single_sign_corruption_caught_by_verify():
         space = ChainSpace(spec, rep)
         report = verify_catalog(space, build_catalog(spec, space))
         assert not report.ok, variant
+
+
+def test_relation_entry_keyword_defaults():
+    entry = RelationEntry("C1", "class", vector={0: 1})
+    assert (entry.rid, entry.kind, entry.vector) == ("C1", "class", {0: 1})
+    assert (entry.lhs, entry.rhs, entry.conjugation, entry.ambiguity) == (
+        None, None, None, None)
+    x, vj = Gen("a", 1), Gen("v", 2)
+    word = Word.of(x)
+    entry = RelationEntry("P1", "partial", conjugation=(x, vj),
+                          ambiguity="pm+")
+    assert (entry.conjugation, entry.ambiguity) == ((x, vj), "pm+")
+    assert entry.lhs is entry.rhs is entry.vector is None
+    entry = RelationEntry("W1", "word", word, rhs=word)
+    assert entry.lhs is word and entry.rhs is word
+    assert entry.vector is entry.conjugation is entry.ambiguity is None
 
 
 class TestParseRelations:

@@ -688,3 +688,49 @@ def test_records_match_committed_reference():
             record = json.loads(record_json(run_record(spec, 17, seed)))
             del record["ms"], record["seed"]
             assert json.dumps(record) == line, (key, seed)
+
+
+# Modules that importing the package must not load: `dataclasses` and
+# what it pulls in, `argparse` (imported by `build_parser`) with its
+# `gettext`, `csv` (imported by `table --format csv`) and `typing`.
+UNLOADED = ("dataclasses", "inspect", "ast", "dis", "argparse", "gettext",
+            "csv", "typing")
+
+
+def test_importing_the_package_loads_no_parser_csv_or_dataclass_modules():
+    # -S: no site, so nothing but the interpreter's own start-up is loaded
+    # before the import.
+    code = ("import sys; sys.path.insert(0, %r); import mcgtwist, "
+            "mcgtwist.cli; print(' '.join(m for m in %r if m in sys.modules))"
+            % (os.path.join(ROOT, "src"), UNLOADED))
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
+
+
+def cli_process(*argv):
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    return subprocess.run([sys.executable, "-m", "mcgtwist.cli"] + list(argv),
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+
+
+def test_usage_error_in_a_fresh_process_is_one_line():
+    # `build_parser` imports argparse itself.
+    proc = cli_process("compute")
+    assert proc.returncode == EXIT_INVALID
+    assert proc.stdout == ""
+    assert proc.stderr == ("mcgtwist compute: error: the following arguments"
+                           " are required: --genus\n")
+
+
+def test_csv_in_a_fresh_process_quotes_generator_names():
+    # `table --format csv` imports csv itself.
+    proc = cli_process("table", "--genus", "4", "--boundary", "1",
+                       "--punctures", "2", "--flavor", "m", "--format", "csv")
+    assert proc.returncode == EXIT_OK, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 3
+    assert (',"a_{1,3} u_{1,3} b_{1,1}-a_{1,1}-a_{3,3} v_{2,1} s_{1,1}",'
+            in lines[1])

@@ -116,6 +116,36 @@ class TestInvariants:
         with pytest.raises(ValueError):
             AbelianInvariants((1,), 0)
 
+    @pytest.mark.parametrize("torsion, free_rank, message", [
+        ((4, 2), 0, "torsion entries must form a divisibility chain"),
+        ((2, 6, 9), 1, "torsion entries must form a divisibility chain"),
+        ((1, 2), 0, "torsion entries must be at least 2"),
+        ((0,), 0, "torsion entries must be at least 2"),
+        ((2,), -1, "free rank must be non-negative"),
+    ])
+    def test_validation_messages(self, torsion, free_rank, message):
+        with pytest.raises(ValueError) as info:
+            AbelianInvariants(torsion, free_rank)
+        assert str(info.value) == message
+
+    def test_value_semantics(self):
+        inv = AbelianInvariants((2, 4), 1)
+        same = AbelianInvariants.from_factors([1, 2, 4], 4)
+        assert inv == same and inv is not same and not inv != same
+        assert hash(inv) == hash(same) == hash(((2, 4), 1))
+        assert {inv: 1}[same] == 1
+        assert inv != AbelianInvariants((2, 4), 0)
+        assert inv != AbelianInvariants((2, 2), 1)
+        assert inv != ((2, 4), 1)
+        assert repr(inv) == "AbelianInvariants(torsion=(2, 4), free_rank=1)"
+        assert repr(AbelianInvariants((), 0)) == (
+            "AbelianInvariants(torsion=(), free_rank=0)")
+        with pytest.raises(AttributeError):
+            inv.free_rank = 0
+        with pytest.raises(AttributeError):
+            del inv.torsion
+        assert inv == same
+
     def test_from_factors(self):
         inv = AbelianInvariants.from_factors([1, 2, 2], 5)
         assert inv.torsion == (2, 2)

@@ -1,5 +1,7 @@
 """Surface specs, generator alphabets, words and the representation."""
 
+import pickle
+
 import pytest
 
 from mcgtwist.catalog import build_catalog
@@ -49,6 +51,43 @@ class TestSpec:
         with pytest.raises(SpecInvalid):
             SurfaceSpec.make(3, 0, 0).require_free_module()
 
+    @pytest.mark.parametrize("args, message", [
+        ((3, 0, 1, 0, "pm"), "unknown flavor 'pm'"),
+        ((2, 1, 0, 0, "pm+"), "genus must be at least 3"),
+        ((3, -1, 0, 0, "pm+"),
+         "boundary and puncture counts must be non-negative"),
+        ((3, 0, 2, 3, "pmk"), "k must satisfy 0 <= k <= n"),
+        ((3, 0, 2, 1, "pm+"),
+         "flavor pm+ preserves orientation at all punctures (k = n)"),
+        ((3, 0, 1, 0, "m"), "flavor m needs at least 2 punctures"),
+    ])
+    def test_validation_messages(self, args, message):
+        with pytest.raises(SpecInvalid) as info:
+            SurfaceSpec(*args)
+        assert str(info.value) == message
+
+    def test_value_semantics(self):
+        spec = SurfaceSpec(7, 0, 2, 0, "pmk")
+        same = SurfaceSpec.make(7, 0, 2, flavor="pmk")
+        assert spec == same and spec is not same
+        assert not spec != same
+        assert hash(spec) == hash(same) == hash((7, 0, 2, 0, "pmk"))
+        assert {spec: 1}[same] == 1
+        assert len({spec, same, SurfaceSpec(7, 0, 2, 1, "pmk")}) == 2
+        assert spec != (7, 0, 2, 0, "pmk")
+        assert SurfaceSpec(3, 1, 0) == SurfaceSpec(3, 1, 0, 0, "pm+")
+        assert repr(spec) == "SurfaceSpec(g=7, s=0, n=2, k=0, flavor='pmk')"
+        assert (spec.g, spec.s, spec.n, spec.k, spec.flavor) == (
+            7, 0, 2, 0, "pmk")
+        with pytest.raises(AttributeError):
+            spec.g = 8
+        with pytest.raises(AttributeError):
+            spec.extra = 1
+        with pytest.raises(AttributeError):
+            del spec.k
+        assert spec == same and spec.g == 7
+        assert pickle.loads(pickle.dumps(spec)) == spec
+
     def test_dimension(self):
         assert SurfaceSpec.make(3, 1, 0).d == 3
         assert SurfaceSpec.make(9, 3, 3, 0, "pmk").d == 14
@@ -71,6 +110,18 @@ class TestSpec:
     def test_no_d_generators_above_genus_4(self):
         kinds = {g.kind for g in SurfaceSpec.make(5, 3, 1).generators()}
         assert "d" not in kinds
+
+
+def test_gen_is_a_named_pair():
+    gen = Gen(kind="v", index=3)
+    kind, index = gen
+    assert (kind, index) == ("v", 3) == gen
+    assert gen == Gen("v", 3) and hash(gen) == hash(("v", 3))
+    assert gen.kind == "v" and gen.index == 3 and gen.name == "v3"
+    assert repr(gen) == "Gen(kind='v', index=3)"
+    assert not hasattr(gen, "__dict__")
+    with pytest.raises(AttributeError):
+        gen.index = 4
 
 
 class TestWord:
