@@ -14,12 +14,14 @@ and their ambiguity sublattice are sampled (`RelationSystem.partials`).
 What no sample changes is done once per spec.  The exact relations,
 and the unit rows of the d coordinates that split the chain space into
 the cycle lattice and a free complement (`boundary_witnesses`), are
-eliminated by a signed forest and the unit pivots of the rest
-(`UnitElimination`), built on first use by `compute_h1`, as is the
-filter; `verify` builds neither.  Equal projected ambiguity vectors are
-drawn as one, and the unit singletons no draw can disturb are split off
-the sample matrix before the first sample (`SampleMatrix`); when that
-leaves nothing a draw can change, one Smith form serves every sample.
+eliminated by a signed forest, whose map phi every chain is projected
+by, and the images of the rows the forest leaves form an echelon that
+starts every sample (`UnitElimination`); `compute_h1` builds both on
+first use, as it does the filter, and `verify` builds neither.  Equal
+projected ambiguity vectors are drawn as one, and the unit singletons
+no draw can disturb are split off the sample matrix before the first
+sample (`SampleMatrix`); when that leaves nothing a draw can change,
+one Smith form serves every sample.
 The build solves no linear system: a slide conjugation's one instance
 is a sum of cycles of the explicit generating family, which each system
 builds once (`RelationSystem.family`), and no instance known to lie in
@@ -42,7 +44,6 @@ from .errors import NotACycle, RelationOutsideKernel, UnstableSampling
 from .intlin import (
     AbelianInvariants,
     Echelon,
-    echelon_reduce,
     gf2_insert,
     gf2_reduce,
     parity_mask,
@@ -71,10 +72,10 @@ class RelationSystem:
     The build holds what every caller reads: the exact chains, every
     pinned partial instance in catalog order (`instances`) and each
     ambiguity key's basis chains, all checked to be cycles.  The
-    elimination of the exact relations (a signed forest, then the unit
-    pivots of the rest) and the filtered instances (`partials`) are read
-    only by the quotient, so each is computed on first read and then
-    held on the system; `verify` builds neither.
+    elimination of the exact relations (a signed forest and an echelon
+    of the rows it leaves) and the filtered instances (`partials`) are
+    read only by the quotient, so each is computed on first read and
+    then held on the system; `verify` builds neither.
     """
 
     def __init__(self, space, catalog, rank, exact, instances,
@@ -103,9 +104,10 @@ class RelationSystem:
     @cached_property
     def elimination(self):
         """The `UnitElimination` of the exact chains followed by the unit
-        rows e_c, c in J (`boundary_witnesses`).  Its kernel lies in
-        E + Z^J, E the exact lattice, and Z^dim = Z (+) Z^J, so for a
-        lattice L inside Z it reads Z / L as Z^dim / (L + Z^J)."""
+        rows e_c, c in J (`boundary_witnesses`).  Its map phi is onto
+        Z^rank with its kernel inside E + Z^J, E the exact lattice, and
+        Z^dim = Z (+) Z^J, so for a lattice L with E inside L inside Z
+        it reads Z / L = Z^dim / (L + Z^J) as Z^rank / phi(L)."""
         rows = [vec for _, vec in self.exact]
         rows += [{c: 1} for c in boundary_witnesses(self.space)]
         return UnitElimination(rows, self.space.dim, self.ambiguity_chains)
@@ -133,13 +135,14 @@ class RelationSystem:
         ones.
 
         The test is asked in the coordinates of `elimination`, with the
-        same outcome as in all dim coordinates.  For M = E + A, pi(p)
-        lies in pi(M) iff p lies in M + Z^J, since ker pi lies in E + Z^J
-        (J the coordinates of `boundary_witnesses`); and Z meets M + Z^J
-        in M, as M lies in Z and Z^dim = Z (+) Z^J, so for the cycle p
-        this is p in M.  pi(E) = span(`base`), and pi(A) is spanned by
-        the key's distinct nonzero images, so each key's pi(M) is one
-        fixed `Echelon`.  Every instance is projected once, here.
+        same outcome as in all dim coordinates.  For M = E + A, phi(p)
+        lies in phi(M) iff p lies in M + Z^J, since ker phi lies in
+        E + Z^J (J the coordinates of `boundary_witnesses`); and Z meets
+        M + Z^J in M, as M lies in Z and Z^dim = Z (+) Z^J, so for the
+        cycle p this is p in M.  phi(E) = span(`base`), and phi(A) is
+        spanned by the key's distinct nonzero images, so each key's
+        phi(M) is one fixed `Echelon`.  Every instance is projected
+        once, here.
         """
         elim = self.elimination
         filters = {key: Echelon(elim.base + [image for _, image in groups])
@@ -323,17 +326,17 @@ class H1Result:
 
 
 class UnitElimination:
-    """The quotient map pi = pi_U o phi that removes what the exact
-    relations make redundant: a signed forest, then unit pivots.
+    """The quotient map phi, a signed forest, that removes what the
+    exact relations make redundant.
 
     The rows it takes, called exact below, are the exact chains and then
     the unit rows e_c, c in J (`RelationSystem.elimination`; J may be
     empty), and E + Z^J is their span, E the exact lattice.
 
-    **The forest.**  The exact rows +-e_a and +-e_a +- e_b are joined in
-    a signed union-find over the dim chain coordinates: every coordinate
-    c is tied to the root of its component, its smallest coordinate, by
-    a sign s_c with e_c = s_c e_root modulo E + Z^J (by induction along
+    The exact rows +-e_a and +-e_a +- e_b are joined in a signed
+    union-find over the dim chain coordinates: every coordinate c is
+    tied to the root of its component, its smallest coordinate, by a
+    sign s_c with e_c = s_c e_root modulo E + Z^J (by induction along
     the links, each a forest row).  A row +-e_a kills the component of
     a.  A row v_a e_a + v_b e_b whose ends already share a root closes
     a cycle; it is balanced when v_a s_a + v_b s_b = 0 and adds
@@ -343,8 +346,8 @@ class UnitElimination:
     to 0 on a killed component; it is the identity on a coordinate no
     forest row meets.
 
-    - phi maps Z^dim onto Z^r, r the number of live components: it
-      maps each root onto its own coordinate.
+    - phi maps Z^dim onto Z^rank, rank the number of live components:
+      it maps each root onto its own coordinate.
     - Its kernel is spanned by e_c - s_c e_root on live components and
       by e_c on killed ones, all in E + Z^J.  A forest row that links
       two components, or kills a live one, maps to 0; every other exact
@@ -352,38 +355,16 @@ class UnitElimination:
       residual rows (the rows that are not forest rows and the
       unbalanced cycles), taken through the final phi.  Each e_c, c in
       J, kills its component, so phi(Z^J) = 0.
-    - So Z^dim / L = Z^r / phi(L) for every lattice L that contains
-      E + Z^J, and likewise Z^dim / (L + 2 Z^dim) = Z^r / (phi(L) +
-      2 Z^r): a map onto with its kernel inside L identifies both
-      quotients.
+    - So Z^dim / L = Z^rank / phi(L) for every lattice L that contains
+      E + Z^J, and likewise Z^dim / (L + 2 Z^dim) = Z^rank / (phi(L) +
+      2 Z^rank): a map onto with its kernel inside L identifies both
+      quotients.  For every sample's lattice L, which contains E, this
+      reads Z^dim / (L + Z^J) = Z^rank / phi(L), with phi(L) spanned by
+      the images of L's generators, and the GF(2) ranks and the greedy
+      named basis are the same in either.
 
-    **The unit pivots.**  The residual images enter an echelon shortest
-    first, which keeps the fill-in small.  U is the set of its rows
-    whose pivot is 1, and pi_U(x) is the remainder of reducing x by U
-    (`echelon_reduce`, which sweeps the columns in ascending order),
-    written in the coordinates that are not pivots of U, renumbered
-    0..rank-1 in order.
-
-    - pi_U is linear.  Each row of U has entry 1 at its pivot and
-      nothing to the left of it, so the sweep clears every U-pivot
-      column and never refills one it has passed; the quotient a // 1
-      = a is exact, so pi_U(x) is the unique element of x + span(U)
-      that vanishes on the U-pivot columns.
-    - The kernel of pi_U is span(U), inside phi(E + Z^J), and pi_U maps
-      Z^r onto Z^rank: a vector supported off the U-pivot columns is
-      its own image.  So ker pi lies in E + Z^J, pi is onto, and for
-      every sample's lattice L, which contains E, Z^dim / (L + Z^J) =
-      Z^rank / pi(L), with pi(L) spanned by the images of L's
-      generators.  Reduced mod 2 the same holds, so the GF(2) ranks and
-      the greedy named basis are unchanged too.
-    - The order of the residual rows changes nothing.  In an echelon
-      basis of a lattice the pivot columns and values are invariants
-      (the pivot at column j generates {x_j : x in the lattice, x_i = 0
-      for i < j}), so U sits on the same columns in any order, and a
-      row of U another order would give differs from this one by a
-      vector of phi(E + Z^J), so every pi(L) is the same.
-
-    `base` holds the images of the non-unit pivot rows, which span pi(E)
+    `base` holds the pivot rows of an echelon of the residual images,
+    entered shortest first to keep the fill-in small; they span phi(E)
     and so start every sample.  `ambiguity` maps each key to its number
     of basis chains and its groups: each distinct nonzero image of a
     basis chain, with the bit mask of the chains that have it.
@@ -431,19 +412,11 @@ class UnitElimination:
                 if root == c:
                     live[c] = len(live)
                 phi[c] = (live[root], s)
-
-        echelon = Echelon(sorted(
-            filter(None, map(self._forest, residual)), key=len))
-        self.units = {j: row for j, row in echelon.pivots.items()
-                      if row[j] == 1}
-        free = [c for c in range(len(live)) if c not in self.units]
-        self.index = {c: t for t, c in enumerate(free)}
-        self.rank = len(self.index)
+        self.rank = len(live)
         self.full = (1 << self.rank) - 1
-        self.base = [
-            self._unit(row) for j, row in sorted(echelon.pivots.items())
-            if j not in self.units
-        ]
+
+        echelon = Echelon(sorted(filter(None, map(self, residual)), key=len))
+        self.base = [row for _, row in sorted(echelon.pivots.items())]
         self.ambiguity = {}
         for key, chains in ambiguity_chains.items():
             groups = {}
@@ -457,10 +430,6 @@ class UnitElimination:
                                    [tuple(g) for g in groups.values()])
 
     def __call__(self, chain):
-        """pi(chain), as a new sparse vector."""
-        return self._unit(self._forest(chain))
-
-    def _forest(self, chain):
         """phi(chain), as a new sparse vector."""
         out = {}
         phi = self.phi
@@ -474,12 +443,6 @@ class UnitElimination:
                 elif t in out:
                     del out[t]
         return out
-
-    def _unit(self, vec):
-        """pi_U(vec), as a new sparse vector."""
-        index = self.index
-        return {index[c]: v
-                for c, v in echelon_reduce(self.units, vec).items()}
 
 
 class SampleMatrix:
@@ -560,15 +523,17 @@ def compute_h1(spec, samples=17, seed=0, extra_relations=None):
     Z / L = Z^dim / (L + Z^J), and as 2 Z^dim = 2 Z (+) 2 Z^J, mod 2
     Z / (L + 2 Z) = Z^dim / (L + Z^J + 2 Z^dim).  The elimination takes
     the unit rows of Z^J with the exact chains
-    (`RelationSystem.elimination`), so its coordinates carry Z / L, free
-    rank included, and the named basis and `express_class` reduce
-    chains mod 2 in them.
+    (`RelationSystem.elimination`), so its coordinates, one per live
+    component of its signed forest, carry Z / L, free rank included,
+    and the named basis and `express_class` reduce chains mod 2 in
+    them.
 
     With `samples` > 1 and partial relations present, the ambiguity of
     every kept partial row (`RelationSystem.partials`) is re-sampled per
     run, and UnstableSampling is raised unless the invariants agree.
     Every sample and the named basis work in the projections held on
-    the system (see `UnitElimination`).  The unit singletons no draw can
+    the system, and every sample starts from the elimination's `base`
+    (see `UnitElimination`).  The unit singletons no draw can
     disturb are split off once (`SampleMatrix`), each as a factor 1, and
     each sample takes the Smith form (`snf_factors`) of the rows left,
     against the coordinates left for Z / L; when no draw can change

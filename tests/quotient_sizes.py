@@ -6,8 +6,9 @@
 Runs `compute_h1` at seed 0 on every spec of `surface.spec_grid()` and
 reads the elimination and the `SampleMatrix` that the run built:
 
-- the largest chain-space dim and the largest and summed r', the
-  coordinates left after `UnitElimination`;
+- the largest chain-space dim and the largest and summed r, the
+  coordinates left after `UnitElimination`, one per live component of
+  its signed forest;
 - the most rows and columns left after the fixed peel in one spec, and
   the sample rows left of all of them, over the grid;
 - the specs where no draw can change the rows left (`vacuous`);
@@ -78,7 +79,7 @@ def main():
         built.update(p.ambiguity for p in system.instances)
 
     print("specs %d" % len(dims))
-    print("largest dim %d, largest r' %d, sum of r' %d"
+    print("largest dim %d, largest r %d, sum of r %d"
           % (max(dims), max(ranks), sum(ranks)))
     print("after the fixed peel: at most %d rows and %d columns, "
           "%d of %d sample rows" % (max(left_rows), max(left_cols),

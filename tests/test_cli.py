@@ -21,6 +21,7 @@ from mcgtwist.cli import (
     EXIT_MISMATCH,
     EXIT_OK,
     EXIT_PIPE,
+    EXIT_UNSTABLE,
     EXIT_VERIFY,
     RECORD_FIELDS,
     main,
@@ -33,7 +34,8 @@ from mcgtwist.chains import (
     kernel_generator_list,
 )
 from mcgtwist.engine import build_relation_system, compute_h1
-from mcgtwist.intlin import Echelon, vec_axpy
+from mcgtwist.errors import UnstableSampling
+from mcgtwist.intlin import AbelianInvariants, Echelon, vec_axpy
 from mcgtwist.surface import (
     INVOLUTION_KINDS,
     Gen,
@@ -104,6 +106,36 @@ class TestCompute:
         )
         assert code == EXIT_OK
         assert json.loads(out)["match"] is True
+
+    def test_unstable_sampling_exits_3(self, capsys, tmp_path):
+        # v1 v1 = 1 is no relation of this surface, and with it the
+        # first two samples disagree: the message pins both.
+        path = tmp_path / "extra.txt"
+        path.write_text("v1 v1 =\n")
+        code, out, err = run(
+            capsys, "compute", "--genus", "3", "--boundary", "1",
+            "--punctures", "2", "--flavor", "pmk", "--k", "0",
+            "--relations", str(path),
+        )
+        assert code == EXIT_UNSTABLE
+        assert out == ""
+        assert err.splitlines() == [
+            "unstable sampling: sample 1 gave Z_2 + Z_2 + Z_2 + Z_2, "
+            "sample 0 gave Z_2 + Z_2 + Z_2 + Z_2 + Z_2"]
+
+    def test_oracle_mismatch_exits_4_with_the_record(self, capsys,
+                                                     monkeypatch):
+        monkeypatch.setattr(mcgtwist.cli, "oracle",
+                            lambda spec: AbelianInvariants((2,), 0))
+        code, out, err = run(
+            capsys, "compute", "--genus", "4", "--boundary", "1",
+            "--format", "json",
+        )
+        assert code == EXIT_MISMATCH
+        assert err == ""
+        record = json.loads(out)
+        assert record["match"] is False and record["oracle"] == 1
+        assert record["torsion"] == [2] * 3
 
 
 @pytest.mark.parametrize("command", ["compute", "verify"])
@@ -205,6 +237,27 @@ class TestTable:
         assert code == EXIT_OK
         assert seen == expected()
         assert json.loads(out)["total"] == len(seen)
+
+
+    def test_unstable_spec_is_an_error_line(self, capsys, monkeypatch):
+        # One spec of two fails its sampling: the other is still tabled,
+        # and the failure is one stderr line.
+        real = run_record
+
+        def record(spec, samples, seed):
+            if spec.g == 4:
+                raise UnstableSampling("sample 2 gave 0, sample 0 gave Z_2")
+            return real(spec, samples, seed)
+
+        monkeypatch.setattr(mcgtwist.cli, "run_record", record)
+        code, out, err = run(
+            capsys, "table", "--genus", "3-4", "--boundary", "1",
+            "--punctures", "0", "--flavor", "pm+",
+        )
+        assert code == EXIT_MISMATCH
+        assert out.splitlines()[-1] == "# matched 1 of 1"
+        assert err.splitlines() == [
+            "error (4,1,0,0,pm+): sample 2 gave 0, sample 0 gave Z_2"]
 
 
 class TestVerify:

@@ -565,9 +565,10 @@ def test_largest_pmk_spec_within_budget_at_every_seed(spec):
 @example(diag=[], seed=0, ops=0, drop=False, extra=False)
 @example(diag=[1, 2, 1, 4], seed=1, ops=2, drop=False, extra=False)
 @example(diag=[1, 3, 1, 2, 1], seed=2, ops=4, drop=True, extra=True)
-# A pivot of 2 in the exact part: it must not be eliminated.
+# A pivot of 2 in the exact part: it must stay in `base`.
 @example(diag=[2], seed=0, ops=0, drop=False, extra=False)
-# Unit pivots whose rows meet each other's pivot columns.
+# Unit pivots whose rows meet each other's pivot columns: they stay in
+# `base` too.
 @example(diag=[1, 1, 1], seed=0, ops=0, drop=False, extra=True)
 def test_unit_elimination_agrees_with_smith_form(diag, seed, ops, drop, extra):
     """Split sparse generators into "exact" rows, which are eliminated,
@@ -630,8 +631,8 @@ def gf2_rank(rows, width):
 @example(([{2: 1, 3: 1}, {3: 1, 2: 1}, {2: 1, 3: -1}, {1: 1, 3: 1},
            {0: 2, 1: 1, 2: 1}], [{0: 1}], 4))
 def test_forest_elimination_agrees_with_smith_form(lattice):
-    """The exact rows eliminated by the signed forest and the unit pivots
-    of the rest, and the other rows projected, as a sample does: the
+    """The exact rows eliminated by the signed forest, the rest held in
+    `base`, and the other rows projected, as a sample does: the
     projected rows must give the invariants of the full rows, and the
     same GF(2) rank of the quotient.  Taken as one ambiguity key, the
     other rows' images are grouped by value, each group's mask holding
@@ -899,9 +900,10 @@ def test_unstable_sampling_is_raised(monkeypatch):
 
 
 def test_exact_echelon_order_keeps_pivots_and_lattice():
-    # UnitElimination enters its residual rows shortest first, relying
-    # on the pivot columns and values of an echelon being invariants of
-    # its lattice.  Checked on the full exact echelon: shortest first and
+    # UnitElimination enters its residual rows shortest first, to keep
+    # the fill-in small; any order gives the same lattice, and the pivot
+    # columns and values of an echelon are invariants of its lattice.
+    # Checked on the full exact echelon: shortest first and
     # catalog order must give the same pivot columns, the same pivot
     # values and the same lattice, on the 55 benchmark specs (every
     # sixth grid spec).
