@@ -28,7 +28,7 @@ class RelationEntry:
 
 
 def _w(*letters):
-    return Word.of(*(Gen(k, i) for k, i in letters))
+    return Word([(Gen(k, i), 1) for k, i in letters])
 
 
 def build_catalog(spec, space=None):

@@ -10,7 +10,7 @@ by `vec_axpy`.  The class [x] (x) xi_i is written x_{j,i} (so a_{1,3} is
 """
 
 from .intlin import ColumnSolver, Echelon, vec_axpy
-from .surface import Gen, build_representation, derivation
+from .surface import Gen, build_representation, derived_rows
 
 
 class ChainSpace:
@@ -24,22 +24,14 @@ class ChainSpace:
         self.gpos = {gen: p for p, gen in enumerate(self.gens)}
         self.dim = len(self.gens) * self.d
         # Boundary columns: the image of [x] (x) xi_i is column i of
-        # psi(x)^-1 - I, which is zero outside the rows where psi(x)^-1
-        # differs from the identity.  `_bflat` holds them by flat
-        # coordinate and `_bcol` by generator, as the same dicts.
+        # psi(x)^-1 - I (`_boundary_columns`).  `_bflat` holds them by
+        # flat coordinate and `_bcol` by generator, as the same dicts.
         self._bcol = {}
         self._bflat = []
         for gen in self.gens:
-            cols = [{} for _ in range(self.d)]
-            for r, entries in self.rep.moved[gen, -1]:
-                row = dict(entries)
-                row[r] = row.get(r, 0) - 1
-                for c, v in row.items():
-                    if v:
-                        cols[c][r] = v
+            cols = _boundary_columns(self.d, self.rep.moved[gen, -1])
             self._bcol[gen] = cols
             self._bflat.extend(cols)
-        self._fox = {}  # letter -> (C, B), see `_fox_columns`
 
     def flat(self, gen, i):
         """Flat coordinate of [gen] (x) xi_i (i is 1-based)."""
@@ -60,7 +52,12 @@ class ChainSpace:
         gpos, d = self.gpos, self.d
         for kind, j, i, coef in terms:
             # A Gen is a tuple, so (kind, j) finds its position.
-            vec_axpy(out, {gpos[kind, j] * d + i - 1: 1}, coef)
+            flat = gpos[kind, j] * d + i - 1
+            w = out.get(flat, 0) + coef
+            if w:
+                out[flat] = w
+            elif flat in out:
+                del out[flat]
         return out
 
     def format_chain(self, chain):
@@ -75,6 +72,19 @@ class ChainSpace:
             else:
                 parts.append("%+d*%s" % (c, name))
         return " ".join(parts) or "0"
+
+
+def _boundary_columns(d, inverse_rows):
+    """The d columns of psi(x)^-1 - I, given the moved rows of psi(x)^-1:
+    zero outside the rows where psi(x)^-1 differs from the identity."""
+    cols = [{} for _ in range(d)]
+    for r, entries in inverse_rows:
+        row = dict(entries)
+        row[r] = row.get(r, 0) - 1
+        for c, v in row.items():
+            if v:
+                cols[c][r] = v
+    return cols
 
 
 def boundary1(space, chain):
@@ -192,20 +202,19 @@ def boundary_witnesses(space):
 
 def _walk(space, word, side, out):
     """Add side times the contribution of `word` to the chains `out`,
-    one per coefficient (see `rewrite_relation_all`); a derived letter
-    adds its chains C(x) e_r (`_fox_columns`)."""
+    one per coefficient (see `rewrite_relation_all`).  A letter adds its
+    chains C(x) e_r (`_fox_columns`)."""
     rep = space.rep
 
     def contribute(gen, sign, q):
-        if gen in space._bcol:
-            base = space.flat(gen, 1)
+        cols = _fox_columns(space, gen)[0]
+        if cols.__class__ is int:  # C(x) e_r = [x] (x) xi_{r+1}
             for r, row in enumerate(q):
-                flat = base + r
+                flat = cols + r
                 for t, v in row.items():
                     col = out[t]
                     col[flat] = col.get(flat, 0) + sign * v
         else:
-            cols = _fox_columns(space, gen)[0]
             for r, row in enumerate(q):
                 for t, v in row.items():
                     vec_axpy(out[t], cols[r], sign * v)
@@ -223,23 +232,162 @@ def _walk(space, word, side, out):
 
 
 def _fox_columns(space, gen):
-    """(C, B) of a letter, built once per space: C[k] = C(gen) e_k and
-    B[k] = B_gen e_k.  A derived letter walks its one-level word once,
-    in the order of `derivation`; the boundary of C(w) e_k is B_w e_k,
-    by the Fox rule.  `build_relation_system` empties the memo once the
-    catalog is rewritten, and a later call builds what it needs again."""
-    if gen in space._bcol and gen not in space._fox:
-        base = space.flat(gen, 1)
-        space._fox[gen] = ([{base + k: 1} for k in range(space.d)],
-                           space._bcol[gen])
-    elif gen not in space._fox:
-        for x, word in derivation(gen, space.spec):
-            if x not in space._fox:
-                chains = [{} for _ in range(space.d)]
-                _walk(space, word, 1, chains)
-                chains = [{f: v for f, v in c.items() if v} for c in chains]
-                space._fox[x] = chains, [boundary1(space, c) for c in chains]
-    return space._fox[gen]
+    """(C, B) of a letter x, entry k of each for the coefficient
+    xi_{k+1}: B[k] is that column of B_x = psi(x)^-1 - I, and C[k] the
+    chain C(x) xi_{k+1}, in closed form (`_fox_u`, `_fox_outer`).  For
+    an alphabet letter, whose C(x) xi_{k+1} is the single class
+    [x] (x) xi_{k+1}, C is instead the flat coordinate of [x] (x) xi_1,
+    and for e_0 = a_1 that of [a_1] (x) xi_1.  A letter off the alphabet
+    that is not derived raises as `surface.derived_rows` does."""
+    if gen in space._bcol:
+        return space.flat(gen, 1), space._bcol[gen]
+    inverse = derived_rows(gen, space.spec, space.rep.moved)[1]
+    bcols = _boundary_columns(space.d, inverse)
+    if gen.kind == "u":
+        return _fox_u(space, gen.index), bcols
+    if gen.index == 0:
+        return space.flat(Gen("a", 1), 1), bcols
+    return _fox_outer(space), bcols
+
+
+def _fox_u(space, i):
+    """The chains C(u_i) e_k, k = 1..d, for 2 <= i <= g-1, in closed
+    form (u_{j,k} = [u_j] (x) xi_k, likewise a_{j,k}):
+
+    - k > i+1: (-1)^(i+1) u_{1,k};
+    - k < i: (-1)^(i+k) (2 u_{1,1} + 2 u_{1,2}) + (-1)^(i+1) u_{1,k+2};
+    - k = i: Y_i = sum_{t=1..i} (-1)^(i-t+1) (w_t a_{t,t+1} +
+      [t >= 2] (a_{t,t-1} + a_{t-1,t+1})) + u_{1,2} for i even, u_{1,1}
+      for i odd, with w_t = 1 at t = 1 and t = i and 2 between;
+    - k = i+1: u_{1,1} + u_{1,2} - Y_i.
+
+    Proof, by induction on i from C(u_1) e_k = u_{1,k}.  For a
+    conjugate, the Fox rule C(w1 w2) = C(w1) + C(w2) psi(w1)^-1 and
+    C(m^-1) = -C(m) psi(m) give C(m y m^-1) = -C(m) B_{m y m^-1} + C(y)
+    psi(m)^-1.  Take m = a_{i-1} a_i, M = psi(m), y = u_{i-1}^-1, P =
+    psi(u_{i-1}) (so C(y) = -C(u_{i-1}) P), and write A_j = psi(a_j),
+    gamma_k = e_k.  Then C(u_i) e_k = -C(m) B_{u_i} e_k - C(u_{i-1})
+    P M^-1 e_k, with C(m) v = [a_{i-1}] (x) v + [a_i] (x) A_{i-1}^-1 v.
+    As psi(u_i) swaps gamma_i and gamma_{i+1} (`surface.derived_rows`),
+    B_{u_i} e_k is gamma_{i+1} - gamma_i at k = i, its negative at
+    k = i+1 and 0 elsewhere; and A_j^-1 takes gamma_j to 2 gamma_j +
+    gamma_{j+1} and gamma_{j+1} to -gamma_j.
+
+    - k outside {i-1, i, i+1}: P M^-1 fixes e_k, so C(u_i) e_k =
+      -C(u_{i-1}) e_k.  This gives the case k > i+1, and k < i-1 from
+      the case k < i of u_{i-1}.
+    - k = i and i+1 together: M^-1 (gamma_i + gamma_{i+1}) =
+      -(gamma_{i-1} + gamma_i), which P fixes, and B_{u_i} kills
+      gamma_i + gamma_{i+1}, so C(u_i) (e_i + e_{i+1}) = C(u_{i-1})
+      (e_{i-1} + e_i) = ... = u_{1,1} + u_{1,2} (L).  This gives k = i+1
+      from k = i.
+    - k = i-1: P M^-1 gamma_{i-1} = 2 gamma_{i-1} + 2 gamma_i +
+      gamma_{i+1}, so by (L) and the case k > i of u_{i-1}, C(u_i)
+      e_{i-1} = -2 u_{1,1} - 2 u_{1,2} + (-1)^(i+1) u_{1,i+1}.
+    - k = i: P M^-1 gamma_i = -gamma_i and A_{i-1}^-1 (gamma_{i+1} -
+      gamma_i) = gamma_{i-1} + gamma_{i+1}, so by (L), Y_i = D_i +
+      u_{1,1} + u_{1,2} - Y_{i-1} with D_i = a_{i-1,i} - a_{i-1,i+1} -
+      a_{i,i-1} - a_{i,i+1} and Y_1 = u_{1,1}.  Unrolled, D_t carries
+      the sign (-1)^(i-t), and a_{t,t+1} (1 < t < i) is in D_t and
+      D_{t+1}, hence its weight 2; the u-terms sum to u_{1,2} or u_{1,1}
+      by the parity of i.
+    """
+    gpos, d = space.gpos, space.d
+    a = {j: gpos["a", j] * d - 1 for j in range(1, i + 1)}  # a_{j,k}: a[j] + k
+    u = gpos["u", 1] * d - 1  # u_{1,k}: u + k
+    odd = 1 if i % 2 else -1  # (-1)^(i+1)
+    out = []
+    for k in range(1, i):
+        both = 2 * odd if k % 2 else -2 * odd  # 2 (-1)^(i+k)
+        out.append({u + 1: both, u + 2: both, u + k + 2: odd})
+    y = {}
+    for t in range(1, i + 1):
+        sign = 1 if (i - t) % 2 else -1  # (-1)^(i-t+1)
+        y[a[t] + t + 1] = sign if t in (1, i) else 2 * sign
+        if t >= 2:
+            y[a[t] + t - 1] = sign
+            y[a[t - 1] + t + 1] = sign
+    y[u + 2 - i % 2] = 1
+    z = {u + 1: 1, u + 2: 1}
+    vec_axpy(z, y, -1)
+    out += [y, z]
+    out += [{u + k: odd} for k in range(i + 2, d + 1)]
+    return out
+
+
+def _fox_outer(space):
+    """The chains C(e_{s+n}) e_k, k = 1..d, in closed form, e_{s+n} =
+    W a_1^-1 W^-1 with W = a_2..a_{g-1} u_{g-1}..u_2:
+
+    - k = 1: a_{1,2} + C(W) c;
+    - k = 2: -a_{1,1} - 2 a_{1,2} - 2 (a_{1,3} + ... + a_{1,g}) - C(W) c;
+    - 3 <= k <= g: a_{1,k}; k > g: -a_{1,k};
+
+    where c = gamma_1 + gamma_2 + 2 (gamma_3 + ... + gamma_g) and
+
+        C(W) c = sum_{j=2..g-1} [a_j] (x) (gamma_1 + gamma_j + 2 (gamma_{j+1}
+                 + ... + gamma_g))
+               + sum_{j=2..g-1} ((-1)^(j+1) (2 u_{1,1} + 2 u_{1,2} + u_{1,3})
+                 + u_{1,1} + u_{1,2})
+               - sum_{2 <= t <= g-1, t = g-1 mod 2} (D_t + u_{1,1} + u_{1,2})
+               + (g mod 2) u_{1,1},
+
+    D_t = a_{t-1,t} - a_{t-1,t+1} - a_{t,t-1} - a_{t,t+1} (`_fox_u`).
+
+    Proof.  As in `_fox_u`, C(e_{s+n}) = -C(W) B + C(a_1^-1) psi(W)^-1
+    with C(a_1^-1) = -C(a_1) A_1, and B e_k is -c at k = 1, c at k = 2
+    and 0 elsewhere (`surface.derived_rows`).  psi(W)^-1 = U_2 ..
+    U_{g-1} A_{g-1}^-1 .. A_2^-1 (U_j = psi(u_j) swaps gamma_j and
+    gamma_{j+1}) fixes gamma_1 and each gamma_k with k > g; it takes
+    gamma_k (3 <= k <= g) to -gamma_k, A_{k-1}^-1 to -gamma_{k-1} and
+    U_{k-1} back; and gamma_2 to gamma_2 + 2 (gamma_3 + ... + gamma_g),
+    the A's to 2 gamma_2 + ... + 2 gamma_{g-1} + gamma_g and the U's
+    then moving the lone 1 down to gamma_2.  A_1 takes gamma_1 to
+    -gamma_2, gamma_2 to gamma_1 + 2 gamma_2 and fixes the rest: this
+    gives the a_1-terms.
+
+    C(W) c sums, over the letters l of W, C(l) psi(p)^-1 c with p the
+    prefix before l.  psi(a_2..a_{j-1})^-1 c = gamma_1 + gamma_j +
+    2 (gamma_{j+1} + ... + gamma_g), each A_j^-1 subtracting gamma_j +
+    gamma_{j+1}; so u_{g-1} meets gamma_1 + gamma_g, and each U_j moves
+    it on, so that u_j meets gamma_1 + gamma_{j+1}.  By `_fox_u`,
+    C(u_j) (e_1 + e_{j+1}) = (-1)^(j+1) (2 u_{1,1} + 2 u_{1,2} +
+    u_{1,3}) + u_{1,1} + u_{1,2} - Y_j, and since Y_j + Y_{j-1} = D_j +
+    u_{1,1} + u_{1,2} and Y_1 = u_{1,1}, the sum of Y_2..Y_{g-1}, paired
+    from the top, is the sum over t above less (g mod 2) u_{1,1}.
+    """
+    gpos, g, d = space.gpos, space.spec.g, space.d
+    a = {j: gpos["a", j] * d - 1 for j in range(1, g)}  # a_{j,k}: a[j] + k
+    u = gpos["u", 1] * d - 1  # u_{1,k}: u + k
+    cw = {}
+
+    def add(flat, v):
+        cw[flat] = cw.get(flat, 0) + v
+
+    for j in range(2, g):
+        add(a[j] + 1, 1)
+        add(a[j] + j, 1)
+        for t in range(j + 1, g + 1):
+            add(a[j] + t, 2)
+        sign = 1 if j % 2 else -1  # (-1)^(j+1)
+        add(u + 1, 2 * sign + 1)
+        add(u + 2, 2 * sign + 1)
+        add(u + 3, sign)
+    for t in range(3 - g % 2, g, 2):  # t = g-1 mod 2
+        add(a[t - 1] + t, -1)
+        add(a[t - 1] + t + 1, 1)
+        add(a[t] + t - 1, 1)
+        add(a[t] + t + 1, 1)
+        add(u + 1, -1)
+        add(u + 2, -1)
+    add(u + 1, g % 2)
+    first = {a[1] + 2: 1}
+    vec_axpy(first, cw, 1)
+    second = {a[1] + t: -2 for t in range(1, g + 1)}
+    second[a[1] + 1] = -1
+    vec_axpy(second, cw, -1)
+    return ([first, second] + [{a[1] + k: 1} for k in range(3, g + 1)]
+            + [{a[1] + k: -1} for k in range(g + 1, d + 1)])
 
 
 def _closed_form_pair(lhs, rhs):
@@ -268,11 +416,12 @@ def rewrite_relation_all(space, lhs, rhs):
     [x] (x) xi_r) and B_x = psi(x)^-1 - I (the boundary columns of x),
     this is the Fox rule C(w1 w2) = C(w1) + C(w2) psi(w1)^-1.  For a
     derived letter x, [x] (x) v reads C(x) v, C(x) being that of its
-    one-level word (`_fox_columns`): by the rule this is the word's
-    contribution at p, and a free cancellation x x^-1 contributes 0, so
-    every chain is that of the relation expanded to the alphabet, entry
-    for entry.  The rule alone gives chain k in closed form for the
-    shapes of most of the catalog, for any letters x, y:
+    one-level word, in closed form (`_fox_columns`): by the rule this is
+    the word's contribution at p, and a free cancellation x x^-1
+    contributes 0, so every chain is that of the relation expanded to
+    the alphabet, entry for entry.  The rule alone gives chain k in
+    closed form for the shapes of most of the catalog, for any letters
+    x, y:
 
     - x y = y x: C(xy) - C(yx) = C(y) B_x - C(x) B_y, at e_k;
     - x y x = y x y: psi(xy)^-1 = I + B_x + B_y + B_y B_x, so
@@ -302,28 +451,44 @@ def rewrite_relation_all(space, lhs, rhs):
     cx, bx = _fox_columns(space, pair[0])
     cy, by = _fox_columns(space, pair[1])
 
+    def add(chain, cols, vec, sign):  # chain += sign C(letter) vec
+        if cols.__class__ is int:
+            for r, c in vec.items():
+                flat = cols + r
+                w = chain.get(flat, 0) + sign * c
+                if w:
+                    chain[flat] = w
+                else:
+                    del chain[flat]
+        else:
+            for r, c in vec.items():
+                vec_axpy(chain, cols[r], sign * c)
+
     def braid_vector(k, b1, b2):  # e_k + B_1 e_k + B_2 B_1 e_k
         vec = {k: 1}
-        vec_axpy(vec, b1[k], 1)
         for r, c in b1[k].items():
-            vec_axpy(vec, b2[r], c)
-        return vec
+            vec[r] = vec.get(r, 0) + c
+            for t, v in b2[r].items():
+                vec[t] = vec.get(t, 0) + c * v
+        return {t: v for t, v in vec.items() if v}
 
+    single = cx.__class__ is int and cy.__class__ is int and cx != cy
     out = []
     for k in range(space.d):
         chain = {}
         if bx[k] or by[k]:
             if len(lhs) == 2:
-                terms = ((cy, bx[k], 1), (cx, by[k], -1))
+                add(chain, cy, bx[k], 1)
+                add(chain, cx, by[k], -1)
             else:
-                terms = ((cx, braid_vector(k, bx, by), 1),
-                         (cy, braid_vector(k, by, bx), -1))
-            for cols, vec, sign in terms:
-                for r, c in vec.items():
-                    vec_axpy(chain, cols[r], sign * c)
+                add(chain, cx, braid_vector(k, bx, by), 1)
+                add(chain, cy, braid_vector(k, by, bx), -1)
         elif len(lhs) == 3:  # unmoved by both letters: see above
-            chain.update(cx[k])
-            vec_axpy(chain, cy[k], -1)
+            if single:
+                chain = {cx + k: 1, cy + k: -1}
+            else:
+                add(chain, cx, {k: 1}, 1)
+                add(chain, cy, {k: 1}, -1)
         out.append(chain)
     return out
 
@@ -375,17 +540,23 @@ def kernel_generator_list(space):
     spec = space.spec
     g, s, n, k, d = spec.g, spec.s, spec.n, spec.k, spec.d
     out = []
+    # The single-class members are built as such: [x] (x) xi_i is the
+    # flat coordinate position(x) * d + i - 1.
+    gpos = space.gpos
     for j in range(1, g):
+        base = gpos["a", j] * d - 1
         for i in range(1, d + 1):
             if i not in (j, j + 1):
-                out.append(("K1", space.chain([("a", j, i, 1)])))
+                out.append(("K1", {base + i: 1}))
         out.append(("K2", space.chain([("a", j, j, 1), ("a", j, j + 1, 1)])))
+    base = gpos["u", 1] * d - 1
     for i in range(3, d + 1):
-        out.append(("K3", space.chain([("u", 1, i, 1)])))
+        out.append(("K3", {base + i: 1}))
     out.append(("K4", space.chain([("u", 1, 1, 1), ("u", 1, 2, 1)])))
     for j in range(1, s + n):
+        base = gpos["e", j] * d - 1
         for i in range(3, d + 1):
-            out.append(("K5", space.chain([("e", j, i, 1)])))
+            out.append(("K5", {base + i: 1}))
         out.append(("K6", space.chain([("e", j, 1, 1), ("e", j, 2, 1)])))
     if g in (3, 4):
         for j in range(1, s):
@@ -408,9 +579,10 @@ def kernel_generator_list(space):
             out.append(("K12", _vtilde(space, j, i)))
     if spec.flavor == "m":
         for j in range(1, n):
+            base = gpos["s", j] * d - 1
             for i in range(1, d + 1):
                 if i not in (g + s + j, g + s + j + 1):
-                    out.append(("K13", space.chain([("s", j, i, 1)])))
+                    out.append(("K13", {base + i: 1}))
             if j < n - 1:
                 out.append(
                     (

@@ -4,10 +4,11 @@ Three subcommands: `compute` runs one spec and reports the group,
 `table` sweeps a grid of specs, `verify` runs the internal consistency
 suite.  Exit codes: 0 success/match, 2 invalid input (spec, flags or
 relations file), 3 unstable sampling, 4 computed group differs from the
-closed form, 5 failed verification, 141 (128 + SIGPIPE) standard output
-closed by its reader before everything was written, or already closed
-when the program started (then nothing is run); both leave stderr
-empty.
+closed form, 5 failed verification, 130 (128 + SIGINT) interrupted,
+after the one stderr line "interrupted", 141 (128 + SIGPIPE) standard
+output closed by its reader before everything was written, or already
+closed when the program started (then nothing is run); both 141 cases
+leave stderr empty.
 
 `argparse` is imported by `build_parser` and `csv` by `table --format
 csv`, so importing this module loads neither.
@@ -35,6 +36,7 @@ EXIT_INVALID = 2
 EXIT_UNSTABLE = 3
 EXIT_MISMATCH = 4
 EXIT_VERIFY = 5
+EXIT_INTERRUPT = 130
 EXIT_PIPE = 141
 
 RECORD_FIELDS = (
@@ -305,6 +307,9 @@ def main(argv=None):
     except SpecInvalid as exc:
         print("invalid spec: %s" % exc, file=sys.stderr)
         return EXIT_INVALID
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPT
     except BrokenPipeError:
         # The reader is gone.  Send what is still buffered to devnull, so
         # the flush at interpreter exit cannot raise again.

@@ -141,12 +141,17 @@ class RelationSystem:
         M + Z^J in M, as M lies in Z and Z^dim = Z (+) Z^J, so for the
         cycle p this is p in M.  phi(E) = span(`base`), and phi(A) is
         spanned by the key's distinct nonzero images, so each key's
-        phi(M) is one fixed `Echelon`.  Every instance is projected
-        once, here.
+        phi(M) is one fixed `Echelon`: a copy of the elimination's
+        pivots, which are already an echelon, with the images inserted.
+        Every instance is projected once, here.
         """
         elim = self.elimination
-        filters = {key: Echelon(elim.base + [image for _, image in groups])
-                   for key, (_, groups) in elim.ambiguity.items()}
+        filters = {}
+        for key, (_, groups) in elim.ambiguity.items():
+            filters[key] = filt = Echelon()
+            filt.pivots = dict(elim.pivots)  # no insert changes a row
+            for _, image in groups:
+                filt.insert(dict(image))
         kept = []
         for p in self.instances:
             row = elim(p.base)
@@ -224,9 +229,10 @@ def build_relation_system(spec, extra_relations=None):
         ambiguity_chains={},
     )
 
-    def check(rid, chain):
-        require_cycle(space, chain, error=lambda msg: RelationOutsideKernel(
-            "%s: %s" % (rid, msg)))
+    def check(rid, chain):  # `require_cycle`, the message led by rid
+        if boundary1(space, chain):
+            raise RelationOutsideKernel("%s: not in the cycle lattice: %s"
+                                        % (rid, space.format_chain(chain)))
 
     def add_partial(rid, base, key):
         check(rid, base)
@@ -263,7 +269,6 @@ def build_relation_system(spec, extra_relations=None):
                         vec_axpy(base, vtilde[space.flat(vj, r + 1)], c)
                     add_partial("%s:xi%d" % (entry.rid, xi), base, "pm+")
                     break
-    space._fox.clear()  # read by the rewrites only; see `_fox_columns`
     return system
 
 
@@ -363,11 +368,12 @@ class UnitElimination:
       the images of L's generators, and the GF(2) ranks and the greedy
       named basis are the same in either.
 
-    `base` holds the pivot rows of an echelon of the residual images,
-    entered shortest first to keep the fill-in small; they span phi(E)
-    and so start every sample.  `ambiguity` maps each key to its number
-    of basis chains and its groups: each distinct nonzero image of a
-    basis chain, with the bit mask of the chains that have it.
+    `base` holds the pivot rows of an echelon of the residual images
+    (`pivots`), entered shortest first to keep the fill-in small; they
+    span phi(E) and so start every sample.  `ambiguity` maps each key
+    to its number of basis chains and its groups: each distinct nonzero
+    image of a basis chain, with the bit mask of the chains that have
+    it.
     """
 
     def __init__(self, exact, dim, ambiguity_chains):
@@ -388,26 +394,32 @@ class UnitElimination:
 
         residual = []
         for row in exact:
-            if len(row) > 2 or any(v != 1 and v != -1 for v in row.values()):
-                residual.append(row)
-            elif len(row) == 1:
-                killed[find(next(iter(row)))[0]] = True
-            elif row:
-                (a, va), (b, vb) = row.items()
-                (ra, sa), (rb, sb) = find(a), find(b)
-                if ra == rb:
-                    if va * sa + vb * sb:
-                        residual.append(row)
+            size = len(row)
+            if size == 1:
+                ((a, va),) = row.items()
+                if va == 1 or va == -1:
+                    killed[find(a)[0]] = True
                     continue
-                if rb < ra:
-                    ra, rb = rb, ra
-                up[rb] = ra
-                sign[rb] = -va * sa * vb * sb
-                killed[ra] = killed[ra] or killed[rb]
+            elif size == 2:
+                (a, va), (b, vb) = row.items()
+                if (va == 1 or va == -1) and (vb == 1 or vb == -1):
+                    (ra, sa), (rb, sb) = find(a), find(b)
+                    if ra != rb:
+                        if rb < ra:
+                            ra, rb = rb, ra
+                        up[rb] = ra
+                        sign[rb] = -va * sa * vb * sb
+                        killed[ra] = killed[ra] or killed[rb]
+                        continue
+                    if not va * sa + vb * sb:  # a balanced cycle
+                        continue
+            elif not size:
+                continue
+            residual.append(row)
         self.phi = phi = [None] * dim
         live = {}
         for c in range(dim):
-            root, s = find(c)
+            root, s = (c, 1) if up[c] == c else find(c)
             if not killed[root]:
                 if root == c:
                     live[c] = len(live)
@@ -416,6 +428,7 @@ class UnitElimination:
         self.full = (1 << self.rank) - 1
 
         echelon = Echelon(sorted(filter(None, map(self, residual)), key=len))
+        self.pivots = echelon.pivots
         self.base = [row for _, row in sorted(echelon.pivots.items())]
         self.ambiguity = {}
         for key, chains in ambiguity_chains.items():

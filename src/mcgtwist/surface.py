@@ -10,15 +10,14 @@ gamma_1..gamma_g followed by the boundary/puncture classes
 delta_1..delta_{s+n-1}.  Each generator's action psi(x), and its
 inverse, is held only as its rows that differ from the identity
 (`Representation.moved`); no dense matrix is formed.  A derived letter
-(u_i for i >= 2, e_0, e_{s+n}) joins them on first use, from its
-one-level word (`derived_word`), as a letter like any other.
+(u_i for i >= 2, e_0, e_{s+n}) joins them on first use, its rows taken
+in closed form (`derived_rows`), as a letter like any other.
 """
 
 import re
 from collections import namedtuple
 
 from .errors import SpecInvalid, UnknownDerived, UnknownLetter
-from .intlin import vec_axpy
 
 FLAVORS = ("pm+", "pmk", "m")
 
@@ -185,38 +184,55 @@ class Word(tuple):
         return Word(tuple(self) * m)
 
 
-def derived_word(gen, spec):
-    """The one-level word of a derived letter, a composite mapping class
-    used in relations: u_i for 2 <= i <= g-1 (a higher crosscap
-    transposition, a_{i-1} a_i u_{i-1}^-1 a_i^-1 a_{i-1}^-1), e_0 (which
-    is a_1) or e_{s+n} (the twist about the curve enclosing all
-    crosscaps, W a_1^-1 W^-1 with the conjugator W = a_2..a_{g-1}
-    u_{g-1}..u_2).  Another u_i with i >= 2 raises UnknownDerived, and
-    any other letter UnknownLetter."""
+def derived_rows(gen, spec, moved):
+    """The moved rows of psi(gen) and psi(gen)^-1, in the form of
+    `Representation.moved`, for a derived letter: a composite mapping
+    class used in relations, with its one-level word.  `moved` holds the
+    alphabet's rows.  Another u_i with i >= 2 raises UnknownDerived, and
+    any other letter UnknownLetter.
+
+    Write A_j = psi(a_j): A_j - I = (gamma_j + gamma_{j+1}) (gamma_{j+1}
+    - gamma_j)^T, and A_j^-1 - I is minus that (a transvection).
+
+    - e_0 is a_1: its rows are those of a_1.
+    - u_i = a_{i-1} a_i u_{i-1}^-1 a_i^-1 a_{i-1}^-1 (2 <= i <= g-1)
+      swaps gamma_i and gamma_{i+1}, an involution, as u_1 swaps gamma_1
+      and gamma_2.  By induction on i: psi(u_{i-1}) = I - f f^T, f =
+      gamma_{i-1} - gamma_i, so with M = A_{i-1} A_i, psi(u_i) =
+      I - (M f) (M^-T f)^T.  A_i takes f to gamma_{i-1} + gamma_{i+1}
+      and A_{i-1} that to h = gamma_{i+1} - gamma_i; and A_{i-1}^T
+      takes h to gamma_{i-1} - 2 gamma_i + gamma_{i+1}, which A_i^T
+      takes to f, so M^-T f = h too, and psi(u_i) = I - h h^T.
+    - e_{s+n} = W a_1^-1 W^-1, W = a_2..a_{g-1} u_{g-1}..u_2, has
+      psi(e_{s+n})^sign = I - sign c (gamma_2 - gamma_1)^T, c =
+      gamma_1 + gamma_2 + 2 (gamma_3 + ... + gamma_g).  It is psi(W)
+      (A_1^-1 - I) psi(W)^-1 = -psi(W) (gamma_1 + gamma_2) (gamma_2 -
+      gamma_1)^T psi(W)^-1 plus I.  The u's take gamma_1 + gamma_2 to
+      gamma_1 + gamma_g, and A_{g-1}, ..., A_2 (A_j gamma_{j+1} =
+      gamma_j + 2 gamma_{j+1}) that to c.  Each A_j^T (j >= 2) takes
+      gamma_j - gamma_1 to gamma_{j+1} - gamma_1, and the u's take
+      gamma_g - gamma_1 back to gamma_2 - gamma_1, so psi(W)^T fixes
+      gamma_2 - gamma_1, and so does psi(W)^-T.  As (gamma_2 -
+      gamma_1)^T c = 0, the inverse flips the sign.
+    """
     g, (kind, i) = spec.g, gen
     if kind == "e" and i == 0:
-        return Word.of(Gen("a", 1))
+        a1 = Gen("a", 1)
+        return moved[a1, 1], moved[a1, -1]
     if kind == "e" and i == spec.s + spec.n:
-        w = Word.of(*[Gen("a", j) for j in range(2, g)],
-                    *[Gen("u", j) for j in range(g - 1, 1, -1)])
-        return w * Word.of((Gen("a", 1), -1)) * w.inverse()
+        out = []
+        for sign in (1, -1):  # row r: e_r + sign c_r (gamma_1 - gamma_2)
+            rows = {0: {0: 1 + sign, 1: -sign}, 1: {0: sign, 1: 1 - sign}}
+            rows.update({r: {0: 2 * sign, 1: -2 * sign, r: 1}
+                         for r in range(2, g)})
+            out.append(_moved_rows(rows))
+        return tuple(out)
     if kind == "u" and 2 <= i <= g - 1:
-        ai, aj = Gen("a", i - 1), Gen("a", i)
-        return Word.of(ai, aj, (Gen("u", i - 1), -1), (aj, -1), (ai, -1))
+        rows = ((i - 1, ((i, 1),)), (i, ((i - 1, 1),)))
+        return rows, rows
     if kind == "u" and i >= 2:
         raise UnknownDerived("no derived word %r for this surface" % gen.name)
     raise UnknownLetter("no matrix for generator %s" % gen.name)
-
-
-def derivation(gen, spec):
-    """(letter, `derived_word`) for a derived letter, after the u_j its
-    word uses and those below them, from u_2 up: each word uses only
-    alphabet letters and letters listed before it, so resolving in this
-    order never recurses."""
-    word = derived_word(gen, spec)
-    top = max((x.index for x, _ in word if x.kind == "u"), default=1)
-    below = [Gen("u", j) for j in range(2, top + 1)]
-    return [(u, derived_word(u, spec)) for u in below] + [(gen, word)]
 
 
 class Representation:
@@ -242,21 +258,22 @@ class Representation:
         the nonzeros of row r of psi(gen)^exponent select, so only the
         rows where psi(gen)^exponent differs from the identity are
         computed.  The returned list shares the other rows with q, which
-        is left unchanged.  A derived letter's rows, those of its word
-        and of the word's inverse, are built on first use, in the order
-        of `derivation`, and kept in `moved`."""
+        is left unchanged.  A derived letter's rows are taken in closed
+        form (`derived_rows`) on first use and kept in `moved`."""
         key = gen, 1 if exponent > 0 else -1
         if key not in self.moved:
-            for x, word in derivation(gen, self.spec):
-                for sign, w in ((1, word), (-1, word.inverse())):
-                    if (x, sign) not in self.moved:
-                        rows = dict(enumerate(evaluate_word(self, w)))
-                        self.moved[x, sign] = _moved_rows(rows)
+            self.moved[gen, 1], self.moved[gen, -1] = derived_rows(
+                gen, self.spec, self.moved)
         out = list(q)
         for r, entries in self.moved[key]:
             row = {}
             for c, v in entries:
-                vec_axpy(row, q[c], v)
+                for t, x in q[c].items():
+                    w = row.get(t, 0) + v * x
+                    if w:
+                        row[t] = w
+                    elif t in row:
+                        del row[t]
             out[r] = row
         return out
 

@@ -14,8 +14,9 @@ from mcgtwist.catalog import (
 from mcgtwist.certify import odd_support, parity_on
 from mcgtwist.chains import _vtilde
 from mcgtwist.engine import PartialRow
+from mcgtwist.errors import UnknownDerived, UnknownLetter
 from mcgtwist.intlin import Echelon, vec_axpy
-from mcgtwist.surface import Word, derived_word
+from mcgtwist.surface import Gen, Word
 
 
 def display(word):
@@ -36,10 +37,74 @@ def reduced(word):
     return Word(out)
 
 
+def derived_word(gen, spec):
+    """The one-level word of a derived letter, a composite mapping class
+    used in relations: u_i for 2 <= i <= g-1 (a higher crosscap
+    transposition, a_{i-1} a_i u_{i-1}^-1 a_i^-1 a_{i-1}^-1), e_0 (which
+    is a_1) or e_{s+n} (the twist about the curve enclosing all
+    crosscaps, W a_1^-1 W^-1 with the conjugator W = a_2..a_{g-1}
+    u_{g-1}..u_2).  Another u_i with i >= 2 raises UnknownDerived, and
+    any other letter UnknownLetter, with the messages of
+    `surface.derived_rows`, whose closed forms are checked against these
+    words."""
+    g, (kind, i) = spec.g, gen
+    if kind == "e" and i == 0:
+        return Word.of(Gen("a", 1))
+    if kind == "e" and i == spec.s + spec.n:
+        w = Word.of(*[Gen("a", j) for j in range(2, g)],
+                    *[Gen("u", j) for j in range(g - 1, 1, -1)])
+        return w * Word.of((Gen("a", 1), -1)) * w.inverse()
+    if kind == "u" and 2 <= i <= g - 1:
+        ai, aj = Gen("a", i - 1), Gen("a", i)
+        return Word.of(ai, aj, (Gen("u", i - 1), -1), (aj, -1), (ai, -1))
+    if kind == "u" and i >= 2:
+        raise UnknownDerived("no derived word %r for this surface" % gen.name)
+    raise UnknownLetter("no matrix for generator %s" % gen.name)
+
+
+def derived_letters(spec):
+    """Every derived letter of the spec: u_2..u_{g-1}, e_0 and e_{s+n}."""
+    return ([Gen("u", i) for i in range(2, spec.g)]
+            + [Gen("e", 0), Gen("e", spec.s + spec.n)])
+
+
+def walk_fox(space, word):
+    """Reference for the closed forms of the derived letters: the word
+    expanded to the alphabet (`expand_word`) and walked letter by
+    letter, as (C, B, Q).  C[k] is the chain C(w) e_k, each letter x at
+    prefix p adding [x] (x) psi(p)^-1 e_k (less [x] (x) psi(p x^-1)^-1
+    e_k for x^-1); Q = psi(w)^-1, as sparse rows; and B[k] = B_w e_k,
+    column k of Q - I."""
+    rep, d = space.rep, space.d
+    chains = [{} for _ in range(d)]
+
+    def contribute(gen, sign, q):
+        for r, row in enumerate(q):
+            for t, v in row.items():
+                vec_axpy(chains[t], {space.flat(gen, r + 1): 1}, sign * v)
+
+    q = [{r: 1} for r in range(d)]
+    for gen, e in expand_word(word, space.spec):
+        if e > 0:
+            contribute(gen, 1, q)
+            q = rep.apply_letter(q, gen, -1)
+        else:
+            q = rep.apply_letter(q, gen, 1)
+            contribute(gen, -1, q)
+    bcols = [{} for _ in range(d)]
+    for r, row in enumerate(q):
+        for c, v in row.items():
+            if v - (r == c):
+                bcols[c][r] = v - (r == c)
+        if r not in row:
+            bcols[r][r] = -1
+    return chains, bcols, q
+
+
 def expand_word(word, spec):
     """Reference for the derived letters (u_i with i >= 2, e_0, e_{s+n}):
-    each replaced by its defining word (`surface.derived_word`), again
-    and again until only alphabet letters remain, then freely reduced."""
+    each replaced by its defining word (`derived_word`), again and again
+    until only alphabet letters remain, then freely reduced."""
     alphabet = spec.generators()
     out = []
     for gen, e in word:

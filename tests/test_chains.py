@@ -10,6 +10,7 @@ from mcgtwist.catalog import build_catalog
 from mcgtwist.chains import (
     ChainSpace,
     _closed_form_pair,
+    _fox_columns,
     boundary1,
     cycle_lattice,
     expected_boundary,
@@ -24,16 +25,20 @@ from mcgtwist.surface import (
     SurfaceSpec,
     Word,
     build_representation,
+    evaluate_word,
 )
 from helpers import (
     boundary_reference,
     column,
     dense,
+    derived_letters,
+    derived_word,
     expand_word,
     matvec,
     same_lattice,
+    walk_fox,
 )
-from test_acceptance import permutation_grid, twist_grid
+from test_acceptance import PAST_GRID_SPECS, permutation_grid, twist_grid
 from test_surface import all_specs
 
 BOUNDARY_SPECS = [
@@ -312,16 +317,46 @@ class TestClosedForms:
         assert closed > 1000
 
     def test_letters_off_the_alphabet_raise_as_the_walk_does(self):
-        space = ChainSpace(SurfaceSpec.make(4, 1, 1))
-        with pytest.raises(UnknownLetter):
-            rewrite_relation_all(space, Word.parse("v1 a1"),
-                                 Word.parse("a1 v1"))
-        with pytest.raises(UnknownDerived):
-            rewrite_relation_all(space, Word.parse("u9 a1"),
-                                 Word.parse("a1 u9"))
-        with pytest.raises(UnknownDerived):
-            rewrite_relation_all(space, Word.parse("u1 u9 u1"),
-                                 Word.parse("u9 u1 u9"))
+        # The closed forms raise what the word reference raises, with
+        # the same message, walked or in a closed-form pair.
+        spec = SurfaceSpec.make(4, 1, 1)
+        space = ChainSpace(spec)
+        for name, error in (("v1", UnknownLetter), ("u9", UnknownDerived)):
+            with pytest.raises(error) as expected:
+                derived_word(Gen(name[0], int(name[1:])), spec)
+            for lhs, rhs in (("%s a1" % name, "a1 %s" % name),
+                             ("u1 %s u1" % name, "%s u1 %s" % (name, name)),
+                             ("%s a1 a1" % name, "a1 %s" % name)):
+                with pytest.raises(error) as raised:
+                    rewrite_relation_all(space, Word.parse(lhs),
+                                         Word.parse(rhs))
+                assert str(raised.value) == str(expected.value)
+
+
+# The 55 benchmark specs (every sixth grid spec) and the specs past the
+# grid of the acceptance tests.
+BENCH_AND_PAST_SPECS = ((list(twist_grid()) + list(permutation_grid()))[::6]
+                        + PAST_GRID_SPECS)
+
+
+@pytest.mark.parametrize("spec", BENCH_AND_PAST_SPECS, ids=str)
+def test_derived_letters_match_the_walk(spec):
+    # Every derived letter's closed forms against its word expanded to
+    # the alphabet and walked letter by letter: the moved rows of both
+    # signs, the boundary columns B and the Fox chains C(x) e_k.
+    space = ChainSpace(spec)
+    rep, d = space.rep, space.d
+    ident = [{r: 1} for r in range(d)]
+    for x in derived_letters(spec):
+        chains, bcols, inverse = walk_fox(space, Word.of(x))
+        cols, b = _fox_columns(space, x)
+        if isinstance(cols, int):
+            cols = [{cols + k: 1} for k in range(d)]
+        assert cols == chains, x
+        assert b == bcols, x
+        assert rep.apply_letter(ident, x, -1) == inverse, x
+        assert (rep.apply_letter(ident, x, 1)
+                == evaluate_word(rep, expand_word(Word.of(x), spec))), x
 
 
 def outer_braid(spec):
@@ -334,9 +369,9 @@ def outer_braid(spec):
 
 
 class TestDerivedLetterGrowth:
-    """A derived letter is resolved once per representation and once per
-    chain space, bottom-up from u_2, so the relation through e_{s+n}
-    costs O(g) letter steps at a stack depth that does not grow with g."""
+    """A derived letter is taken in closed form, not walked, so the
+    relation through e_{s+n} costs one letter step per letter as
+    written, at a stack depth that does not grow with g."""
 
     def test_outer_twist_takes_linearly_many_letter_steps(self, monkeypatch):
         steps = []
@@ -350,7 +385,7 @@ class TestDerivedLetterGrowth:
         spec = SurfaceSpec.make(48, 3, 3, flavor="m")
         space, entry = outer_braid(spec)
         rewrite_relation_all(space, entry.lhs, entry.rhs)
-        assert 0 < len(steps) < 40 * spec.g
+        assert len(steps) == len(entry.lhs) + len(entry.rhs)
 
     def test_outer_twist_needs_no_deeper_stack_with_genus(self):
         # 60 frames above the caller's: a recursion one level deeper per

@@ -17,6 +17,7 @@ import mcgtwist.engine
 import mcgtwist.verify
 from mcgtwist.catalog import build_catalog, parse_relations
 from mcgtwist.cli import (
+    EXIT_INTERRUPT,
     EXIT_INVALID,
     EXIT_MISMATCH,
     EXIT_OK,
@@ -678,8 +679,28 @@ class TestBadInput:
 
 
 def test_exit_codes_are_distinct():
-    assert len({EXIT_OK, EXIT_INVALID, EXIT_MISMATCH, EXIT_VERIFY,
-                EXIT_PIPE}) == 5
+    codes = [EXIT_OK, EXIT_INVALID, EXIT_UNSTABLE, EXIT_MISMATCH,
+             EXIT_VERIFY, EXIT_INTERRUPT, EXIT_PIPE]
+    assert len(set(codes)) == len(codes) == 7
+    assert EXIT_INTERRUPT == 128 + 2 and EXIT_PIPE == 128 + 13
+
+
+@pytest.mark.parametrize("argv, target", [
+    (["compute", "--genus", "4", "--boundary", "1"], "run_record"),
+    (["table", "--genus", "3-4", "--boundary", "1"], "run_record"),
+    (["verify", "--all"], "verify_spec"),
+], ids=["compute", "table", "verify-all"])
+def test_interrupt_is_one_line_and_exit_130(capsys, monkeypatch, argv,
+                                            target):
+    # SIGINT raises KeyboardInterrupt in the running spec: the run ends
+    # with exit 130 and one stderr line, not a traceback.
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(mcgtwist.cli, target, interrupted)
+    code, _, err = run(capsys, *argv)
+    assert code == EXIT_INTERRUPT == 130
+    assert err == "interrupted\n"
 
 
 QUIET_ARGVS = [

@@ -755,11 +755,11 @@ def test_result_does_not_hold_the_family(spec):
 
 
 def test_build_drops_the_fox_columns_it_rewrote_with():
-    # Nothing reads the memoized Fox columns once the catalog is
-    # rewritten, so the system does not hold them; a later rewrite in
-    # the same space builds them again and gives the same chains.
+    # The Fox columns of the derived letters are closed forms taken per
+    # rewrite, so the space keeps none once the catalog is rewritten;
+    # a later rewrite in the same space gives the same chains.
     system = build_relation_system(SurfaceSpec.make(9, 1, 3, flavor="m"))
-    assert system.space._fox == {}
+    assert "_fox" not in vars(system.space)
     entry = next(e for e in system.catalog if e.rid == "R20:1")
     chains = rewrite_relation_all(system.space, entry.lhs, entry.rhs)
     assert [(entry.rid, c) for c in chains if c] == [

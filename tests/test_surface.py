@@ -13,12 +13,12 @@ from mcgtwist.surface import (
     SurfaceSpec,
     Word,
     build_representation,
-    derived_word,
     evaluate_word,
 )
 from helpers import (
     column,
     dense,
+    derived_word,
     display,
     expand_word,
     identity,
@@ -257,17 +257,23 @@ def test_e_matrix_values():
 
 
 def test_derived_words():
+    # Each u_i acts, in closed form, as the involution its word gives;
+    # e_0 acts as a_1; and a letter with no derived word raises, as the
+    # word reference does.
     spec = SurfaceSpec.make(5, 1, 0)
     rep = build_representation(spec)
     ident = identity(spec.d)
     for i in (2, 3, 4):
-        u = derived_word(Gen("u", i), spec)
-        m = to_dense(evaluate_word(rep, u), spec.d)
+        m = to_dense(evaluate_word(rep, Word.parse("u%d" % i)), spec.d)
         assert matmul(m, m) == ident
-    with pytest.raises(UnknownDerived):
-        derived_word(Gen("u", 9), spec)
-    with pytest.raises(UnknownLetter):
-        derived_word(Gen("v", 1), spec)
+        assert m == dense_product(rep, derived_word(Gen("u", i), spec))
+    assert (evaluate_word(rep, Word.parse("e0 e0^-1 e0"))
+            == evaluate_word(rep, Word.parse("a1")))
+    for name, error in (("u9", UnknownDerived), ("v1", UnknownLetter)):
+        with pytest.raises(error):
+            derived_word(Word.parse(name)[0][0], spec)
+        with pytest.raises(error):
+            evaluate_word(rep, Word.parse(name))
     assert derived_word(Gen("e", 0), spec) == Word.of(Gen("a", 1))
 
 
