@@ -229,10 +229,9 @@ def build_relation_system(spec, extra_relations=None):
         ambiguity_chains={},
     )
 
-    def check(rid, chain):  # `require_cycle`, the message led by rid
-        if boundary1(space, chain):
-            raise RelationOutsideKernel("%s: not in the cycle lattice: %s"
-                                        % (rid, space.format_chain(chain)))
+    def check(rid, chain):
+        require_cycle(space, chain, error=lambda msg: RelationOutsideKernel(
+            "%s: %s" % (rid, msg)))
 
     def add_partial(rid, base, key):
         check(rid, base)
