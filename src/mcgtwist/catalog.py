@@ -9,7 +9,7 @@ to avoid puncture slides and braids, but has no explicit word; its
 contribution is pinned down up to an ambiguity sublattice.
 """
 
-from .chains import ChainSpace, boundary1
+from .chains import ChainSpace, boundary1, pmplus_generators
 from .errors import NoIntegerSolution
 from .intlin import ColumnSolver, vec_axpy
 from .surface import PMPLUS_KINDS, Gen, Word, evaluate_word
@@ -152,24 +152,22 @@ def k1_ambiguity_basis(space):
     return [] if space.spec.g >= 7 else [space.chain([("a", 1, 3, 1)])]
 
 
-def pmplus_ambiguity_basis(space, family):
+def pmplus_ambiguity_basis(space):
     """A basis of the ambiguity lattice A of the slide-conjugation
     partial relations, the kernel of `pmplus_boundary_solver`: the
-    members of `family`, the (label, chain) pairs of
-    `kernel_generator_list`, supported on `PMPLUS_KINDS`.
+    members K1-K11 of `kernel_generator_list` (`pmplus_generators`).
 
     A is Z meets Z^P, for Z the cycle lattice and P the coordinates of
-    the pm+ kinds.  The family spans Z, and each of its other members
-    (K12-K16) has a v or s coordinate, where their restrictions are
-    independent: K12 is one distinct v_{j,i} each, K13 one s_{j,i} each,
-    i off {g+s+j, g+s+j+1}, and K14, K15 and K16 are s_{j,a} + s_{j,a+1},
-    s_{j,a} (a = g+s+j, j < n-1) and s_{n-1,g+s+n-1}.  So a cycle on P,
-    written as an integer combination of the family, gives each of them
-    coefficient 0, and A is the span of the members on P (K1-K11).
+    the pm+ kinds.  The family spans Z (`verify` certifies it), K1-K11
+    lie on P, and each of its other members (K12-K16) has a v or s
+    coordinate, where their restrictions are independent: K12 is one
+    distinct v_{j,i} each, K13 one s_{j,i} each, i off {g+s+j,
+    g+s+j+1}, and K14, K15 and K16 are s_{j,a} + s_{j,a+1}, s_{j,a}
+    (a = g+s+j, j < n-1) and s_{n-1,g+s+n-1}.  So a cycle on P, written
+    as an integer combination of the family, gives each of them
+    coefficient 0, and A is the span of K1-K11.
     """
-    kinds = [gen.kind in PMPLUS_KINDS for gen in space.gens]
-    return [chain for _, chain in family
-            if all(kinds[c // space.d] for c in chain)]
+    return [chain for _, chain in pmplus_generators(space)]
 
 
 def pmplus_boundary_solver(space):

@@ -534,11 +534,12 @@ def _vtilde(space, j, i):
     return space.chain(terms)
 
 
-def kernel_generator_list(space):
-    """The explicit labeled generating family of the cycle lattice for
-    the spec's flavor, as (label, chain) pairs."""
+def pmplus_generators(space):
+    """The members K1-K11 of `kernel_generator_list`, as (label, chain)
+    pairs in its order: the cycles on the kinds a, u, e, d and b, which
+    span the pm+ ambiguity lattice (`catalog.pmplus_ambiguity_basis`)."""
     spec = space.spec
-    g, s, n, k, d = spec.g, spec.s, spec.n, spec.k, spec.d
+    g, s, n, d = spec.g, spec.s, spec.n, spec.d
     out = []
     # The single-class members are built as such: [x] (x) xi_i is the
     # flat coordinate position(x) * d + i - 1.
@@ -571,15 +572,22 @@ def kernel_generator_list(space):
         out.append(
             ("K11", space.chain([("b", 1, 1, 1), ("a", 1, 1, -1), ("a", 3, 3, -1)]))
         )
-    vrange = range(k + 1, n + 1) if spec.flavor == "pmk" else (
-        (n,) if spec.flavor == "m" else ()
-    )
-    for j in vrange:
+    return out
+
+
+def kernel_generator_list(space):
+    """The explicit labeled generating family of the cycle lattice for
+    the spec's flavor, as (label, chain) pairs: K1-K11
+    (`pmplus_generators`), then the members K12-K16 on the slides."""
+    spec = space.spec
+    g, s, n, d = spec.g, spec.s, spec.n, spec.d
+    out = pmplus_generators(space)
+    for j in [gen.index for gen in space.gens if gen.kind == "v"]:
         for i in range(1, d + 1):
             out.append(("K12", _vtilde(space, j, i)))
     if spec.flavor == "m":
         for j in range(1, n):
-            base = gpos["s", j] * d - 1
+            base = space.gpos["s", j] * d - 1
             for i in range(1, d + 1):
                 if i not in (g + s + j, g + s + j + 1):
                     out.append(("K13", {base + i: 1}))

@@ -4,11 +4,13 @@ Three subcommands: `compute` runs one spec and reports the group,
 `table` sweeps a grid of specs, `verify` runs the internal consistency
 suite.  Exit codes: 0 success/match, 2 invalid input (spec, flags or
 relations file), 3 unstable sampling, 4 computed group differs from the
-closed form, 5 failed verification, 130 (128 + SIGINT) interrupted,
-after the one stderr line "interrupted", 141 (128 + SIGPIPE) standard
-output closed by its reader before everything was written, or already
-closed when the program started (then nothing is run); both 141 cases
-leave stderr empty.
+closed form, 5 failed verification, 6 out of memory (a `MemoryError`),
+after the one stderr line "out of memory", 130 (128 + SIGINT)
+interrupted, after the one stderr line "interrupted", 141 (128 +
+SIGPIPE) standard output closed by its reader before everything was
+written, or already closed when the program started (then nothing is
+run); both 141 cases leave stderr empty.  Any other unexpected
+exception is a bug: it keeps its traceback, and Python exits 1.
 
 `argparse` is imported by `build_parser` and `csv` by `table --format
 csv`, so importing this module loads neither.
@@ -28,6 +30,7 @@ from .errors import (
     UnknownLetter,
     UnstableSampling,
 )
+from .intlin import AbelianInvariants
 from .surface import SurfaceSpec, spec_grid
 from .verify import fault_checks, verify_spec
 
@@ -36,6 +39,7 @@ EXIT_INVALID = 2
 EXIT_UNSTABLE = 3
 EXIT_MISMATCH = 4
 EXIT_VERIFY = 5
+EXIT_MEMORY = 6
 EXIT_INTERRUPT = 130
 EXIT_PIPE = 141
 
@@ -88,14 +92,12 @@ def record_json(record):
 
 
 def record_text(record):
-    torsion = " + ".join("Z_%d" % t for t in record["torsion"]) or "0"
-    if record["free_rank"]:
-        torsion += " + Z^%d" % record["free_rank"]
+    group = AbelianInvariants(tuple(record["torsion"]), record["free_rank"])
     lines = [
         "N_{%d,%d}^%d  flavor=%s  k=%d"
         % (record["genus"], record["boundary"], record["punctures"],
            record["flavor"], record["k"]),
-        "H_1 = %s" % torsion,
+        "H_1 = %s" % group.describe(),
         "basis: %s" % (", ".join(record["generators"]) or "(none)"),
         "lower bound %d, expected exponent %d, %s"
         % (record["lower_bound"], record["oracle"],
@@ -310,6 +312,9 @@ def main(argv=None):
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return EXIT_INTERRUPT
+    except MemoryError:
+        print("out of memory", file=sys.stderr)
+        return EXIT_MEMORY
     except BrokenPipeError:
         # The reader is gone.  Send what is still buffered to devnull, so
         # the flush at interpreter exit cannot raise again.

@@ -22,10 +22,12 @@ projected ambiguity vectors are drawn as one, and the unit singletons
 no draw can disturb are split off the sample matrix before the first
 sample (`SampleMatrix`); when that leaves nothing a draw can change,
 one Smith form serves every sample.
-The build solves no linear system: a slide conjugation's one instance
-is a sum of cycles of the explicit generating family, which each system
-builds once (`RelationSystem.family`), and no instance known to lie in
-its ambiguity sublattice is built (see `build_relation_system`).
+The build solves no linear system and builds no generating family of
+the cycle lattice: a slide conjugation's one instance is a sum of the
+closed-form cycles v~(j, r) (`chains._vtilde`), its ambiguity basis is
+the closed-form K1-K11 (`pmplus_ambiguity_basis`), and no instance
+known to lie in its ambiguity sublattice is built (see
+`build_relation_system`).
 """
 
 import random
@@ -35,9 +37,9 @@ from functools import cached_property
 from .catalog import build_catalog, k1_ambiguity_basis, pmplus_ambiguity_basis
 from .chains import (
     ChainSpace,
+    _vtilde,
     boundary1,
     boundary_witnesses,
-    kernel_generator_list,
     rewrite_relation_all,
 )
 from .errors import NotACycle, RelationOutsideKernel, UnstableSampling
@@ -75,7 +77,9 @@ class RelationSystem:
     elimination of the exact relations (a signed forest and an echelon
     of the rows it leaves) and the filtered instances (`partials`) are
     read only by the quotient, so each is computed on first read and
-    then held on the system; `verify` builds neither.
+    then held on the system; `verify` builds neither.  No generating
+    family of the cycle lattice is built or held: `verify_spec` builds
+    the one its certificate reads.
     """
 
     def __init__(self, space, catalog, rank, exact, instances,
@@ -86,16 +90,6 @@ class RelationSystem:
         self.exact = exact  # (rid, chain)
         self.instances = instances  # every built PartialRow, in catalog order
         self.ambiguity_chains = ambiguity_chains  # key -> list of chains
-
-    @cached_property
-    def family(self):
-        """The explicit generating family of the cycle lattice
-        (`kernel_generator_list`), as (label, chain) pairs, built once
-        per system and read three ways: the pm+ ambiguity basis is its
-        members on the pm+ kinds, each slide-conjugation instance sums
-        its K12 members, and `verify_spec` certifies that it spans the
-        cycle lattice."""
-        return kernel_generator_list(self.space)
 
     @property
     def exact_coords(self):  # the exact chains, as perfbench counts them
@@ -184,8 +178,9 @@ def build_relation_system(spec, extra_relations=None):
     A slide conjugation x v_j = v_j y, x some a_i or e_i, builds one
     instance, at the first coefficient xi that x moves.  With B_x =
     psi(x)^-1 - I and w = B_x xi, its pinned chain is sum_r w_r
-    v~(j, r), a sum of K12 members v~(j, r) = [v_j] (x) xi_r +
-    corr(j, r) of `RelationSystem.family`:
+    v~(j, r), a sum of the cycles v~(j, r) = [v_j] (x) xi_r + corr(j, r)
+    taken in closed form (`chains._vtilde`, the K12 members of
+    `kernel_generator_list`):
 
     - The relation at xi is the exact part [x] (x) xi + [v_j] (x) w
       less an unknown chain u on the pm+ kinds with boundary
@@ -237,13 +232,12 @@ def build_relation_system(spec, extra_relations=None):
         check(rid, base)
         if key not in system.ambiguity_chains:
             chains = (k1_ambiguity_basis(space) if key == "k1"
-                      else pmplus_ambiguity_basis(space, system.family))
+                      else pmplus_ambiguity_basis(space))
             for c in chains:
                 require_cycle(space, c, error=RelationOutsideKernel)
             system.ambiguity_chains[key] = chains
         system.instances.append(PartialRow(rid, base, key))
 
-    vtilde = None  # flat coordinate of v_{j,r} -> v~(j, r)
     for entry in catalog:
         if entry.kind == "word":
             for vec in rewrite_relation_all(space, entry.lhs, entry.rhs):
@@ -256,16 +250,12 @@ def build_relation_system(spec, extra_relations=None):
         elif entry.ambiguity == "k1":
             add_partial(entry.rid, entry.vector, "k1")
         else:
-            if vtilde is None:
-                vtilde = {c: chain for label, chain in system.family
-                          if label == "K12" for c in chain
-                          if space.unflat(c)[0].kind == "v"}
             x, vj = entry.conjugation
             for xi, w in enumerate(space._bcol[x], 1):
                 if w:  # the first coefficient x moves: see above
                     base = {}
                     for r, c in w.items():
-                        vec_axpy(base, vtilde[space.flat(vj, r + 1)], c)
+                        vec_axpy(base, _vtilde(space, vj.index, r + 1), c)
                     add_partial("%s:xi%d" % (entry.rid, xi), base, "pm+")
                     break
     return system
@@ -412,8 +402,6 @@ class UnitElimination:
                         continue
                     if not va * sa + vb * sb:  # a balanced cycle
                         continue
-            elif not size:
-                continue
             residual.append(row)
         self.phi = phi = [None] * dim
         live = {}
@@ -555,7 +543,6 @@ def compute_h1(spec, samples=17, seed=0, extra_relations=None):
     if samples < 1:
         raise ValueError("need at least one sample")
     system = build_relation_system(spec, extra_relations)
-    vars(system).pop("family", None)  # read by the build and `verify_spec`
     elim = system.elimination
     partials = system.partials
     nsamples = samples if partials else 1

@@ -2,18 +2,24 @@
 
 `verify_spec` checks the relation system that `compute` solves: its
 representation and boundary closed forms (`representation_failures`),
-the explicit generating family of the cycle lattice that the build read
-(`RelationSystem.family`), certified by its boundaries and its Smith
-form without a second kernel, and the descent of the certifying
-functionals; building the system checks that every catalog relation is
-a cycle.  `fault_checks` checks the checks: it runs
-the same `representation_failures` on representations with a
-deliberately flipped sign, which must be caught.  Both return a list of
+the explicit generating family of the cycle lattice
+(`kernel_generator_list`, whose members K1-K11 and K12 are the closed
+forms the build reads), certified by its boundaries and its Smith form
+without a second kernel, and the descent of the certifying functionals;
+building the system checks that every catalog relation is a cycle.
+`fault_checks` checks the checks: it runs the same
+`representation_failures` on representations with a deliberately
+flipped sign, which must be caught.  Both return a list of
 failure messages, empty when everything holds.
 """
 
 from .certify import descent_check, functionals_for
-from .chains import ChainSpace, boundary1, expected_boundary
+from .chains import (
+    ChainSpace,
+    boundary1,
+    expected_boundary,
+    kernel_generator_list,
+)
 from .engine import build_relation_system
 from .errors import RelationOutsideKernel
 from .intlin import snf_factors
@@ -70,18 +76,20 @@ def verify_spec(spec):
       psi(x)^-1 is right (`representation_failures`);
     - a class relation, and the exact part of a k1 partial, must be a
       cycle;
-    - the one instance of a slide-conjugation partial, a sum of K12
-      members of the explicit family, must be a cycle.
+    - the one instance of a slide-conjugation partial, a sum of the
+      closed-form cycles v~(j, r) (`chains._vtilde`), must be a cycle.
 
-    The explicit family the system holds (`RelationSystem.family`, the
-    one the build read) must span the cycle lattice.
+    The explicit family (`kernel_generator_list`), built here for this
+    certificate alone, must span the cycle lattice.  Its members K1-K11
+    and K12 are the closed forms of the pm+ basis and of the v~(j, r)
+    the build reads.
     """
     try:
         system = build_relation_system(spec)
     except RelationOutsideKernel as exc:
         return ["relation system: %s" % exc]
     failures = list(representation_failures(system.space))
-    listed = [c for _, c in system.family]
+    listed = [c for _, c in kernel_generator_list(system.space)]
     if not spans_cycle_lattice(system, listed):
         failures.append("cycle lattice differs from the explicit family")
 

@@ -9,6 +9,9 @@ reads the elimination and the `SampleMatrix` that the run built:
 - the largest chain-space dim and the largest and summed r, the
   coordinates left after `UnitElimination`, one per live component of
   its signed forest;
+- the nonzero residual images the elimination inserts into its echelon
+  and those that reduce to zero there, counted by building each spec's
+  elimination again with `echelon_insert` wrapped;
 - the most rows and columns left after the fixed peel in one spec, and
   the sample rows left of all of them, over the grid;
 - the specs where no draw can change the rows left (`vacuous`);
@@ -27,6 +30,7 @@ test suite, like `make_relation_manifest.py`.
 from collections import Counter
 
 import mcgtwist.engine as engine
+import mcgtwist.intlin.lattice as lattice
 from mcgtwist.intlin import Echelon
 from mcgtwist.surface import spec_grid
 
@@ -47,6 +51,16 @@ def main():
         nnz += sum(map(len, rows))
         return snf_factors(rows)
 
+    echelon_insert = lattice.echelon_insert
+    inserted = reduced = 0
+
+    def counted_insert(pivots, row):
+        nonlocal inserted, reduced
+        grew = echelon_insert(pivots, row)
+        inserted += 1
+        reduced += not grew
+        return grew
+
     engine.SampleMatrix, engine.snf_factors = Recorded, counted
     dims, ranks, left_rows, left_cols = [], [], [], []
     rows_total = rows_left = vacuous = distinct = 0
@@ -56,6 +70,9 @@ def main():
         system = engine.compute_h1(spec, seed=0).system
         matrix = matrices.pop()
         elim = system.elimination
+        lattice.echelon_insert = counted_insert
+        engine.RelationSystem.elimination.func(system)  # counted again
+        lattice.echelon_insert = echelon_insert
         dims.append(system.space.dim)
         ranks.append(elim.rank)
         rows = matrix.rows()
@@ -81,6 +98,8 @@ def main():
     print("specs %d" % len(dims))
     print("largest dim %d, largest r %d, sum of r %d"
           % (max(dims), max(ranks), sum(ranks)))
+    print("elimination echelon: %d residual images inserted, "
+          "%d reduce to zero" % (inserted, reduced))
     print("after the fixed peel: at most %d rows and %d columns, "
           "%d of %d sample rows" % (max(left_rows), max(left_cols),
                                     rows_left, rows_total))

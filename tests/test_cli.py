@@ -19,6 +19,7 @@ from mcgtwist.catalog import build_catalog, parse_relations
 from mcgtwist.cli import (
     EXIT_INTERRUPT,
     EXIT_INVALID,
+    EXIT_MEMORY,
     EXIT_MISMATCH,
     EXIT_OK,
     EXIT_PIPE,
@@ -27,6 +28,7 @@ from mcgtwist.cli import (
     RECORD_FIELDS,
     main,
     record_json,
+    record_text,
     run_record,
 )
 from mcgtwist.chains import (
@@ -66,6 +68,19 @@ class TestCompute:
         assert code == EXIT_OK
         assert "Z_2 + Z_2 + Z_2" in out
         assert "match" in out
+
+    @pytest.mark.parametrize("torsion, free_rank, line", [
+        ([], 2, "H_1 = Z^2"),
+        ([2, 2], 0, "H_1 = Z_2 + Z_2"),
+    ], ids=["free", "torsion"])
+    def test_text_group_line(self, torsion, free_rank, line):
+        # The text record writes the group as `AbelianInvariants.describe`
+        # does, free rank alone included.
+        record = dict(genus=3, boundary=1, punctures=0, k=0, flavor="pm+",
+                      torsion=torsion, free_rank=free_rank, generators=[],
+                      lower_bound=0, oracle=0, match=True, samples=1,
+                      seed=0, ms=0)
+        assert record_text(record).splitlines()[1] == line
 
     def test_json_fields_and_roundtrip(self, capsys):
         code, out, _ = run(
@@ -291,17 +306,14 @@ class TestVerify:
         assert out.startswith("FAIL") and "X1" in out
 
     def test_unsolvable_partial_names_its_relation(self, capsys, monkeypatch):
-        # A family whose K12 members are the bare classes v_{j,i}, with
-        # no pm+ chain solving for the boundary of the unknown part: the
-        # first slide instance that needs a correction is no cycle.
-        def uncorrected(space):
-            return [(label, {c: v for c, v in chain.items()
-                             if space.unflat(c)[0].kind == "v"})
-                    if label == "K12" else (label, chain)
-                    for label, chain in kernel_generator_list(space)]
+        # The build's K12 closed form v~(j, i) cut to its bare class
+        # v_{j,i}, with no pm+ chain solving for the boundary of the
+        # unknown part: the first slide instance that needs a correction
+        # is no cycle.
+        def uncorrected(space, j, i):
+            return space.chain([("v", j, i, 1)])
 
-        monkeypatch.setattr(mcgtwist.engine, "kernel_generator_list",
-                            uncorrected)
+        monkeypatch.setattr(mcgtwist.engine, "_vtilde", uncorrected)
         failures = verify_spec(SurfaceSpec.make(4, 1, 2, 1, "pmk"))
         assert len(failures) == 1
         assert failures[0].startswith("relation system: R14:2:3:xi3: ")
@@ -316,8 +328,8 @@ class TestVerify:
     def test_non_cycle_is_one_relation_system_line(
             self, capsys, monkeypatch, rid):
         # Add the non-cycle a_{1,1} to a class relation, to the vector of
-        # a k1 partial, or to every K12 member of the explicit family,
-        # which the slide-conjugation instances sum.
+        # a k1 partial, or to every K12 closed form v~(j, i) the build
+        # reads, which the slide-conjugation instances sum.
         spec = SurfaceSpec.make(5, 1, 2, 1, "pmk")
 
         def broken_catalog(spec, space):
@@ -327,16 +339,13 @@ class TestVerify:
                     vec_axpy(entry.vector, {space.flat(Gen("a", 1), 1): 1}, 1)
             return out
 
-        def broken_family(space):
-            out = kernel_generator_list(space)
-            for label, chain in out:
-                if label == "K12":
-                    vec_axpy(chain, {space.flat(Gen("a", 1), 1): 1}, 1)
+        def broken_vtilde(space, j, i):
+            out = mcgtwist.chains._vtilde(space, j, i)
+            vec_axpy(out, {space.flat(Gen("a", 1), 1): 1}, 1)
             return out
 
         if rid.startswith("R14"):
-            monkeypatch.setattr(mcgtwist.engine, "kernel_generator_list",
-                                broken_family)
+            monkeypatch.setattr(mcgtwist.engine, "_vtilde", broken_vtilde)
         else:
             monkeypatch.setattr(mcgtwist.engine, "build_catalog",
                                 broken_catalog)
@@ -485,9 +494,10 @@ class TestVerify:
                                       SurfaceSpec.make(4, 1, 2, flavor="m")],
                              ids=str)
     def test_one_family_and_no_solver_per_spec(self, monkeypatch, spec):
-        # The build, the pm+ basis and the lattice certificate read one
-        # explicit family per relation system, and neither compute nor
-        # verify reaches the pm+ boundary solver or its two inputs.
+        # Only verify's lattice certificate builds the explicit family,
+        # once per spec: the build takes the pm+ basis and the slide
+        # instances in closed form, so compute builds none.  Neither
+        # reaches the pm+ boundary solver or its two inputs.
         names = ("kernel_generator_list", "pmplus_boundary_solver",
                  "partial_exact_part", "partial_target_boundary")
         calls = Counter()
@@ -506,7 +516,7 @@ class TestVerify:
         assert calls == {"kernel_generator_list": 1}
         calls.clear()
         assert run_record(spec, 17, 0)["match"]
-        assert calls == {"kernel_generator_list": 1}
+        assert calls == {}
 
     def test_compute_builds_no_cycle_lattice(self, monkeypatch):
         # compute works on the relation chains, and verify_spec certifies
@@ -551,16 +561,14 @@ class TestVerify:
 
     @pytest.mark.parametrize("fault", range(3))
     def test_broken_family_is_a_fail_line(self, capsys, monkeypatch, fault):
-        # The family the system holds is broken after the build, which
-        # read it, so only the lattice certificate sees the fault.
-        def broken(spec):
-            system = build_relation_system(spec)
-            chains = [c for _, c in system.family]
-            system.family = [("K", c) for c in broken_families(
-                system.space, chains)[fault]]
-            return system
+        # The family verify builds for its lattice certificate is broken;
+        # the build reads no family, so only the certificate sees the
+        # fault.
+        def broken(space):
+            chains = [c for _, c in kernel_generator_list(space)]
+            return [("K", c) for c in broken_families(space, chains)[fault]]
 
-        monkeypatch.setattr(mcgtwist.verify, "build_relation_system", broken)
+        monkeypatch.setattr(mcgtwist.verify, "kernel_generator_list", broken)
         code, out, _ = run(
             capsys, "verify", "--genus", "4", "--boundary", "1",
             "--punctures", "2", "--flavor", "m",
@@ -680,16 +688,21 @@ class TestBadInput:
 
 def test_exit_codes_are_distinct():
     codes = [EXIT_OK, EXIT_INVALID, EXIT_UNSTABLE, EXIT_MISMATCH,
-             EXIT_VERIFY, EXIT_INTERRUPT, EXIT_PIPE]
-    assert len(set(codes)) == len(codes) == 7
+             EXIT_VERIFY, EXIT_MEMORY, EXIT_INTERRUPT, EXIT_PIPE]
+    assert len(set(codes)) == len(codes) == 8
+    assert EXIT_MEMORY == 6
     assert EXIT_INTERRUPT == 128 + 2 and EXIT_PIPE == 128 + 13
 
 
-@pytest.mark.parametrize("argv, target", [
+# The call each command makes per spec, to be patched to raise.
+PER_SPEC = pytest.mark.parametrize("argv, target", [
     (["compute", "--genus", "4", "--boundary", "1"], "run_record"),
     (["table", "--genus", "3-4", "--boundary", "1"], "run_record"),
     (["verify", "--all"], "verify_spec"),
 ], ids=["compute", "table", "verify-all"])
+
+
+@PER_SPEC
 def test_interrupt_is_one_line_and_exit_130(capsys, monkeypatch, argv,
                                             target):
     # SIGINT raises KeyboardInterrupt in the running spec: the run ends
@@ -701,6 +714,20 @@ def test_interrupt_is_one_line_and_exit_130(capsys, monkeypatch, argv,
     code, _, err = run(capsys, *argv)
     assert code == EXIT_INTERRUPT == 130
     assert err == "interrupted\n"
+
+
+@PER_SPEC
+def test_memory_error_is_one_line_and_exit_6(capsys, monkeypatch, argv,
+                                             target):
+    # Memory exhaustion raises MemoryError in the running spec: the run
+    # ends with exit 6 and one stderr line, not a traceback.
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(mcgtwist.cli, target, exhausted)
+    code, _, err = run(capsys, *argv)
+    assert code == EXIT_MEMORY == 6
+    assert err == "out of memory\n"
 
 
 QUIET_ARGVS = [

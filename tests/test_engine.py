@@ -448,19 +448,31 @@ def test_partial_filter_matches_the_full_coordinate_filter():
 
 
 def test_pmplus_ambiguity_basis_is_the_boundary_solver_kernel():
-    # The closed-form pm+ basis, the members of the explicit cycle family
-    # on the pm+ kinds, spans the kernel of the pm+ boundary solver, and
-    # each member is a cycle on those kinds.  The grid and the specs
-    # past it.
+    # The closed-form pm+ basis, K1-K11, spans the kernel of the pm+
+    # boundary solver, and each member is a cycle on the pm+ kinds.  The
+    # grid and the specs past it.
     for spec in list(twist_grid()) + list(permutation_grid()) + PAST_GRID_SPECS:
         space = ChainSpace(spec)
-        basis = pmplus_ambiguity_basis(space, kernel_generator_list(space))
+        basis = pmplus_ambiguity_basis(space)
         assert same_lattice(Echelon(basis),
                             Echelon(pmplus_kernel_reference(space))), spec
         for chain in basis:
             assert not boundary1(space, chain), spec
             assert all(space.unflat(c)[0].kind in PMPLUS_KINDS
                        for c in chain), spec
+
+
+def test_pmplus_ambiguity_basis_is_the_family_on_the_pmplus_kinds():
+    # Chain for chain and in order, the closed-form pm+ basis is the
+    # members of the explicit cycle family that lie wholly on the pm+
+    # kinds, so a draw's bit t adds the same chain as when the basis was
+    # filtered from the family.  The grid and the specs past it.
+    for spec in list(twist_grid()) + list(permutation_grid()) + PAST_GRID_SPECS:
+        space = ChainSpace(spec)
+        on_kinds = [chain for _, chain in kernel_generator_list(space)
+                    if all(space.unflat(c)[0].kind in PMPLUS_KINDS
+                           for c in chain)]
+        assert pmplus_ambiguity_basis(space) == on_kinds, spec
 
 
 def test_closed_form_ambiguity_bases_change_no_span_and_no_kept_instance():
@@ -630,6 +642,8 @@ def gf2_rank(rows, width):
 # An unbalanced cycle whose root is later linked under a smaller one.
 @example(([{2: 1, 3: 1}, {3: 1, 2: 1}, {2: 1, 3: -1}, {1: 1, 3: 1},
            {0: 2, 1: 1, 2: 1}], [{0: 1}], 4))
+# Empty exact rows are residual, with an empty image, and add nothing.
+@example(([{}, {0: 1, 1: -1}, {}], [{1: 2}, {}], 2))
 def test_forest_elimination_agrees_with_smith_form(lattice):
     """The exact rows eliminated by the signed forest, the rest held in
     `base`, and the other rows projected, as a sample does: the
@@ -749,9 +763,9 @@ def test_system_rank_is_the_cycle_lattice_rank():
                                   SurfaceSpec.make(4, 1, 2, flavor="m")],
                          ids=spec_id)
 def test_result_does_not_hold_the_family(spec):
-    # compute_h1 reads the explicit family only while it builds the
-    # system, so the system its result holds keeps no copy of it.
-    assert "family" not in vars(compute_h1(spec).system)
+    # The build takes the pm+ basis and the slide instances in closed
+    # form, so the system compute_h1's result holds has no family.
+    assert not hasattr(compute_h1(spec).system, "family")
 
 
 def test_build_drops_the_fox_columns_it_rewrote_with():
