@@ -9,7 +9,7 @@ to avoid puncture slides and braids, but has no explicit word; its
 contribution is pinned down up to an ambiguity sublattice.
 """
 
-from .chains import ChainSpace, boundary1, pmplus_generators
+from .chains import boundary1, pmplus_generators
 from .errors import NoIntegerSolution
 from .intlin import ColumnSolver, vec_axpy
 from .surface import PMPLUS_KINDS, Gen, Word, evaluate_word
@@ -31,10 +31,10 @@ def _w(*letters):
     return Word([(Gen(k, i), 1) for k, i in letters])
 
 
-def build_catalog(spec, space=None):
-    """All relation entries valid for the given spec, in stable order."""
-    if space is None:
-        space = ChainSpace(spec)
+def build_catalog(spec, space):
+    """All relation entries valid for the given spec, in stable order.
+    `space` is the spec's chain space, whose chains the class relations
+    and the exact parts of the k1 partials are written in."""
     g, s, n, k = spec.g, spec.s, spec.n, spec.k
     sn = s + n
     out = []

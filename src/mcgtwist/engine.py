@@ -307,9 +307,12 @@ class SamplingReport:
 
 
 class H1Result:
-    def __init__(self, spec, invariants, named_basis, sampling_report, ms,
+    """What `compute_h1` returns for one spec: the invariants, the named
+    basis, the sampling report, the wall time in ms and the relation
+    system, whose `space.spec` is the spec."""
+
+    def __init__(self, invariants, named_basis, sampling_report, ms,
                  system, gf2=None):
-        self.spec = spec
         self.invariants = invariants  # AbelianInvariants
         self.named_basis = named_basis
         self.sampling_report = sampling_report
@@ -563,8 +566,8 @@ def compute_h1(spec, samples=17, seed=0, extra_relations=None):
 
     named, gf2 = _named_basis(system, invariants)
     ms = int((time.perf_counter() - t0) * 1000)
-    return H1Result(spec, invariants, named, SamplingReport(nsamples, True),
-                    ms, system, gf2)
+    return H1Result(invariants, named, SamplingReport(nsamples, True), ms,
+                    system, gf2)
 
 
 def _named_basis(system, invariants):

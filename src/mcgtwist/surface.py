@@ -298,19 +298,12 @@ def _moved_rows(rows):
     return tuple(out)
 
 
-def build_representation(spec, sign_variant=None):
+def build_representation(spec):
     """The moved rows of all generators of the given group and of their
     inverses, which are formed by generator kind (see `INVOLUTION_KINDS`).
-
-    `sign_variant` deliberately flips one sign to exercise the
-    consistency checks: "e" flips the third delta coefficient in the
-    first column of every e_j with j >= 3, "s" flips the delta_1
-    coefficient inside the last elementary braid.  Both variants break
-    the boundary-map consistency verified by `chains` and `cli verify`.
-    """
+    Every run builds it this way; `verify` plants its sign faults in a
+    build of its own (`verify.faulty_representation`)."""
     spec.require_free_module()
-    if sign_variant not in (None, "e", "s"):
-        raise ValueError("sign_variant must be None, 'e' or 's'")
     g, s, n, d = spec.g, spec.s, spec.n, spec.d
     moved = {}
     for gen in spec.generators():
@@ -336,8 +329,6 @@ def build_representation(spec, sign_variant=None):
             for t in range(1, j + 1):
                 m[g + t - 1][0] = -1
                 m[g + t - 1][1] = 1
-            if sign_variant == "e" and j >= 3:
-                m[g + 2][0] = 1
         elif kind == "d":
             pass
         elif kind == "s":
@@ -350,8 +341,6 @@ def build_representation(spec, sign_variant=None):
                     m[r][d - 1] = -2
                 for r in range(g, d):
                     m[r][d - 1] = -1
-                if sign_variant == "s" and d - 1 > g:
-                    m[g][d - 1] = 1
         elif kind == "v":
             if j < n:
                 p = g + s + j - 1

@@ -9,7 +9,9 @@ without a second kernel, and the descent of the certifying functionals;
 building the system checks that every catalog relation is a cycle.
 `fault_checks` checks the checks: it runs the same
 `representation_failures` on representations with a deliberately
-flipped sign, which must be caught.  Both return a list of
+flipped sign, which must be caught.  This module alone defines those
+planted faults (`sign_faults`, `faulty_representation`); the build that
+every run executes has no fault branch.  Both checks return a list of
 failure messages, empty when everything holds.
 """
 
@@ -23,7 +25,7 @@ from .chains import (
 from .engine import build_relation_system
 from .errors import RelationOutsideKernel
 from .intlin import snf_factors
-from .surface import INVOLUTION_KINDS, build_representation
+from .surface import INVOLUTION_KINDS, Gen, build_representation
 
 
 def representation_failures(space):
@@ -98,25 +100,63 @@ def verify_spec(spec):
     return failures
 
 
+def sign_faults(spec):
+    """The planted sign faults that apply to `spec`, as a dict variant ->
+    [(x, row, col), ...]: each fault negates the 0-based off-diagonal
+    entry (row, col) of psi(x) for every listed generator x.
+
+    - "e" negates entry (g+3, 1), 1-based, of every e_j with j >= 3: the
+      delta_3 coefficient in the gamma_1 column.  It applies when e_3
+      exists, s + n - 1 >= 3.
+    - "s" negates entry (g+1, d) of the last braid s_{n-1}: the delta_1
+      coefficient in the delta_{s+n-1} column.  It applies to flavor
+      "m" when that entry is off the diagonal, d - 1 > g, i.e.
+      s + n >= 3.
+    """
+    g, sn = spec.g, spec.s + spec.n
+    out = {"e": [(Gen("e", j), g + 2, 0) for j in range(3, sn)]}
+    if spec.flavor == "m" and sn >= 3:
+        out["s"] = [(Gen("s", spec.n - 1), g, spec.d - 1)]
+    return {variant: entries for variant, entries in out.items() if entries}
+
+
+def faulty_representation(spec, variant):
+    """A fresh `build_representation(spec)` with the sign fault `variant`
+    (a key of `sign_faults(spec)`) planted in it.
+
+    Each entry is negated in the moved rows of both psi(x) and
+    psi(x)^-1, which gives the rows the builder's inverse rule (see
+    `build_representation`) gives for the faulty psi(x).  An
+    off-diagonal nonzero entry lies in a moved row of each, and stays
+    nonzero.  An involution's inverse has the same rows as psi(x), so it
+    takes the same negation.  A transvection T has inverse 2I - T, whose
+    off-diagonal entries are T's negated, so negating an entry of T
+    negates the same entry of 2I - T.
+    """
+    rep = build_representation(spec)
+    for gen, row, col in sign_faults(spec)[variant]:
+        for key in (gen, 1), (gen, -1):
+            rows = dict(rep.moved[key])
+            rows[row] = tuple((c, -v if c == col else v) for c, v in rows[row])
+            rep.moved[key] = tuple(sorted(rows.items()))
+    return rep
+
+
 def fault_checks(spec):
-    """The deliberately flipped signs must be caught, and checking them
-    must not raise; returns failures of the checks-about-checks.  A
-    variant is caught at the first failure `representation_failures`
-    yields; a crash before it is reported as raised."""
+    """The planted sign faults (`sign_faults`) must be caught, and
+    checking them must not raise; returns failures of the
+    checks-about-checks.  Each variant that applies to `spec` is planted
+    in a build of its own, and is caught at the first failure
+    `representation_failures` yields; a crash before it, in the build
+    too, is reported as raised."""
     failures = []
-    for variant in ("e", "s"):
-        if variant == "e" and spec.s + spec.n - 1 < 3:
-            continue
-        if variant == "s" and (spec.flavor != "m" or spec.s + spec.n < 3):
-            continue
+    for variant in sign_faults(spec):
         try:
-            rep = build_representation(spec, sign_variant=variant)
-            caught = any(representation_failures(ChainSpace(spec, rep)))
+            rep = faulty_representation(spec, variant)
+            if not any(representation_failures(ChainSpace(spec, rep))):
+                failures.append("sign variant %r went undetected" % variant)
         except Exception as exc:
             # A crash is a fault of the checks, not a caught fault.
             failures.append("sign variant %r raised %s: %s"
                             % (variant, type(exc).__name__, exc))
-            continue
-        if not caught:
-            failures.append("sign variant %r went undetected" % variant)
     return failures

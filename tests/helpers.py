@@ -12,7 +12,6 @@ from mcgtwist.catalog import (
     pmplus_boundary_solver,
 )
 from mcgtwist.certify import odd_support, parity_on
-from mcgtwist.chains import _vtilde
 from mcgtwist.engine import PartialRow
 from mcgtwist.errors import UnknownDerived, UnknownLetter
 from mcgtwist.intlin import Echelon, vec_axpy
@@ -162,16 +161,6 @@ def k1_single_classes_reference(space):
     g = space.spec.g
     return [space.chain([("a", j, i, 1)]) for j in range(1, g)
             for i in list(range(1, j)) + list(range(j + 2, g + 1))]
-
-
-def closed_form_slide_chain(space, x, vj, xi):
-    """The closed form of the pinned chain of x v_j = v_j y at
-    coefficient xi: sum_r w_r v~(j, r) for w = B_x xi, each v~(j, r)
-    taken from `chains._vtilde`."""
-    out = {}
-    for r, c in space._bcol[x][xi - 1].items():
-        vec_axpy(out, _vtilde(space, vj.index, r + 1), c)
-    return out
 
 
 def solver_instances(system):

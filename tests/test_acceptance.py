@@ -2,9 +2,11 @@
 
 Eight criteria, each printed as a single PASS/FAIL line.  The full
 parameter grids are computed once in a module fixture and shared.  A
-fixed list of specs past the grid is run end to end too.
+fixed list of specs past the grid is run end to end too, and a seeded
+set of 40 more is checked against the closed form.
 """
 
+import random
 import time
 
 import pytest
@@ -15,7 +17,7 @@ from mcgtwist.chains import ChainSpace, cycle_lattice, kernel_generator_list
 from mcgtwist.cli import run_record
 from mcgtwist.engine import compute_h1
 from mcgtwist.intlin import Echelon
-from mcgtwist.surface import SurfaceSpec
+from mcgtwist.surface import FLAVORS, SurfaceSpec
 from mcgtwist.verify import fault_checks, verify_spec
 from helpers import same_lattice
 
@@ -250,3 +252,35 @@ def test_spec_past_the_grid(spec):
     assert record["match"] and record["lower_bound"] <= record["oracle"]
     assert seconds < PER_SPEC_BUDGET_SECONDS
     assert verify_spec(spec) + fault_checks(spec) == []
+
+
+def sweep_specs(count, seed):
+    """`count` seeded specs past the grid: every other one has genus 3 or
+    4 and 4-12 boundary components, where the closed form is linear in
+    s, and the rest genus 10-16 with s and n up to 6."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        if len(out) % 2:
+            g, s, n = rng.randint(10, 16), rng.randint(0, 6), rng.randint(0, 6)
+        else:
+            g, s, n = rng.randint(3, 4), rng.randint(4, 12), rng.randint(0, 4)
+        flavor = rng.choice(FLAVORS)
+        if flavor == "pmk" and n == 0 or flavor == "m" and n < 2 or s + n < 1:
+            continue
+        k = rng.randrange(n) if flavor == "pmk" else None
+        out.append(SurfaceSpec.make(g, s, n, k, flavor))
+    return out
+
+
+SWEEP_SPECS = sweep_specs(40, 0)
+
+
+def test_seeded_sweep_past_the_grid_matches_the_oracle():
+    # A mismatch here is a finding about the program or the closed form,
+    # never a reason to draw other specs.
+    for spec in SWEEP_SPECS:
+        result = compute_h1(spec)
+        expected = oracle(spec)
+        assert result.invariants == expected, spec
+        assert lower_bound(spec, result) <= len(expected.torsion), spec

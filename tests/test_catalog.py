@@ -15,6 +15,7 @@ from mcgtwist.catalog import (
 from mcgtwist.chains import ChainSpace, boundary1, cycle_lattice
 from mcgtwist.intlin import vec_axpy
 from mcgtwist.surface import Gen, SurfaceSpec, Word, evaluate_word
+from mcgtwist.verify import faulty_representation
 from helpers import column, dense, display, matmul, matvec
 
 SOUND_SPECS = [
@@ -33,40 +34,44 @@ def families(catalog):
     return {entry.rid.split(":", 1)[0] for entry in catalog}
 
 
+def catalog_of(spec):
+    return build_catalog(spec, ChainSpace(spec))
+
+
 class TestGating:
     def test_smallest_case(self):
         # One boundary, genus 3: a single braid relation, the chain
         # relation, and the four imported class families.
         spec = SurfaceSpec.make(3, 1, 0)
-        catalog = build_catalog(spec)
+        catalog = catalog_of(spec)
         assert families(catalog) == {"R1", "R7", "I1", "I2", "I3", "I4"}
         assert all(entry.kind != "partial" for entry in catalog)
 
     def test_genus_4_families(self):
         spec = SurfaceSpec.make(4, 1, 1)
-        fams = families(build_catalog(spec))
+        fams = families(catalog_of(spec))
         assert {"R8", "R9", "R10", "R11", "I6", "I7"} <= fams
         assert "R7" not in fams
         assert "I5" not in fams
 
     def test_partials_present_for_slides(self):
         spec = SurfaceSpec.make(5, 0, 2, 0, "pmk")
-        catalog = build_catalog(spec)
+        catalog = catalog_of(spec)
         kinds = {e.kind for e in catalog}
         assert "partial" in kinds
         assert {"R12", "R13", "R14", "R15", "I5"} <= families(catalog)
 
     def test_braid_families_only_for_permutations(self):
         spec = SurfaceSpec.make(5, 0, 3, flavor="m")
-        fams = families(build_catalog(spec))
+        fams = families(catalog_of(spec))
         assert {"R16", "R17", "R18", "R19", "R20"} <= fams
-        pmk = families(build_catalog(SurfaceSpec.make(5, 0, 3, 0, "pmk")))
+        pmk = families(catalog_of(SurfaceSpec.make(5, 0, 3, 0, "pmk")))
         assert not ({"R16", "R17", "R18", "R19", "R20"} & pmk)
 
     def test_d_commutators_need_low_genus_and_boundary(self):
-        assert "R4" in families(build_catalog(SurfaceSpec.make(3, 2, 0)))
-        assert "R4" not in families(build_catalog(SurfaceSpec.make(5, 2, 0)))
-        assert "R4" not in families(build_catalog(SurfaceSpec.make(3, 1, 0)))
+        assert "R4" in families(catalog_of(SurfaceSpec.make(3, 2, 0)))
+        assert "R4" not in families(catalog_of(SurfaceSpec.make(5, 2, 0)))
+        assert "R4" not in families(catalog_of(SurfaceSpec.make(3, 1, 0)))
 
 
 @pytest.mark.parametrize("spec", SOUND_SPECS, ids=str)
@@ -177,11 +182,9 @@ def test_single_sign_corruption_caught_by_verify():
     # Flipping one sign in the slide matrices makes exactly the
     # slide-conjugation entries fail while word relations still hold
     # or fail loudly; either way the report cannot be clean.
-    from mcgtwist.surface import build_representation
-
     spec = SurfaceSpec.make(3, 2, 3, flavor="m")
     for variant in ("e", "s"):
-        rep = build_representation(spec, sign_variant=variant)
+        rep = faulty_representation(spec, variant)
         space = ChainSpace(spec, rep)
         report = verify_catalog(space, build_catalog(spec, space))
         assert not report.ok, variant

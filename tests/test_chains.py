@@ -24,9 +24,9 @@ from mcgtwist.surface import (
     Representation,
     SurfaceSpec,
     Word,
-    build_representation,
     evaluate_word,
 )
+from mcgtwist.verify import faulty_representation
 from helpers import (
     boundary_reference,
     column,
@@ -164,7 +164,7 @@ def test_sign_variants_break_boundary_consistency():
     # boundary table.
     spec = SurfaceSpec.make(3, 2, 3, flavor="m")
     for variant in ("e", "s"):
-        rep = build_representation(spec, sign_variant=variant)
+        rep = faulty_representation(spec, variant)
         space = ChainSpace(spec, rep)
         broken = [
             (gen, i)
@@ -363,7 +363,7 @@ def outer_braid(spec):
     """The space and the catalog entry R20:{n-1} of a flavor-m spec,
     whose right side holds e_{s+n}, built in a space with no derived
     letter resolved yet."""
-    entry = next(e for e in build_catalog(spec)
+    entry = next(e for e in build_catalog(spec, ChainSpace(spec))
                  if e.rid == "R20:%d" % (spec.n - 1))
     return ChainSpace(spec), entry
 

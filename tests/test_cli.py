@@ -3,6 +3,8 @@
 import csv
 import json
 import os
+import select
+import signal
 import subprocess
 import sys
 from collections import Counter
@@ -401,7 +403,7 @@ class TestVerify:
                                                        monkeypatch):
         # An exception while checking a sign variant is a fault of the
         # checks, not a caught fault.
-        def crash(spec, sign_variant=None):
+        def crash(spec):
             raise TypeError("boom")
 
         monkeypatch.setattr(mcgtwist.verify, "build_representation", crash)
@@ -485,7 +487,8 @@ class TestVerify:
 
                     monkeypatch.setattr(module, name, counted)
         spec = SurfaceSpec.make(4, 1, 2, flavor="m")
-        words = sum(entry.kind == "word" for entry in build_catalog(spec))
+        catalog = build_catalog(spec, ChainSpace(spec))
+        words = sum(entry.kind == "word" for entry in catalog)
         assert verify_spec(spec) == []
         assert calls == {"build_catalog": 1, "rewrite_relation_all": words}
         assert calls["evaluate_word"] == 0
@@ -767,6 +770,29 @@ def test_closed_stdout_exits_quietly(argv):
     )
     assert proc.returncode == EXIT_PIPE
     assert proc.stderr == b""
+
+
+def test_sigint_during_verify_all_exits_130():
+    # A real SIGINT, sent to this child only once it has written its
+    # first line (-u: each line reaches the pipe as it is printed).
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-u", "-m", "mcgtwist.cli", "verify", "--all"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    try:
+        ready, _, _ = select.select([proc.stdout], [], [], 120)
+        assert ready, "no output within 120 s"
+        first = proc.stdout.readline()
+        proc.send_signal(signal.SIGINT)
+        _, err = proc.communicate(timeout=120)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    assert first == b"ok   (3,0,1,0,pmk)\n"
+    assert proc.returncode == EXIT_INTERRUPT
+    assert err == b"interrupted\n"
 
 
 def test_records_match_committed_reference():

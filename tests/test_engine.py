@@ -46,7 +46,6 @@ from mcgtwist.intlin import (
 )
 from mcgtwist.surface import PMPLUS_KINDS, SurfaceSpec, Word
 from helpers import (
-    closed_form_slide_chain,
     exact_echelon,
     extended,
     k1_single_classes_reference,
@@ -193,7 +192,8 @@ def redundant_relations(spec, rng, conjugates=3, products=2):
     """Consequences of the catalog's word relations: conjugates
     x l x^-1 = x r x^-1 of a relation l = r by a letter x of the
     alphabet, and products l l' = r r' of two relations."""
-    words = [(e.lhs, e.rhs) for e in build_catalog(spec) if e.kind == "word"]
+    words = [(e.lhs, e.rhs) for e in build_catalog(spec, ChainSpace(spec))
+             if e.kind == "word"]
     letters = spec.generators()
     out = []
     for _ in range(conjugates):
@@ -349,9 +349,10 @@ def test_instance_order_changes_nothing(monkeypatch):
 def test_no_instance_is_built_at_a_coefficient_the_letter_fixes():
     # A slide conjugation x v_j = v_j y builds one instance, at the first
     # coefficient xi that x moves (xi_i for a_i, xi_1 for e_i), and none
-    # at the coefficients x fixes or at the other one it moves; its chain
-    # is the closed form sum_r w_r v~(j, r), w = B_x xi.  The grid and
-    # four specs past it.
+    # at the coefficients x fixes or at the other one it moves.  Its
+    # chain is checked against the solver path in
+    # `test_closed_form_slide_chains_agree_with_the_solver_path`.  The
+    # grid and four specs past it.
     specs = list(twist_grid()) + list(permutation_grid())
     specs += [SurfaceSpec.make(g, 3, 3, 0, "pmk") for g in (10, 11, 12)]
     specs.append(SurfaceSpec.make(10, 3, 3, flavor="m"))
@@ -368,22 +369,22 @@ def test_no_instance_is_built_at_a_coefficient_the_letter_fixes():
                      if space._bcol[x][xi - 1]]
             first = x.index if x.kind == "a" else 1
             assert moved == [first, first + 1], entry.rid
-            expected.append(("%s:xi%d" % (entry.rid, first),
-                             closed_form_slide_chain(space, x, vj, first)))
+            expected.append("%s:xi%d" % (entry.rid, first))
             skipped += space.d - 1
-        assert [(p.rid, p.base) for p in system.instances
+        assert [p.rid for p in system.instances
                 if p.ambiguity == "pm+"] == expected, spec
     assert skipped > 25000
 
 
 def test_closed_form_slide_chains_agree_with_the_solver_path():
     # The pm+ boundary solver pins each slide conjugation at every
-    # coefficient x moves (`helpers.solver_instances`).  Against it, at
-    # each such coefficient the closed-form chain less the solver's lies
-    # in the pm+ ambiguity lattice A (it is a cycle on the pm+ kinds),
-    # the solver's chains at the two moved coefficients sum into A, and
-    # the filter in all dim coordinates over the solver's instances keeps
-    # the rids the system keeps.  The grid and the specs past it.
+    # coefficient x moves (`helpers.solver_instances`).  Against it, the
+    # system's closed-form instance less the solver's chain at the same
+    # coefficient lies in the pm+ ambiguity lattice A (it is a cycle on
+    # the pm+ kinds), the solver's chains at the two moved coefficients
+    # sum into A, and the filter in all dim coordinates over the solver's
+    # instances keeps the rids the system keeps.  The grid and the specs
+    # past it.
     def in_pmplus_lattice(space, chain):
         return not boundary1(space, chain) and all(
             space.unflat(c)[0].kind in PMPLUS_KINDS for c in chain)
@@ -393,6 +394,7 @@ def test_closed_form_slide_chains_agree_with_the_solver_path():
         system = build_relation_system(spec)
         space = system.space
         reference = solver_instances(system)
+        built = {p.rid: p.base for p in system.instances}
         slides = {}
         for p in reference:
             if p.ambiguity == "pm+":
@@ -400,14 +402,11 @@ def test_closed_form_slide_chains_agree_with_the_solver_path():
         for entry in system.catalog:
             if entry.conjugation is None:
                 continue
-            x, vj = entry.conjugation
             pinned = slides[entry.rid]
             assert len(pinned) == 2, entry.rid
-            for p in pinned:
-                xi = int(p.rid.rsplit(":xi", 1)[1])
-                diff = closed_form_slide_chain(space, x, vj, xi)
-                vec_axpy(diff, p.base, -1)
-                assert in_pmplus_lattice(space, diff), p.rid
+            diff = dict(built[pinned[0].rid])
+            vec_axpy(diff, pinned[0].base, -1)
+            assert in_pmplus_lattice(space, diff), pinned[0].rid
             total = dict(pinned[0].base)
             vec_axpy(total, pinned[1].base, 1)
             assert in_pmplus_lattice(space, total), entry.rid
